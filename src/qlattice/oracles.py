@@ -205,18 +205,26 @@ def check_lub_against_ball(graph, x, y, computed, bitsets, ball_elements,
 # Dense norm oracle for the truncated Toeplitz sums
 # ---------------------------------------------------------------------------
 
-def dense_norm(graph, weights, ball):
-    """Top singular value of the compressed sum lambda_x T_x, by dense SVD.
+def dense_operator(graph, x, ball):
+    """Dense compression of T_x to the ball, from ``graph.multiply``.
 
-    The matrix is assembled straight from the ball's elements and
-    ``graph.multiply`` (column y has lambda_x at row xy while xy stays in
-    the ball), without the sparse operators or the power iteration.
+    Column y has a 1 at row xy while xy stays in the ball; built from the
+    ball's elements only, without its multiplication table.
     """
     position = {z.syllables: i for i, z in enumerate(ball.elements)}
     mat = np.zeros((len(position), len(position)))
-    for x, lam in weights.items():
-        for j, y in enumerate(ball.elements):
-            i = position.get(graph.multiply(x, y).syllables)
-            if i is not None:
-                mat[i, j] += lam
+    for j, y in enumerate(ball.elements):
+        i = position.get(graph.multiply(x, y).syllables)
+        if i is not None:
+            mat[i, j] = 1.0
+    return mat
+
+
+def dense_norm(graph, weights, ball):
+    """Top singular value of the compressed sum lambda_x T_x, by dense SVD.
+
+    The matrix is the weighted sum of ``dense_operator``, without the
+    sparse operators or the power iteration.
+    """
+    mat = sum(lam * dense_operator(graph, x, ball) for x, lam in weights.items())
     return float(np.linalg.svd(mat, compute_uv=False)[0])

@@ -1,9 +1,15 @@
 """Truncated left-regular (Toeplitz) representations on finite cone balls.
 
 A cone ball is the finite, divisor-closed set of positive elements of
-degree at most n, with a deterministic basis order.  The truncated
-isometries are compressions P_n T P_n of the left-regular isometries
-T_x e_y = e_{xy}.  Because the ball is divisor closed, the adjoint action
+degree at most n, with a deterministic basis order (degree first).  It is
+enumerated once, by a breadth-first search that multiplies by the
+generators on the left, and it keeps the resulting Cayley graph as a
+left-multiplication table: entry [g, j] is the position of g y_j, or -1
+when g y_j leaves the ball.  The truncated isometries are compressions
+P_n T P_n of the left-regular isometries T_x e_y = e_{xy}; they are read
+off the table by spelling x in the generators, with no further
+multiplication, and the balls of smaller degree are prefixes of the
+largest one.  Because the ball is divisor closed, the adjoint action
 T_x* e_z = e_{x^-1 z} (when x <= z, else 0) is exact on the ball, so all
 diagonal/projection identities hold without truncation error.  Norms are
 the exception: the compressed norm is a lower bound for the full one and
@@ -14,6 +20,7 @@ reports the resulting lower bounds as a nondecreasing sequence.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +37,21 @@ class BallSizeExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class ConeBall:
-    """Positive elements of degree <= max_degree, with index lookup."""
+    """Positive elements of degree <= max_degree, with index lookup.
+
+    ``table`` is the left-multiplication table, one row per generator in
+    the order of ``graph.generator_labels()``: entry [g, j] is the
+    position of g y_j, or -1 when g y_j is not in the ball.
+    """
     graph: object
     max_degree: int
     elements: tuple
-    index: dict = field(compare=False)
+    table: np.ndarray = field(compare=False, repr=False)
+    index: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        index = {x.syllables: i for i, x in enumerate(self.elements)}
+        object.__setattr__(self, "index", index)
 
     def __len__(self):
         return len(self.elements)
@@ -45,32 +62,64 @@ class ConeBall:
     def position(self, x):
         return self.index[x.syllables]
 
+    def truncate(self, degree):
+        """The ball of degree <= ``degree``, as a prefix of this one.
+
+        The basis is sorted by degree first, so this equals
+        ``enumerate_ball(graph, degree)`` element for element.
+        """
+        if not 0 <= degree <= self.max_degree:
+            raise ValueError(
+                f"can only truncate to degrees 0..{self.max_degree}, not {degree}"
+            )
+        k = bisect.bisect_right(self.elements, degree, key=lambda x: x.degree)
+        table = self.table[:, :k].copy()
+        table[table >= k] = -1
+        return ConeBall(self.graph, degree, self.elements[:k], table)
+
 
 def enumerate_ball(graph, max_degree, size_cap=200_000):
-    """BFS from the identity by right multiplication with the generators."""
+    """BFS from the identity by left multiplication with the generators.
+
+    Records every edge y -> g y inside the ball in the ball's table.
+    Degree is additive on positives, so a product that would leave the
+    ball is never formed: the top layer costs no multiplication.
+    """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     gens = graph.generator_words()
     identity = graph.identity()
-    seen = {identity.syllables: identity}
-    frontier = [identity]
+    seen = {identity.syllables: 0}
+    found = [identity]
+    edges = []  # (generator row, source id, target id), ids in BFS order
+    frontier = [0]
     while frontier:
         new = []
-        for x in frontier:
-            for g in gens:
-                y = graph.multiply(x, g)
-                if y.degree > max_degree or y.syllables in seen:
+        for i in frontier:
+            x = found[i]
+            for row, g in enumerate(gens):
+                if x.degree + g.degree > max_degree:
                     continue
-                seen[y.syllables] = y
-                new.append(y)
-                if len(seen) > size_cap:
-                    raise BallSizeExceeded(
-                        f"cone ball exceeds the size cap of {size_cap}"
-                    )
+                y = graph.multiply(g, x)
+                j = seen.get(y.syllables)
+                if j is None:
+                    j = seen[y.syllables] = len(found)
+                    found.append(y)
+                    new.append(j)
+                    if len(found) > size_cap:
+                        raise BallSizeExceeded(
+                            f"cone ball exceeds the size cap of {size_cap}"
+                        )
+                edges.append((row, i, j))
         frontier = new
-    elements = tuple(sorted(seen.values(), key=graph.sort_key))
-    index = {x.syllables: i for i, x in enumerate(elements)}
-    return ConeBall(graph, max_degree, elements, index)
+    order = sorted(range(len(found)), key=lambda i: graph.sort_key(found[i]))
+    position = np.empty(len(found), dtype=np.intp)
+    position[order] = np.arange(len(found))
+    table = np.full((len(gens), len(found)), -1, dtype=np.intp)
+    if edges:
+        row, src, dst = np.array(edges, dtype=np.intp).T
+        table[row, position[src]] = position[dst]
+    return ConeBall(graph, max_degree, tuple(found[i] for i in order), table)
 
 
 @dataclass(frozen=True)
@@ -93,18 +142,33 @@ class SparseOperator:
         return SparseOperator(self.dimension, (self.matrix @ other.matrix).tocsr())
 
 
+def _letters(graph, x):
+    """The positive x spelled in generator labels, left to right."""
+    for s in x.syllables:
+        ops = graph.ops[s.vertex]
+        if ops.kind == "Z":
+            yield from [s.vertex] * s.element
+        else:
+            yield from ops.positive_word(s.element)
+
+
 def toeplitz_op(graph, x, ball):
-    """The compression of T_x to the ball: e_y -> e_{xy} while xy stays in."""
+    """The compression of T_x to the ball: e_y -> e_{xy} while xy stays in.
+
+    Walks the ball's table along the letters of x from the right.  This
+    is exact: if xy is in the ball, so is every intermediate product,
+    since its degree is at most that of xy.
+    """
     x = x if isinstance(x, NormalWord) else graph.reduce(x)
     if not is_positive(graph, x):
         raise ValueError("Toeplitz isometries are indexed by positive elements")
-    rows, cols = [], []
-    for j, y in enumerate(ball.elements):
-        xy = graph.multiply(x, y)
-        if xy in ball:
-            rows.append(ball.position(xy))
-            cols.append(j)
+    row_of = {label: i for i, label in enumerate(graph.generator_labels())}
     n = len(ball)
+    cols = rows = np.arange(n)
+    for letter in reversed(list(_letters(graph, x))):
+        rows = ball.table[row_of[letter], rows]
+        inside = rows >= 0
+        rows, cols = rows[inside], cols[inside]
     mat = sp.csr_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(n, n), dtype=float
     )
@@ -209,13 +273,8 @@ class IsometryFamily:
         if not is_positive(self.graph, x):
             raise ValueError("the extension is defined on positive elements")
         out = np.eye(self.dimension, dtype=complex)
-        for s in x.syllables:
-            ops = self.graph.ops[s.vertex]
-            if ops.kind == "Z":
-                out = out @ np.linalg.matrix_power(self.matrices[s.vertex], s.element)
-            else:
-                for letter in ops.positive_word(s.element):
-                    out = out @ self.matrices[letter]
+        for letter in _letters(self.graph, x):
+            out = out @ self.matrices[letter]
         return out
 
     def of_word(self, vertex, letters):
@@ -415,7 +474,14 @@ def _component_labels(b):
 
 
 class NormNotCertified(ValueError):
-    """The power iteration ended before its norm bracket closed."""
+    """The power iteration ended before its norm bracket closed.
+
+    ``iterations`` is the number of power steps taken before giving up.
+    """
+
+    def __init__(self, message, iterations):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 def norm_estimate(graph, weights, ball, tol=1e-9, max_iter=10_000):
@@ -427,14 +493,19 @@ def norm_estimate(graph, weights, ball, tol=1e-9, max_iter=10_000):
     From below: sqrt of the largest Rayleigh quotient of v restricted to a
     connected component of B (each is a test vector; the per-component
     quotient is not dragged down by components of smaller norm).  From
-    above: sqrt(max_i (Bv)_i / v_i), the Collatz-Wielandt bound.  Both
-    ends are widened by the rounding error of the float sums behind them
-    (Higham's gamma_k bound, with k from the row and weight counts).
-    Returns the lower end once the bracket is at most tol * max(lower, 1)
-    wide, so the exact norm lies in [result, result + tol * max(result, 1)].
-    Raises NormNotCertified if max_iter runs out first, or if an entry of
-    v falls so low that its square underflows, since the rounding
-    allowance holds only without underflow.
+    above: sqrt(max_i (Bv)_i / v_i), the Collatz-Wielandt bound.  B is
+    block diagonal, so each step divides every component of the iterate
+    by its own maximum: neither bound changes, and components of smaller
+    norm do not decay towards underflow.  Both ends are widened by the
+    rounding error of the float sums behind them (Higham's gamma_k bound,
+    with k from the row and weight counts), so the bracket is always at
+    least 2 * slack * lower wide.  Returns the lower end once the bracket
+    is at most tol * max(lower, 1) wide, so the exact norm lies in
+    [result, result + tol * max(result, 1)].
+    Raises NormNotCertified as soon as the tolerance is below what the
+    rounding allowance lets the bracket reach, if max_iter runs out
+    first, or if an entry of v falls so low that its square underflows,
+    since the rounding allowance holds only without underflow.
     """
     if not weights:
         raise ValueError("norm_estimate needs a nonempty weight function")
@@ -453,38 +524,52 @@ def norm_estimate(graph, weights, ball, tol=1e-9, max_iter=10_000):
         return 0.0
     b = b[rows][:, rows]
     component = _component_labels(b)
+    peak = np.zeros(component.max() + 1)
     slack = (3 * len(rows) + len(weights) + 8) * np.finfo(float).eps
     floor = np.sqrt(np.finfo(float).tiny)
     v = np.ones(len(rows))
     lo = hi = 0.0
-    for _ in range(max_iter):
+    for step in range(max_iter):
         w = b @ v
-        scaled = w / np.max(w)
+        peak[:] = 0.0
+        np.maximum.at(peak, component, w)
+        scaled = w / peak[component]
         if scaled.min() < floor:
             raise NormNotCertified(
                 f"power iterate underflowed before the norm bracket "
-                f"[{lo:.15g}, {hi:.15g}] closed to the tolerance {tol:g}"
+                f"[{lo:.15g}, {hi:.15g}] closed to the tolerance {tol:g}",
+                step,
             )
         rayleigh = np.bincount(component, v * w) / np.bincount(component, v * v)
         lo = max(lo, float(np.sqrt(rayleigh.max())) * (1 - slack))
         hi = float(np.sqrt(np.max(w / v))) * (1 + slack)
         if hi - lo <= tol * max(lo, 1.0):
             return lo
+        if tol * max(lo, 1.0) < 2 * slack * lo:
+            raise NormNotCertified(
+                f"the tolerance {tol:g} is below "
+                f"{2 * slack * lo / max(lo, 1.0):.3g}, the least the norm "
+                f"bracket [{lo:.15g}, {hi:.15g}] can close to",
+                step,
+            )
         v = scaled
     raise NormNotCertified(
         f"norm bracket [{lo:.15g}, {hi:.15g}] still wider than the "
-        f"tolerance {tol:g} after {max_iter} iterations"
+        f"tolerance {tol:g} after {max_iter} iterations",
+        max_iter,
     )
 
 
 def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
     """Rows (degree, ball size, certified norm) for generator weights.
 
-    Each value is the running maximum of the norm_estimate lower bounds
-    over the degrees so far.  That is still a lower bound within tol of
-    the exact norm, because A_{n-1} is the compression of A_n to the
-    smaller ball; the values are nondecreasing in the degree.  The
-    degrees must therefore be given in increasing order.
+    The ball is enumerated once, at the largest degree; each smaller one
+    is its prefix (ConeBall.truncate).  Each value is the running maximum
+    of the norm_estimate lower bounds over the degrees so far.  That is
+    still a lower bound within tol of the exact norm, because A_{n-1} is
+    the compression of A_n to the smaller ball; the values are
+    nondecreasing in the degree.  The degrees must therefore be given in
+    increasing order.
     """
     degrees = list(degrees)
     if degrees != sorted(degrees):
@@ -496,11 +581,14 @@ def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
     unknown = set(weights_by_label) - set(gen_words)
     if unknown:
         raise ValueError(f"unknown generator labels {sorted(unknown)}")
+    if not degrees:
+        return []
+    big = enumerate_ball(graph, degrees[-1], size_cap=size_cap)
+    weights = {gen_words[k]: w for k, w in weights_by_label.items()}
     rows = []
     best = 0.0
     for n in degrees:
-        ball = enumerate_ball(graph, n, size_cap=size_cap)
-        weights = {gen_words[k]: w for k, w in weights_by_label.items()}
+        ball = big.truncate(n)
         best = max(best, norm_estimate(graph, weights, ball, tol=tol))
         rows.append((n, len(ball), best))
     return rows

@@ -167,6 +167,25 @@ class TestAnalysisCommands:
         assert (degree, size) == ("3", "15")
         assert abs(float(val) - 0.7071067811865476) < 1e-6
 
+    def test_norm_curve_unequal_weights(self, run):
+        # the power iterate is normalised per component, so the weakest
+        # component no longer trips the underflow guard at degree 6
+        code, out = run(
+            "norm-curve", "--ctx", "path3", "--max-degree", "6",
+            "--weights", json.dumps({"a": 0.3, "b": 0.3, "c": 0.4}),
+        )
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "6,247,0.781211021665"
+
+    def test_norm_curve_rejects_an_unreachable_tolerance(self, run):
+        code, doc = run_json(
+            run, "norm-curve", "--ctx", "b3", "--max-degree", "4", "--tolerance", "0",
+            "--weights", json.dumps({"s": 0.5, "t": 0.5}),
+        )
+        assert code == 1
+        assert doc["error"]["kind"] == "NormNotCertified"
+        assert "the least the norm bracket" in doc["error"]["detail"]
+
     def test_verify(self, run):
         code, doc = run_json(
             run, "verify", "--ctx", "path3", "--samples", "10", "--max-degree", "3"

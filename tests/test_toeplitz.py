@@ -26,7 +26,7 @@ from qlattice import (
     toeplitz_op,
 )
 from qlattice.cli import _load_context
-from qlattice.oracles import dense_norm
+from qlattice.oracles import dense_norm, dense_operator
 from qlattice.toeplitz import _component_labels
 
 from conftest import nw
@@ -60,6 +60,76 @@ class TestConeBall:
         ball = enumerate_ball(b3, 3)
         for i, x in enumerate(ball.elements):
             assert ball.position(x) == i
+
+
+# generators plus longer positives, several with multi-letter Artin syllables
+TABLE_CASES = {
+    "free2": (6, [(("a", 2),), (("a", 1), ("b", 2)), (("b", 1), ("a", 1), ("b", 1))]),
+    "path3": (5, [(("a", 2), ("c", 1)), (("b", 3),), (("a", 1), ("b", 1), ("c", 1))]),
+    "square4": (4, [(("a", 1), ("c", 2)), (("b", 2), ("d", 1)),
+                    (("a", 1), ("b", 1), ("c", 1), ("d", 1))]),
+    "b3": (6, [(("v", "st"),), (("v", "sts"),), (("v", "tts"),)]),
+    "b4": (5, [(("v", "su"),), (("v", "stu"),), (("v", "tsut"),)]),
+}
+
+
+class TestCayleyTable:
+    @pytest.mark.parametrize("name", sorted(TABLE_CASES))
+    def test_operators_match_the_dense_oracle(self, name):
+        graph = _load_context(name)
+        degree, longer = TABLE_CASES[name]
+        ball = enumerate_ball(graph, degree)
+        symbols = graph.generator_words() + [nw(graph, *pairs) for pairs in longer]
+        for x in symbols:
+            got = toeplitz_op(graph, x, ball).matrix.toarray()
+            assert np.array_equal(got, dense_operator(graph, x, ball)), x
+
+    def test_mixed_syllables_match_the_dense_oracle(self, mixed):
+        ball = enumerate_ball(mixed, 4)
+        for pairs in [(("a", 2), ("v", "st")), (("v", "sts"), ("a", 1)), (("a", 3),)]:
+            x = nw(mixed, *pairs)
+            got = toeplitz_op(mixed, x, ball).matrix.toarray()
+            assert np.array_equal(got, dense_operator(mixed, x, ball)), x
+
+    @pytest.mark.parametrize("name", sorted(TABLE_CASES))
+    def test_truncation_equals_a_fresh_enumeration(self, name):
+        graph = _load_context(name)
+        degree, _ = TABLE_CASES[name]
+        big = enumerate_ball(graph, degree)
+        for d in range(degree + 1):
+            small = enumerate_ball(graph, d)
+            cut = big.truncate(d)
+            assert cut == small
+            assert cut.elements == small.elements
+            assert cut.index == small.index
+            assert np.array_equal(cut.table, small.table)
+        with pytest.raises(ValueError):
+            big.truncate(degree + 1)
+        with pytest.raises(ValueError):
+            big.truncate(-1)
+
+    @pytest.mark.parametrize(
+        "name,degree", [("free2", 6), ("path3", 5), ("square4", 4), ("b3", 7), ("b4", 5)]
+    )
+    def test_curve_rows_match_separate_balls(self, name, degree):
+        graph = _load_context(name)
+        labels = sorted(graph.generator_labels())
+        weights_by_label = {label: 1.0 / len(labels) for label in labels}
+        weights = {x: 1.0 / len(labels) for x in graph.generator_words()}
+        tol = 1e-9
+        rows = norm_curve(graph, weights_by_label, range(1, degree + 1), tol=tol)
+        for n, size, val in rows:
+            ball = enumerate_ball(graph, n)
+            assert size == len(ball)
+            exact = dense_norm(graph, weights, ball)
+            assert val <= exact <= val + tol * max(val, 1.0)
+
+    def test_size_cap_still_applies(self, path3):
+        with pytest.raises(BallSizeExceeded):
+            norm_curve(path3, {"a": 0.5, "b": 0.5}, [1, 30], size_cap=100)
+        with pytest.raises(BallSizeExceeded):
+            enumerate_ball(path3, 6, size_cap=246)
+        assert len(enumerate_ball(path3, 6, size_cap=247)) == 247
 
 
 class TestToeplitzOps:
@@ -268,6 +338,32 @@ class TestNorms:
         exact = dense_norm(graph, weights, ball)
         assert val <= exact <= val + tol * max(val, 1.0)
 
+    @pytest.mark.parametrize(
+        "name,degree",
+        [("free2", 8), ("path3", 6), ("square4", 6), ("b3", 8), ("b4", 5)],
+    )
+    def test_unequal_weights_within_tolerance(self, name, degree):
+        # components of smaller norm used to decay below the underflow
+        # guard when the iterate was scaled by its global maximum
+        graph = _load_context(name)
+        rng = random.Random(f"{name}-{degree}")
+        ball = enumerate_ball(graph, degree)
+        for _ in range(6):
+            weights = {x: rng.uniform(0.05, 1.0) for x in graph.generator_words()}
+            val = norm_estimate(graph, weights, ball)
+            exact = dense_norm(graph, weights, ball)
+            assert val <= exact <= val + 1e-9 * max(val, 1.0)
+
+    def test_path3_unequal_weights_certify(self, path3):
+        weights = {
+            nw(path3, ("a", 1)): 0.3, nw(path3, ("b", 1)): 0.3, nw(path3, ("c", 1)): 0.4,
+        }
+        ball = enumerate_ball(path3, 6)
+        val = norm_estimate(path3, weights, ball)
+        assert len(ball) == 247
+        assert val <= dense_norm(path3, weights, ball) <= val + 1e-9
+        assert f"{val:.12f}" == "0.781211021665"
+
     @pytest.mark.parametrize("name,degree", [("path3", 6), ("b3", 10), ("b4", 5)])
     def test_component_labels_match_csgraph(self, name, degree):
         # the lower bound is only valid on whole components of A^T A
@@ -289,10 +385,11 @@ class TestNorms:
         weights = {nw(b3, ("v", "s")): 0.5, nw(b3, ("v", "t")): 0.5}
         with pytest.raises(NormNotCertified, match="after 2 iterations"):
             norm_estimate(b3, weights, ball, max_iter=2)
-        # a zero tolerance never closes; the iterate decays on components
-        # of smaller norm until it leaves the normal float range
-        with pytest.raises(NormNotCertified, match="underflowed"):
+        # a zero tolerance is below the bracket's rounding allowance, so it
+        # is rejected from the first bracket, before any power step
+        with pytest.raises(NormNotCertified, match="the least the norm bracket") as info:
             norm_estimate(b3, weights, ball, tol=0.0)
+        assert info.value.iterations == 0
 
     def test_input_validation(self, free2):
         ball = enumerate_ball(free2, 3)
