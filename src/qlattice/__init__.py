@@ -16,7 +16,7 @@ from .factors import (
     ZOps,
     factor_from_spec,
 )
-from .graph import CommutationGraph, NormalWord, Syllable, Word
+from .graph import CommutationGraph, NormalWord, Syllable
 from .order import (
     DirectProductElement,
     NotInPPInvError,

@@ -26,7 +26,6 @@ from .order import (
     phi,
     rgcd,
     is_positive,
-    NotInPPInvError,
 )
 from .toeplitz import (
     BallSizeExceeded,
@@ -245,7 +244,6 @@ def build_parser():
         p.add_argument("--tolerance", type=float, default=1e-9,
                        help="relation residual bound for relcheck; for "
                        "norm-curve, the width of the certified norm bracket")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         if words is not None:
             p.add_argument("words", nargs=words, help="word literals (JSON)")
@@ -276,33 +274,35 @@ def build_parser():
     return parser
 
 
+#: Error kind and exit code by exception type, first match wins.  A kind
+#: of None reports the exception's own: a DomainError's kind, else the
+#: class name (ValueError covers NotInPPInvError and NormNotCertified).
+_ERRORS = (
+    (InputError, None, 2),
+    (qio.LiteralError, "parse", 2),
+    (NotFiniteTypeError, "parse", 2),
+    (json.JSONDecodeError, "parse", 2),
+    (OSError, "parse", 2),
+    (DomainError, None, 1),
+    (BallSizeExceeded, None, 1),
+    (ValueError, None, 1),
+)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print(json.dumps({"ok": False, "error": {"kind": "parse",
-                                                 "detail": "--threads must be >= 1"}}))
-        return 2
     try:
         graph = _load_context(args.ctx)
         result = args.fn(graph, args)
-    except InputError as exc:
-        print(json.dumps({"ok": False,
-                          "error": {"kind": exc.kind, "detail": exc.detail}}))
-        return 2
-    except (qio.LiteralError, NotFiniteTypeError, json.JSONDecodeError,
-            OSError) as exc:
-        print(json.dumps({"ok": False,
-                          "error": {"kind": "parse", "detail": str(exc)}}))
-        return 2
-    except DomainError as exc:
-        print(json.dumps({"ok": False,
-                          "error": {"kind": exc.kind, "detail": exc.detail}}))
-        return 1
-    except (NotInPPInvError, BallSizeExceeded, ValueError) as exc:
-        print(json.dumps({"ok": False,
-                          "error": {"kind": type(exc).__name__, "detail": str(exc)}}))
-        return 1
+    except tuple(t for t, _, _ in _ERRORS) as exc:
+        kind, code = next((k, c) for t, k, c in _ERRORS if isinstance(exc, t))
+        if isinstance(exc, DomainError):
+            kind, detail = exc.kind, exc.detail
+        else:
+            kind, detail = kind or type(exc).__name__, str(exc)
+        print(json.dumps({"ok": False, "error": {"kind": kind, "detail": detail}}))
+        return code
     if result is not None:
         _emit({"ok": True, "result": result}, args.out)
     return 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce as _fold
+from itertools import permutations
 
 INFINITE = math.inf
 
@@ -173,9 +174,9 @@ class ArtinMonoid:
 
     Words are tuples of generator names.  Monoid equality, complements,
     least common multiples and right gcds all reduce to subword reversing.
-    A shortlex canonical form (computed by closing a word under single
-    relation applications) is maintained for hashing; this is the
-    scalability boundary of the implementation and is fine at desk scale.
+    The canonical spelling used for hashing is the shortlex-least word,
+    found by greedy left division with the same reversing; the monoid
+    keeps no state beyond its presentation.
     """
 
     def __init__(self, generators, m):
@@ -186,7 +187,14 @@ class ArtinMonoid:
                 f"Artin matrix over {self.generators} is not of finite type"
             )
         self.index = {s: i for i, s in enumerate(self.generators)}
-        self._canon = {}
+        # s^-1 t reverses to (s\t)(t\s)^-1, as signed letters
+        self._reversal = {(s, s): [] for s in self.generators}
+        for s, t in permutations(self.generators, 2):
+            mm = self.coxeter(s, t) - 1
+            self._reversal[s, t] = (
+                [(c, +1) for c in self._alt(t, s, mm)]
+                + [(c, -1) for c in reversed(self._alt(s, t, mm))]
+            )
 
     def coxeter(self, s, t):
         return self.matrix[self.index[s]][self.index[t]]
@@ -209,19 +217,7 @@ class ArtinMonoid:
             if not (word[i][1] < 0 and word[i + 1][1] > 0):
                 i += 1
                 continue
-            s, t = word[i][0], word[i + 1][0]
-            if s == t:
-                word[i:i + 2] = []
-            else:
-                mm = self.coxeter(s, t)
-                if mm == INFINITE:
-                    raise NoCommonMultipleError(f"no finite m({s},{t})")
-                comp_st = self._alt(t, s, mm - 1)  # s\t
-                comp_ts = self._alt(s, t, mm - 1)  # t\s
-                word[i:i + 2] = (
-                    [(c, +1) for c in comp_st]
-                    + [(c, -1) for c in reversed(comp_ts)]
-                )
+            word[i:i + 2] = self._reversal[word[i][0], word[i + 1][0]]
             i = max(i - 1, 0)
             steps += 1
             if steps > _REVERSING_STEP_CAP:
@@ -262,17 +258,18 @@ class ArtinMonoid:
     def left_gcd(self, p, q):
         """Greatest common left divisor, by stripping lubs of common letters."""
         out = ()
-        while True:
+        while p and q:
             common = [
                 (s,) for s in self.generators
                 if self.left_divides((s,), p) and self.left_divides((s,), q)
             ]
             if not common:
-                return out
+                break
             g = _fold(self.lub_words, common)
             out = out + g
             p = self.left_quotient(g, p)
             q = self.left_quotient(g, q)
+        return out
 
     def rgcd_words(self, u, v):
         g = self.left_gcd(tuple(reversed(u)), tuple(reversed(v)))
@@ -282,38 +279,26 @@ class ArtinMonoid:
         return (len(w),) + tuple(self.index[c] for c in w)
 
     def canonical_word(self, w):
-        """Shortlex-least word equal to w, by closure under the relations."""
-        w = tuple(w)
-        if w in self._canon:
-            return self._canon[w]
-        seen = {w}
-        stack = [w]
-        pairs = [
-            (s, t, self.coxeter(s, t))
-            for ti, t in enumerate(self.generators)
-            for s in self.generators[:ti]
-            if self.coxeter(s, t) != INFINITE
-        ]
-        while stack:
-            cur = stack.pop()
-            for s, t, mm in pairs:
-                lhs = self._alt(s, t, mm)
-                rhs = self._alt(t, s, mm)
-                for i in range(len(cur) - mm + 1):
-                    seg = cur[i:i + mm]
-                    if seg == lhs:
-                        new = cur[:i] + rhs + cur[i + mm:]
-                    elif seg == rhs:
-                        new = cur[:i] + lhs + cur[i + mm:]
-                    else:
-                        continue
-                    if new not in seen:
-                        seen.add(new)
-                        stack.append(new)
-        best = min(seen, key=self.word_key)
-        for member in seen:
-            self._canon[member] = best
-        return best
+        """Shortlex-least word equal to w.
+
+        Equal words have equal length, so this is the lexicographically
+        least one: repeatedly split off the least generator that
+        left-divides what remains.  The first letter of the remainder
+        always divides it, which bounds each scan.
+        """
+        rest = tuple(w)
+        out = []
+        while rest:
+            for s in self.generators:
+                if s == rest[0]:
+                    rest = rest[1:]
+                    break
+                quotient, over = self.reverse_fraction((s,), rest)
+                if not over:
+                    rest = quotient
+                    break
+            out.append(s)
+        return tuple(out)
 
     def parse_word(self, text):
         """Split a string into generator letters (longest match first)."""
@@ -387,9 +372,6 @@ class ZOps:
     def generator_elements(self):
         return [1]
 
-    def spec_json(self):
-        return "Z"
-
 
 class ArtinOps:
     """A finite-type Artin group with the Artin monoid as positive cone."""
@@ -450,12 +432,6 @@ class ArtinOps:
         if f.den:
             raise ValueError(f"{f!r} is not positive")
         return f.num
-
-    def spec_json(self):
-        matrix = [
-            [2**31 if v == INFINITE else v for v in row] for row in self.monoid.matrix
-        ]
-        return {"artin": {"generators": list(self.monoid.generators), "m": matrix}}
 
 
 def factor_from_spec(spec):

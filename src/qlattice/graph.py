@@ -35,15 +35,6 @@ class Syllable:
 
 
 @dataclass(frozen=True)
-class Word:
-    """A finite, possibly unreduced, sequence of syllables."""
-    syllables: tuple
-
-    def __len__(self):
-        return len(self.syllables)
-
-
-@dataclass(frozen=True)
 class NormalWord:
     """The canonical reduced word representing a group element.
 
@@ -62,7 +53,7 @@ class NormalWord:
 
 
 def _syllables_of(w):
-    if isinstance(w, (Word, NormalWord)):
+    if isinstance(w, NormalWord):
         return list(w.syllables)
     return list(w)
 
@@ -210,14 +201,16 @@ class CommutationGraph:
         degree = sum(self.ops[s.vertex].degree(s.element) for s in canon)
         return NormalWord(tuple(canon), degree)
 
+    def as_normal(self, x):
+        """x itself when it is a NormalWord, else the reduction of its syllables."""
+        return x if isinstance(x, NormalWord) else self.reduce(x)
+
     def normal(self, literal):
         """Convenience: build a NormalWord from (vertex, element) pairs."""
         return self.reduce([self.syllable(v, e) for v, e in literal])
 
     def equal(self, x, y):
-        x = x if isinstance(x, NormalWord) else self.reduce(x)
-        y = y if isinstance(y, NormalWord) else self.reduce(y)
-        return x.syllables == y.syllables
+        return self.as_normal(x).syllables == self.as_normal(y).syllables
 
     # -- group operations ---------------------------------------------------
 
@@ -236,21 +229,19 @@ class CommutationGraph:
         )
 
     def length(self, x):
-        x = x if isinstance(x, NormalWord) else self.reduce(x)
-        return len(x.syllables)
+        return len(self.as_normal(x).syllables)
 
     # -- initial/final structure --------------------------------------------
 
     def initial_vertices(self, x):
-        x = x if isinstance(x, NormalWord) else self.reduce(x)
-        sylls = list(x.syllables)
+        sylls = list(self.as_normal(x).syllables)
         return {sylls[p].vertex for p in self._initial_positions(sylls)}
 
     def initial_split(self, x, vertex):
         """(x_I, x') with x = x_I x'; x_I is the factor identity when I is
         not an initial vertex."""
         self.check_vertex(vertex)
-        x = x if isinstance(x, NormalWord) else self.reduce(x)
+        x = self.as_normal(x)
         sylls = list(x.syllables)
         for p in self._initial_positions(sylls):
             if sylls[p].vertex == vertex:
@@ -263,8 +254,7 @@ class CommutationGraph:
 
     def rev(self, x):
         """Reverse the syllable order (elements unchanged); an involution."""
-        x = x if isinstance(x, NormalWord) else self.reduce(x)
-        return self.reduce(list(reversed(x.syllables)))
+        return self.reduce(list(reversed(self.as_normal(x).syllables)))
 
     def final_vertices(self, x):
         return self.initial_vertices(self.rev(x))
@@ -278,8 +268,7 @@ class CommutationGraph:
         return self.final_split(x, vertex)[0]
 
     def vertices_of(self, x):
-        x = x if isinstance(x, NormalWord) else self.reduce(x)
-        return {s.vertex for s in x.syllables}
+        return {s.vertex for s in self.as_normal(x).syllables}
 
     # -- deterministic ordering ---------------------------------------------
 
@@ -289,7 +278,7 @@ class CommutationGraph:
         )
 
     def sort_key(self, x):
-        x = x if isinstance(x, NormalWord) else self.reduce(x)
+        x = self.as_normal(x)
         return (
             x.degree,
             len(x.syllables),

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 
-from .factors import ArtinFraction
-from .graph import CommutationGraph, NormalWord
+from .graph import CommutationGraph
 
 
 class LiteralError(ValueError):
@@ -43,15 +42,6 @@ def graph_from_json(doc):
 def load_graph(path):
     with open(path) as fh:
         return graph_from_json(json.load(fh))
-
-
-def graph_to_json(graph):
-    return {
-        "vertices": [
-            {"name": v, "factor": graph.ops[v].spec_json()} for v in graph.vertices
-        ],
-        "edges": [list(e) for e in graph.edges()],
-    }
 
 
 def parse_element(graph, vertex, raw):
@@ -99,14 +89,10 @@ def element_to_json(graph, vertex, element):
 
 
 def word_to_json(graph, x):
-    x = x if isinstance(x, NormalWord) else graph.reduce(x)
-    return [[s.vertex, element_to_json(graph, s.vertex, s.element)] for s in x.syllables]
-
-
-def fraction_element_to_json(element):
-    if isinstance(element, ArtinFraction):
-        return "".join(element.num)
-    return element
+    return [
+        [s.vertex, element_to_json(graph, s.vertex, s.element)]
+        for s in graph.as_normal(x).syllables
+    ]
 
 
 def parse_weights(graph, literal):

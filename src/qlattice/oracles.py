@@ -54,10 +54,6 @@ def bfs_normal_form(graph, syllables):
     return min(closure, key=lambda st: _word_key(graph, st))
 
 
-def bfs_equal(graph, x_syllables, y_syllables):
-    return bfs_normal_form(graph, x_syllables) == bfs_normal_form(graph, y_syllables)
-
-
 # ---------------------------------------------------------------------------
 # Artin monoid oracles by relation rewriting
 # ---------------------------------------------------------------------------

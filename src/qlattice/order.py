@@ -14,19 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .factors import INFINITY
-from .graph import NormalWord, Syllable
+from .graph import Syllable
 
 
 class NotInPPInvError(ValueError):
     """The element is not a fraction of positives (no upper bound in P)."""
 
 
-def _norm(graph, x):
-    return x if isinstance(x, NormalWord) else graph.reduce(x)
-
-
 def is_positive(graph, x):
-    x = _norm(graph, x)
+    x = graph.as_normal(x)
     return all(graph.ops[s.vertex].is_positive(s.element) for s in x.syllables)
 
 
@@ -48,6 +44,19 @@ def _factor_lub(ops, a, b):
     return ops.lub_or_infinity(a, b)
 
 
+def _peeled_lub(graph, vertex, x_i, x_rest, y_i, y_rest):
+    """x_I v y_I if i_adjacent's condition holds for the split parts, else INFINITY."""
+    z = _factor_lub(graph.ops[vertex], x_i, y_i)
+    if z is INFINITY:
+        return INFINITY
+    for peeled, rest in ((x_i, x_rest), (y_i, y_rest)):
+        if peeled != z and not all(
+            graph.adjacent(vertex, v) for v in graph.vertices_of(rest)
+        ):
+            return INFINITY
+    return z
+
+
 def i_adjacent(graph, x, y, vertex):
     """The three-part compatibility condition at one vertex.
 
@@ -56,18 +65,10 @@ def i_adjacent(graph, x, y, vertex):
     is adjacent to every vertex of the remainder.
     """
     graph.check_vertex(vertex)
-    ops = graph.ops[vertex]
-    x_i, x_rest = graph.initial_split(x, vertex)
-    y_i, y_rest = graph.initial_split(y, vertex)
-    z = _factor_lub(ops, x_i, y_i)
-    if z is INFINITY:
-        return False
-    for peeled, rest in ((x_i, x_rest), (y_i, y_rest)):
-        if peeled == z:
-            continue
-        if not all(graph.adjacent(vertex, v) for v in graph.vertices_of(rest)):
-            return False
-    return True
+    return _peeled_lub(
+        graph, vertex,
+        *graph.initial_split(x, vertex), *graph.initial_split(y, vertex),
+    ) is not INFINITY
 
 
 def lub(graph, x, y):
@@ -77,28 +78,22 @@ def lub(graph, x, y):
     vertex sets, which makes traces reproducible and guarantees that the
     total length strictly decreases.
     """
-    x, y = _norm(graph, x), _norm(graph, y)
+    x, y = graph.as_normal(x), graph.as_normal(y)
     if x.is_identity:
         return y
     if y.is_identity:
         return x
     candidates = graph.initial_vertices(x) | graph.initial_vertices(y)
     vertex = min(candidates, key=graph.vertex_index.__getitem__)
-    ops = graph.ops[vertex]
     x_i, x_rest = graph.initial_split(x, vertex)
     y_i, y_rest = graph.initial_split(y, vertex)
-    z = _factor_lub(ops, x_i, y_i)
+    z = _peeled_lub(graph, vertex, x_i, x_rest, y_i, y_rest)
     if z is INFINITY:
         return INFINITY
-    for peeled, rest in ((x_i, x_rest), (y_i, y_rest)):
-        if peeled != z and not all(
-            graph.adjacent(vertex, v) for v in graph.vertices_of(rest)
-        ):
-            return INFINITY
     rest = lub(graph, x_rest, y_rest)
     if rest is INFINITY:
         return INFINITY
-    head = [] if ops.is_identity(z) else [Syllable(vertex, z)]
+    head = [] if graph.ops[vertex].is_identity(z) else [Syllable(vertex, z)]
     return graph.multiply(head, rest)
 
 
@@ -111,7 +106,7 @@ def canonical_fraction(graph, x):
     assembles the minimal pair; otherwise the product check fails and
     NotInPPInvError is raised.
     """
-    x = _norm(graph, x)
+    x = graph.as_normal(x)
     parts_a, parts_b = [], []
     for s in x.syllables:
         ops = graph.ops[s.vertex]
@@ -133,7 +128,7 @@ def lub_general(graph, x, y):
     By left invariance x v y = x * (least upper bound of x^-1 y in P), and
     the latter is the a-part of the canonical fraction.
     """
-    x, y = _norm(graph, x), _norm(graph, y)
+    x, y = graph.as_normal(x), graph.as_normal(y)
     z = graph.multiply(graph.invert(x), y)
     try:
         a, _ = canonical_fraction(graph, z)
@@ -144,7 +139,7 @@ def lub_general(graph, x, y):
 
 def rgcd(graph, u, v):
     """Greatest common lower bound of two positives for the right order."""
-    u, v = _norm(graph, u), _norm(graph, v)
+    u, v = graph.as_normal(u), graph.as_normal(v)
     if not (is_positive(graph, u) and is_positive(graph, v)):
         raise ValueError("rgcd is defined on positive elements")
     a, _ = canonical_fraction(graph, graph.multiply(u, graph.invert(v)))
@@ -189,7 +184,7 @@ def phi(graph, x):
     The component at I is the ordered product of the syllables of x
     belonging to I; this is a group homomorphism onto the direct product.
     """
-    x = _norm(graph, x)
+    x = graph.as_normal(x)
     acc = {}
     for s in x.syllables:
         ops = graph.ops[s.vertex]

