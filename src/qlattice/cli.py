@@ -19,7 +19,7 @@ import sys
 
 from . import io as qio
 from . import verify as qverify
-from .factors import INFINITY, NotFiniteTypeError
+from .factors import INFINITY
 from .order import (
     canonical_fraction,
     lub_general,
@@ -280,7 +280,6 @@ def build_parser():
 _ERRORS = (
     (InputError, None, 2),
     (qio.LiteralError, "parse", 2),
-    (NotFiniteTypeError, "parse", 2),
     (json.JSONDecodeError, "parse", 2),
     (OSError, "parse", 2),
     (DomainError, None, 1),

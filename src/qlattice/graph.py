@@ -10,10 +10,13 @@ is reduced when no sequence of shuffles enables an amalgamation; all
 reduced expressions of an element are shuffle equivalent, so the word
 problem reduces to the factors.
 
-The canonical form used here is the greedy one: repeatedly extract, from
-the remaining element, the initial syllable whose vertex is least in the
-graph's fixed vertex order.  Equal elements then have identical syllable
-sequences and equality is a sequence comparison.
+The canonical form is the greedy one: repeatedly extract the initial
+syllable whose vertex is least in the graph's fixed vertex order.  It is
+the lexicographically least linear extension of the order in which
+syllables at equal or non-adjacent vertices cannot pass each other, so
+``reduce`` builds it in one pass of stack insertion that keeps the prefix
+in that order; the output is the greedy form, unchanged.  Equal elements
+have identical syllable sequences and equality is a sequence comparison.
 """
 
 from __future__ import annotations
@@ -78,13 +81,16 @@ class CommutationGraph:
                 factor if hasattr(factor, "is_positive") else factor_from_spec(factor)
             )
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self._edges = set()
+        adjacent = {v: set() for v in self.vertices}
         for a, b in edges:
             if a not in self.ops or b not in self.ops:
                 raise UnknownVertexError(f"edge ({a!r},{b!r}) uses an unknown vertex")
             if a == b:
                 raise ValueError(f"self-loop at {a!r}")
-            self._edges.add(frozenset((a, b)))
+            adjacent[a].add(b)
+            adjacent[b].add(a)
+        #: The vertices adjacent to each vertex (never the vertex itself).
+        self.neighbours = {v: frozenset(ns) for v, ns in adjacent.items()}
         self._labels = self._build_generator_labels()
 
     def _build_generator_labels(self):
@@ -104,10 +110,7 @@ class CommutationGraph:
     # -- basic structure ----------------------------------------------------
 
     def adjacent(self, a, b):
-        return frozenset((a, b)) in self._edges
-
-    def edges(self):
-        return sorted(tuple(sorted(e)) for e in self._edges)
+        return b in self.neighbours.get(a, ())
 
     def check_vertex(self, v):
         if v not in self.ops:
@@ -135,71 +138,53 @@ class CommutationGraph:
 
     # -- reduction and canonical form ---------------------------------------
 
-    def is_reduced(self, w):
-        """Green's criterion: between equal-vertex syllables there is a
-        syllable at a non-adjacent vertex."""
-        sylls = _syllables_of(w)
-        for s in sylls:
-            self.check_vertex(s.vertex)
-        for i, s in enumerate(sylls):
-            for j in range(i + 1, len(sylls)):
-                if sylls[j].vertex == s.vertex:
-                    return False
-                if not self.adjacent(sylls[j].vertex, s.vertex):
-                    break
-        return True
-
-    def _find_amalgamation(self, sylls):
-        for i, s in enumerate(sylls):
-            for j in range(i + 1, len(sylls)):
-                if sylls[j].vertex == s.vertex:
-                    return i, j
-                if not self.adjacent(sylls[j].vertex, s.vertex):
-                    break
-        return None
-
-    def _reduce_list(self, sylls):
-        out = [s for s in sylls if not self.ops[s.vertex].is_identity(s.element)]
-        while True:
-            hit = self._find_amalgamation(out)
-            if hit is None:
-                return out
-            i, j = hit
-            ops = self.ops[out[i].vertex]
-            merged = ops.multiply(out[i].element, out[j].element)
-            del out[j]
-            if ops.is_identity(merged):
-                del out[i]
-            else:
-                out[i] = Syllable(out[i].vertex, merged)
-
     def _initial_positions(self, sylls):
         """Positions of initial syllables of a reduced list."""
-        positions = []
+        positions, seen = [], set()
         for p, s in enumerate(sylls):
-            if all(self.adjacent(sylls[q].vertex, s.vertex) for q in range(p)):
+            if seen <= self.neighbours[s.vertex]:
                 positions.append(p)
+            seen.add(s.vertex)
         return positions
 
-    def _canonicalize(self, reduced):
-        rem = list(reduced)
-        out = []
-        while rem:
-            best = min(
-                self._initial_positions(rem),
-                key=lambda p: self.vertex_index[rem[p].vertex],
-            )
-            out.append(rem.pop(best))
-        return out
-
     def reduce(self, w):
-        """Canonical reduced word for the element represented by w."""
+        """Canonical reduced word for the element represented by w.
+
+        Stack insertion into a prefix kept in canonical order.  A new
+        syllable scans left past syllables at adjacent vertices.  At one
+        of its own vertex it amalgamates; a deletion removes a syllable
+        that no later one depends on, which keeps the prefix reduced and
+        canonical.  Otherwise it depends on nothing further right, so the
+        greedy extraction takes it just before the first later syllable
+        of larger vertex, and it is inserted there.
+        """
         sylls = _syllables_of(w)
         for s in sylls:
             self.check_vertex(s.vertex)
-        canon = self._canonicalize(self._reduce_list(sylls))
-        degree = sum(self.ops[s.vertex].degree(s.element) for s in canon)
-        return NormalWord(tuple(canon), degree)
+        index = self.vertex_index
+        out = []
+        for s in sylls:
+            v = s.vertex
+            ops = self.ops[v]
+            if ops.is_identity(s.element):
+                continue
+            commuting = self.neighbours[v]
+            j = len(out) - 1
+            while j >= 0 and out[j].vertex in commuting:
+                j -= 1
+            if j >= 0 and out[j].vertex == v:
+                merged = ops.multiply(out[j].element, s.element)
+                if ops.is_identity(merged):
+                    del out[j]
+                else:
+                    out[j] = Syllable(v, merged)
+                continue
+            j += 1
+            while j < len(out) and index[out[j].vertex] < index[v]:
+                j += 1
+            out.insert(j, s)
+        degree = sum(self.ops[s.vertex].degree(s.element) for s in out)
+        return NormalWord(tuple(out), degree)
 
     def as_normal(self, x):
         """x itself when it is a NormalWord, else the reduction of its syllables."""
@@ -214,11 +199,8 @@ class CommutationGraph:
 
     # -- group operations ---------------------------------------------------
 
-    def multiply(self, x, y, *more):
-        sylls = _syllables_of(x) + _syllables_of(y)
-        for extra in more:
-            sylls += _syllables_of(extra)
-        return self.reduce(sylls)
+    def multiply(self, x, y):
+        return self.reduce(_syllables_of(x) + _syllables_of(y))
 
     def invert(self, x):
         return self.reduce(
@@ -227,9 +209,6 @@ class CommutationGraph:
                 for s in reversed(_syllables_of(x))
             ]
         )
-
-    def length(self, x):
-        return len(self.as_normal(x).syllables)
 
     # -- initial/final structure --------------------------------------------
 
@@ -263,9 +242,6 @@ class CommutationGraph:
         """(x_I^r, x'') with x = x'' x_I^r."""
         elem, rest = self.initial_split(self.rev(x), vertex)
         return elem, self.rev(rest)
-
-    def final_part(self, x, vertex):
-        return self.final_split(x, vertex)[0]
 
     def vertices_of(self, x):
         return {s.vertex for s in self.as_normal(x).syllables}

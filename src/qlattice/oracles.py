@@ -54,6 +54,52 @@ def bfs_normal_form(graph, syllables):
     return min(closure, key=lambda st: _word_key(graph, st))
 
 
+def _first_amalgamation(graph, w):
+    for i, s in enumerate(w):
+        for j in range(i + 1, len(w)):
+            if w[j].vertex == s.vertex:
+                return i, j
+            if not graph.adjacent(w[j].vertex, s.vertex):
+                break
+    return None
+
+
+def is_reduced(graph, w):
+    """Green's criterion: between equal-vertex syllables there is a
+    syllable at a non-adjacent vertex."""
+    return _first_amalgamation(graph, w) is None
+
+
+def greedy_normal_form(graph, syllables):
+    """Amalgamate the first pair that shuffles together until none is
+    left, then repeatedly extract the initial syllable of least vertex."""
+    rem = [s for s in syllables if not graph.ops[s.vertex].is_identity(s.element)]
+    while (hit := _first_amalgamation(graph, rem)) is not None:
+        i, j = hit
+        ops = graph.ops[rem[i].vertex]
+        merged = ops.multiply(rem[i].element, rem.pop(j).element)
+        if ops.is_identity(merged):
+            del rem[i]
+        else:
+            rem[i] = Syllable(rem[i].vertex, merged)
+    out = []
+    while rem:
+        out.append(rem.pop(min(
+            (graph.vertex_index[s.vertex], p) for p, s in enumerate(rem)
+            if all(graph.adjacent(t.vertex, s.vertex) for t in rem[:p])
+        )[1]))
+    return _state(out)
+
+
+def fraction_by_product(graph, x):
+    """Whether the syllables x, with factor fractions a_i b_i^-1, multiply
+    out as a_1 ... a_k b_1^-1 ... b_k^-1 to x itself."""
+    parts = [(s.vertex, graph.ops[s.vertex].factorize(s.element)) for s in x]
+    word = [Syllable(v, a) for v, (a, _) in parts]
+    word += [Syllable(v, graph.ops[v].invert(b)) for v, (_, b) in parts]
+    return greedy_normal_form(graph, word) == _state(x)
+
+
 # ---------------------------------------------------------------------------
 # Artin monoid oracles by relation rewriting
 # ---------------------------------------------------------------------------

@@ -100,26 +100,37 @@ def lub(graph, x, y):
 def canonical_fraction(graph, x):
     """The unique pair (a, b) of positives with x = a b^-1, rgcd(a, b) = 1.
 
-    Each syllable of the canonical reduced expression is factorized in its
-    own factor; the a-parts are concatenated in order, the b-parts in
-    reverse order.  When x really is a fraction of positives this
-    assembles the minimal pair; otherwise the product check fails and
-    NotInPPInvError is raised.
+    Factorize each syllable of the canonical reduced word of x in its own
+    factor as a_i b_i^-1.  Then x is in PP^-1 iff every pair i < j with
+    b_i != 1 and a_j != 1 sits at adjacent vertices, and a = a_1 ... a_k,
+    b = b_k ... b_1; otherwise NotInPPInvError is raised.
+
+    If: each b_i^-1 commutes past every later a_j, so x = a b^-1.  Only
+    if: for x = p q^-1 with p, q positive, add the syllables of q^-1 one
+    by one to a reduced word for p, each scanning left past adjacent
+    vertices, then amalgamating at its own vertex or going at the end.
+    The criterion holds for p and each step keeps it: an appended
+    syllable is last and negative; an amalgamation at m turns a_m b_m^-1
+    into a_m c^-1 with c positive, whose fraction a' b'^-1 has a_m = a' d
+    with d positive, so a' = 1 if a_m = 1, and every later syllable is at
+    a vertex adjacent to m's; a deletion removes pairs.  The result is a
+    reduced word for x, and all reduced words of x share their syllables
+    and the order of those at equal or non-adjacent vertices.
     """
     x = graph.as_normal(x)
     parts_a, parts_b = [], []
+    negative = set()  # the vertices of the syllables so far with b_i != 1
     for s in x.syllables:
         ops = graph.ops[s.vertex]
         a_i, b_i = ops.factorize(s.element)
         if not ops.is_identity(a_i):
+            if not negative <= graph.neighbours[s.vertex]:
+                raise NotInPPInvError(f"{x} is not a fraction of positives")
             parts_a.append(Syllable(s.vertex, a_i))
         if not ops.is_identity(b_i):
+            negative.add(s.vertex)
             parts_b.append(Syllable(s.vertex, b_i))
-    a = graph.reduce(parts_a)
-    b = graph.reduce(list(reversed(parts_b)))
-    if not graph.equal(graph.multiply(a, graph.invert(b)), x):
-        raise NotInPPInvError(f"{x} is not a fraction of positives")
-    return a, b
+    return graph.reduce(parts_a), graph.reduce(list(reversed(parts_b)))
 
 
 def lub_general(graph, x, y):
