@@ -41,12 +41,10 @@ from .toeplitz import (
     check_toeplitz_relations,
     covariance_check,
     defect_product_diag,
-    defect_product_nonzero,
     enumerate_ball,
     norm_curve,
     norm_estimate,
     range_projection_diag,
-    toeplitz_adjoint,
     toeplitz_op,
 )
 

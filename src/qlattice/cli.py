@@ -179,7 +179,12 @@ def cmd_relcheck(graph, args):
     if args.rep:
         with open(args.rep) as fh:
             matrices = json.load(fh)
-        family = IsometryFamily(graph, matrices)
+        if not isinstance(matrices, dict):
+            raise InputError("parse", "--rep file must be a JSON object")
+        try:
+            family = IsometryFamily(graph, matrices)
+        except ValueError as exc:
+            raise InputError("parse", str(exc)) from exc
         ball = enumerate_ball(graph, args.max_degree, size_cap=args.max_ball)
         report = check_graph_relations(
             family, tol=args.tolerance, ball=ball, seed=args.seed

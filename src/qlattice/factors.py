@@ -363,9 +363,6 @@ class ZOps:
     def lub_or_infinity(self, a, b):
         return max(a, b)
 
-    def rgcd_of_positives(self, a, b):
-        return min(a, b)
-
     def sort_key(self, a):
         return (a,)
 
@@ -416,11 +413,6 @@ class ArtinOps:
     def lub_or_infinity(self, x, y):
         a, _ = self.factorize(self.multiply(self.invert(x), y))
         return self.multiply(x, a)
-
-    def rgcd_of_positives(self, u, v):
-        if u.den or v.den:
-            raise ValueError("rgcd_of_positives needs positive fractions")
-        return self.element(self.monoid.rgcd_words(u.num, v.num))
 
     def sort_key(self, f):
         return self.monoid.word_key(f.num) + self.monoid.word_key(f.den)

@@ -210,7 +210,7 @@ class CommutationGraph:
             ]
         )
 
-    # -- initial/final structure --------------------------------------------
+    # -- initial structure --------------------------------------------------
 
     def initial_vertices(self, x):
         sylls = list(self.as_normal(x).syllables)
@@ -227,21 +227,6 @@ class CommutationGraph:
                 rest = sylls[:p] + sylls[p + 1:]
                 return sylls[p].element, self.reduce(rest)
         return self.ops[vertex].identity, x
-
-    def initial_part(self, x, vertex):
-        return self.initial_split(x, vertex)[0]
-
-    def rev(self, x):
-        """Reverse the syllable order (elements unchanged); an involution."""
-        return self.reduce(list(reversed(self.as_normal(x).syllables)))
-
-    def final_vertices(self, x):
-        return self.initial_vertices(self.rev(x))
-
-    def final_split(self, x, vertex):
-        """(x_I^r, x'') with x = x'' x_I^r."""
-        elem, rest = self.initial_split(self.rev(x), vertex)
-        return elem, self.rev(rest)
 
     def vertices_of(self, x):
         return {s.vertex for s in self.as_normal(x).syllables}

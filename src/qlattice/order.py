@@ -203,10 +203,6 @@ def phi(graph, x):
     return direct_product_element(graph, acc)
 
 
-def phi_is_positive(graph, xi):
-    return all(graph.ops[v].is_positive(e) for v, e in xi.components)
-
-
 def phi_lub(graph, xi, eta):
     """Componentwise lub in the direct product, INFINITY if any component
     has no bound."""

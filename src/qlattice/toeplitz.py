@@ -21,6 +21,7 @@ reports the resulting lower bounds as a nondecreasing sequence.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,22 +124,8 @@ def enumerate_ball(graph, max_degree, size_cap=200_000):
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """A sparse matrix over the ball basis, with reproducible export order."""
-    dimension: int
+    """A sparse matrix over the ball basis."""
     matrix: object  # scipy csr_matrix
-
-    def to_triplets(self):
-        coo = self.matrix.tocoo()
-        triplets = sorted(
-            zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
-        )
-        return [[int(r), int(c), v] for r, c, v in triplets]
-
-    def adjoint(self):
-        return SparseOperator(self.dimension, self.matrix.conj().T.tocsr())
-
-    def __matmul__(self, other):
-        return SparseOperator(self.dimension, (self.matrix @ other.matrix).tocsr())
 
 
 def _letters(graph, x):
@@ -171,11 +158,7 @@ def toeplitz_op(graph, x, ball):
     mat = sp.csr_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(n, n), dtype=float
     )
-    return SparseOperator(n, mat)
-
-
-def toeplitz_adjoint(graph, x, ball):
-    return toeplitz_op(graph, x, ball).adjoint()
+    return SparseOperator(mat)
 
 
 def range_projection_diag(graph, x, ball):
@@ -224,15 +207,6 @@ def defect_product_diag(graph, elements, ball):
     return diag
 
 
-def defect_product_nonzero(graph, elements, ball):
-    """True iff the defect projection has nonzero diagonal.
-
-    For the Toeplitz representation the entry at the identity basis vector
-    is always 1, since a nontrivial positive never divides the identity.
-    """
-    return bool(defect_product_diag(graph, elements, ball).any())
-
-
 # ---------------------------------------------------------------------------
 # Extension of factor representations to the graph product
 # ---------------------------------------------------------------------------
@@ -241,11 +215,11 @@ class IsometryFamily:
     """A matrix isometry per generator, extended along reduced expressions.
 
     ``matrices`` maps generator labels (the vertex name for an integer
-    factor, the Artin generator names otherwise) to square ndarrays of a
-    common dimension.  When the graph relations hold, the product of the
-    generator matrices along any reduced expression of a positive element
-    is independent of the expression, which is what :func:`check_graph_relations`
-    verifies.
+    factor, the Artin generator names otherwise) to square 2-D arrays of
+    numbers of a common dimension.  When the graph relations hold, the
+    product of the generator matrices along any reduced expression of a
+    positive element is independent of the expression, which is what
+    :func:`check_graph_relations` verifies.
     """
 
     def __init__(self, graph, matrices):
@@ -254,33 +228,27 @@ class IsometryFamily:
         missing = set(labels) - set(matrices)
         if missing:
             raise ValueError(f"missing matrices for generators {sorted(missing)}")
-        dims = {np.asarray(m).shape for m in matrices.values()}
-        if len(dims) != 1 or any(a != b for a, b in dims):
+        arrays = {}
+        for label, m in matrices.items():
+            try:
+                m = np.asarray(m, dtype=complex)
+            except (TypeError, ValueError):
+                m = None
+            if m is None or m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"matrix for {label!r} must be square 2-D numbers")
+            arrays[label] = m
+        if len({m.shape for m in arrays.values()}) != 1:
             raise ValueError("generator matrices must be square and same-size")
-        self.dimension = next(iter(dims))[0]
-        self.matrices = {k: np.asarray(matrices[k], dtype=complex) for k in labels}
-
-    def _vertex_generator_matrices(self, vertex):
-        ops = self.graph.ops[vertex]
-        if ops.kind == "Z":
-            return {vertex: self.matrices[vertex]}
-        return {s: self.matrices[s] for s in ops.monoid.generators}
+        self.dimension = next(iter(arrays.values())).shape[0]
+        self.matrices = {k: arrays[k] for k in labels}
 
     def of(self, x):
         """V(x) for positive x, multiplied along the canonical expression."""
         x = self.graph.as_normal(x)
         if not is_positive(self.graph, x):
             raise ValueError("the extension is defined on positive elements")
-        out = np.eye(self.dimension, dtype=complex)
-        for letter in _letters(self.graph, x):
-            out = out @ self.matrices[letter]
-        return out
-
-    def of_word(self, letters):
-        out = np.eye(self.dimension, dtype=complex)
-        for letter in letters:
-            out = out @ self.matrices[letter]
-        return out
+        letters = [(label, False) for label in _letters(self.graph, x)]
+        return _product(letters, self.matrices, np.eye(self.dimension, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -292,17 +260,72 @@ class RelationReport:
         return self.ok
 
 
-def _residual(a, b):
-    return float(np.linalg.norm(a - b, ord=2)) if a.size else 0.0
+def _generator_relations(graph):
+    """The generator-level relations of the graph product, in check order.
+
+    Each entry is (description, lhs, rhs).  A side is a tuple of
+    (label, adjoint) letters, standing for the product of the generator
+    isometries, or of their adjoints, from left to right; an rhs of None
+    means zero.  The list: each generator is an isometry; generators at
+    adjacent vertices commute and *-commute, those at non-adjacent
+    vertices have orthogonal ranges; inside an Artin vertex the braid
+    relations and the generator covariance
+    V_s V_s^* V_t V_t^* = V_{s v t} V_{s v t}^* hold.
+    """
+    def up(word):
+        return tuple((label, False) for label in word)
+
+    labels = graph.generator_labels()
+    by_vertex = {v: [s for s in labels if labels[s][0] == v] for v in graph.vertices}
+    rels = [(f"isometry {s}", ((s, True), (s, False)), ()) for s in labels]
+    for i, v in enumerate(graph.vertices):
+        for w in graph.vertices[i + 1:]:
+            for s, t in itertools.product(by_vertex[v], by_vertex[w]):
+                s_star_t = ((s, True), (t, False))
+                if graph.adjacent(v, w):
+                    rels.append((f"commute {s},{t}", up((s, t)), up((t, s))))
+                    rels.append((f"*-commute {s},{t}", s_star_t, s_star_t[::-1]))
+                else:
+                    rels.append((f"orthogonal ranges {s},{t}", s_star_t, None))
+    for v in graph.vertices:
+        if graph.ops[v].kind != "artin":
+            continue
+        monoid = graph.ops[v].monoid
+        for ti, t in enumerate(monoid.generators):
+            for s in monoid.generators[:ti]:
+                m = monoid.coxeter(s, t)
+                rels.append((f"braid relation <{s}{t}>^{m}",
+                             up(monoid._alt(s, t, m)), up(monoid._alt(t, s, m))))
+                join = up(monoid.lub_words((s,), (t,)))
+                star = tuple((label, True) for label, _ in reversed(join))
+                rels.append((f"generator covariance {s},{t}",
+                             ((s, False), (s, True), (t, False), (t, True)),
+                             join + star))
+    return rels
+
+
+def _product(letters, matrices, identity):
+    """The product of matrices[label], or its adjoint, along the letters.
+
+    A run of adjoint letters b* a* is evaluated as (V_a V_b)^*, so a side
+    such as V_j V_j^* comes out exactly self-adjoint.
+    """
+    out = identity
+    for adjoint, run in itertools.groupby(letters, key=lambda letter: letter[1]):
+        part = identity
+        for label, _ in reversed(list(run)) if adjoint else run:
+            part = part @ matrices[label]
+        out = out @ (part.conj().T if adjoint else part)
+    return out
 
 
 def check_graph_relations(family, tol=1e-9, ball=None, samples=25, seed=0):
     """Verify the defining relations of the graph product on a family.
 
-    Checks, to the tolerance: each generator is an isometry; cross-vertex
-    pairs *-commute (adjacent vertices) or have orthogonal ranges
-    (non-adjacent); within an Artin vertex the braid relations and the
-    generator covariance V_s V_s^* V_t V_t^* = V_{s v t} V_{s v t}^* hold.
+    Evaluates the relation list that check_toeplitz_relations also reads
+    (isometries, commute and *-commute or orthogonal ranges across
+    vertices, braid relations and generator covariance inside Artin
+    vertices) and reports each residual norm above the tolerance.
     If a ball is supplied, additionally samples pairs from it and tests
     the full covariance identity with the computed lub (zero when the lub
     is infinite).
@@ -311,59 +334,14 @@ def check_graph_relations(family, tol=1e-9, ball=None, samples=25, seed=0):
     bad = []
 
     def expect(desc, a, b):
-        r = _residual(a, b)
+        r = float(np.linalg.norm(a - b, ord=2)) if a.size else 0.0
         if r > tol:
             bad.append((desc, r))
 
     eye = np.eye(family.dimension, dtype=complex)
-    for label, mat in family.matrices.items():
-        expect(f"isometry {label}", mat.conj().T @ mat, eye)
-
-    per_vertex = {
-        v: family._vertex_generator_matrices(v) for v in graph.vertices
-    }
-    for i, v in enumerate(graph.vertices):
-        for w in graph.vertices[i + 1:]:
-            for ls, ms in per_vertex[v].items():
-                for lt, mt in per_vertex[w].items():
-                    if graph.adjacent(v, w):
-                        expect(f"commute {ls},{lt}", ms @ mt, mt @ ms)
-                        expect(
-                            f"*-commute {ls},{lt}",
-                            ms.conj().T @ mt,
-                            mt @ ms.conj().T,
-                        )
-                    else:
-                        expect(
-                            f"orthogonal ranges {ls},{lt}",
-                            ms.conj().T @ mt,
-                            np.zeros_like(ms),
-                        )
-
-    for v in graph.vertices:
-        ops = graph.ops[v]
-        if ops.kind != "artin":
-            continue
-        monoid = ops.monoid
-        gens = monoid.generators
-        for ti, t in enumerate(gens):
-            for s in gens[:ti]:
-                m = monoid.coxeter(s, t)
-                lhs = monoid._alt(s, t, m)
-                rhs = monoid._alt(t, s, m)
-                expect(
-                    f"braid relation <{s}{t}>^{m}",
-                    family.of_word(lhs),
-                    family.of_word(rhs),
-                )
-                vs = family.matrices[s]
-                vt = family.matrices[t]
-                vj = family.of_word(monoid.lub_words((s,), (t,)))
-                expect(
-                    f"generator covariance {s},{t}",
-                    vs @ vs.conj().T @ vt @ vt.conj().T,
-                    vj @ vj.conj().T,
-                )
+    for desc, lhs, rhs in _generator_relations(graph):
+        b = 0 * eye if rhs is None else _product(rhs, family.matrices, eye)
+        expect(desc, _product(lhs, family.matrices, eye), b)
 
     if ball is not None:
         rng = np.random.default_rng(seed)
@@ -388,67 +366,33 @@ def check_graph_relations(family, tol=1e-9, ball=None, samples=25, seed=0):
 
 
 def check_toeplitz_relations(graph, ball):
-    """Exact self-check of the truncated Toeplitz family.
+    """Exact check of the relation list on the truncated Toeplitz family.
 
-    Products are compared only on columns whose image cannot escape the
-    ball, which makes every comparison exact 0/1 arithmetic.
+    Reads the same relation list as check_graph_relations.  A relation
+    whose sides have at most k non-adjoint letters is compared on the
+    columns e_y with deg y + k <= max_degree.  Along either side each
+    letter raises the degree by one and each adjoint lowers it (or
+    kills the vector), so no product leaves the ball; and adjoints are
+    exact on a divisor-closed ball.  Every comparison is therefore exact
+    0/1 arithmetic.
     """
-    labels = graph.generator_labels()
-    ops_by_label = {
-        label: toeplitz_op(graph, graph.reduce([graph.syllable(v, e)]), ball)
-        for label, (v, e) in labels.items()
+    mats = {
+        label: toeplitz_op(graph, x, ball).matrix
+        for label, x in zip(graph.generator_labels(), graph.generator_words())
     }
+    eye = sp.identity(len(ball), format="csr")
+    degrees = np.array([y.degree for y in ball.elements])
     bad = []
-
-    def compare(desc, a, b, margin):
-        keep = [
-            j for j, y in enumerate(ball.elements)
-            if y.degree <= ball.max_degree - margin
-        ]
-        if not keep:
-            return
-        da = a.matrix[:, keep]
-        db = b.matrix[:, keep]
-        if (da != db).nnz:
-            bad.append((desc, float(abs(da - db).max())))
-
-    items = sorted(labels.items())
-    for i, (ls, (vs, _)) in enumerate(items):
-        ts = ops_by_label[ls]
-        for lt, (vt, _) in items[i + 1:]:
-            tt = ops_by_label[lt]
-            if vs == vt:
-                continue
-            if graph.adjacent(vs, vt):
-                compare(f"commute {ls},{lt}", ts @ tt, tt @ ts, 2)
-                compare(f"*-commute {ls},{lt}", ts.adjoint() @ tt, tt @ ts.adjoint(), 1)
-            else:
-                zero = SparseOperator(
-                    len(ball), sp.csr_matrix((len(ball), len(ball)))
-                )
-                compare(f"orthogonal ranges {ls},{lt}", ts.adjoint() @ tt, zero, 1)
-
-    for v in graph.vertices:
-        ops = graph.ops[v]
-        if ops.kind != "artin":
+    for desc, lhs, rhs in _generator_relations(graph):
+        k = max(sum(not adjoint for _, adjoint in side) for side in (lhs, rhs or ()))
+        keep = np.flatnonzero(degrees + k <= ball.max_degree)
+        if not keep.size:
             continue
-        monoid = ops.monoid
-        for ti, t in enumerate(monoid.generators):
-            for s in monoid.generators[:ti]:
-                m = monoid.coxeter(s, t)
-                left = _word_op(monoid._alt(s, t, m), ops_by_label)
-                right = _word_op(monoid._alt(t, s, m), ops_by_label)
-                compare(f"braid relation <{s}{t}>^{m}", left, right, m)
-
+        a = _product(lhs, mats, eye)[:, keep]
+        b = (0 * eye if rhs is None else _product(rhs, mats, eye))[:, keep]
+        if (a != b).nnz:
+            bad.append((desc, float(abs(a - b).max())))
     return RelationReport(not bad, tuple(bad))
-
-
-def _word_op(letters, ops_by_label):
-    n = ops_by_label[next(iter(ops_by_label))].dimension
-    out = SparseOperator(n, sp.identity(n, format="csr"))
-    for letter in letters:
-        out = out @ ops_by_label[letter]
-    return out
 
 
 # ---------------------------------------------------------------------------

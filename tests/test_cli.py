@@ -224,11 +224,16 @@ class TestErrorHandling:
         (["ball", "--ctx", "b3", "--max-ball", "3"], 1, "BallSizeExceeded"),
         (["norm-curve", "--ctx", "b3", "--max-degree", "4", "--tolerance", "0",
           "--weights", json.dumps({"s": 0.5, "t": 0.5})], 1, "NormNotCertified"),
+        (["relcheck", "--ctx", "free2", "--rep", "REP_ARRAY"], 2, "parse"),
+        (["relcheck", "--ctx", "free2", "--rep", "REP_1D"], 2, "parse"),
+        (["relcheck", "--ctx", "free2", "--rep", "REP_STR"], 2, "parse"),
+        (["relcheck", "--ctx", "free2", "--rep", "REP_RAGGED"], 2, "parse"),
     ])
     def test_error_envelope(self, run, tmp_path, argv, code, kind):
         # one case per error class: unknown context, LiteralError,
         # NotFiniteTypeError, JSONDecodeError, OSError, two DomainErrors,
-        # NotInPPInvError, BallSizeExceeded and NormNotCertified
+        # NotInPPInvError, BallSizeExceeded and NormNotCertified; then
+        # --rep files that are not a JSON object of square numeric matrices
         inf = tmp_path / "inf.json"
         inf.write_text(json.dumps({"vertices": [{"name": "v", "factor": {
             "artin": {"generators": ["s", "t"], "m": [[1, "inf"], ["inf", 1]]},
@@ -236,6 +241,15 @@ class TestErrorHandling:
         rep = tmp_path / "rep.json"
         rep.write_text(json.dumps({"a": [[1.0]], "b": [[1.0]]}))
         paths = {"INF": inf, "REP": rep, "MISSING": tmp_path / "missing.json"}
+        bad_reps = {
+            "REP_ARRAY": [[1]],
+            "REP_1D": {"a": [1, 0], "b": [0, 1]},
+            "REP_STR": {"a": "x", "b": "y"},
+            "REP_RAGGED": {"a": [[1, 0], [1]], "b": [[1, 0], [0, 1]]},
+        }
+        for name, content in bad_reps.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(content))
         argv = [str(paths.get(arg, arg)) for arg in argv]
         got_code, doc = run_json(run, *argv)
         assert (got_code, doc["ok"], doc["error"]["kind"]) == (code, False, kind)

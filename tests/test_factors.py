@@ -272,7 +272,6 @@ class TestZOps:
 
     def test_total_order_lattice(self):
         assert self.ops.lub_or_infinity(3, 5) == 5
-        assert self.ops.rgcd_of_positives(3, 5) == 3
 
     def test_factorize(self):
         assert self.ops.factorize(-3) == (0, 3)

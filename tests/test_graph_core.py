@@ -141,7 +141,7 @@ class TestInitialStructure:
                 if head:
                     assert v in mixed.initial_vertices(x)
                     assert v not in mixed.initial_vertices(rest) or len(rest) == 0 or (
-                        mixed.initial_part(rest, v) != e
+                        mixed.initial_split(rest, v)[0] != e
                     )
 
     def test_pairwise_adjacency_of_initial_vertices(self, path3):
@@ -152,16 +152,3 @@ class TestInitialStructure:
             for i, a in enumerate(delta):
                 for b in delta[i + 1:]:
                     assert path3.adjacent(a, b)
-
-    def test_rev_is_an_involution_and_flips_initial_final(self, path3):
-        rng = random.Random(8)
-        for _ in range(40):
-            x = path3.reduce(random_syllables(path3, rng))
-            assert path3.rev(path3.rev(x)).syllables == x.syllables
-            assert path3.final_vertices(x) == path3.initial_vertices(path3.rev(x))
-
-    def test_final_split_reassembles(self, path3):
-        x = nw(path3, ("a", 1), ("c", 2), ("a", 3))
-        e, rest = path3.final_split(x, "a")
-        assert e == 3
-        assert path3.equal(path3.multiply(rest, path3.reduce([Syllable("a", 3)])), x)
