@@ -11,11 +11,15 @@ off the table by spelling x in the generators, with no further
 multiplication, and the balls of smaller degree are prefixes of the
 largest one.  Because the ball is divisor closed, the adjoint action
 T_x* e_z = e_{x^-1 z} (when x <= z, else 0) is exact on the ball, so all
-diagonal/projection identities hold without truncation error.  Norms are
-the exception: the compressed norm is a lower bound for the full one and
-is nondecreasing in the ball degree.  norm_estimate certifies it to a
-tolerance with a Rayleigh/Collatz-Wielandt bracket, and norm_curve
-reports the resulting lower bounds as a nondecreasing sequence.
+diagonal/projection identities hold without truncation error.  For the
+same reason {z in the ball : x <= z} is exactly the set of rows T_x
+reaches: such a z is x w with w positive of degree deg z - deg x, so w is
+in the ball and T_x e_w = e_z.  Range projections, covariance and defect
+are read off the table with no order test.  Norms are the exception: the
+compressed norm is a lower bound for the full one and is nondecreasing
+in the ball degree.  norm_estimate certifies it to a tolerance with a
+Rayleigh/Collatz-Wielandt bracket, and norm_curve reports the resulting
+lower bounds as a nondecreasing sequence.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .factors import INFINITY
-from .order import is_positive, leq, lub
+from .order import is_positive, lub
 
 
 class BallSizeExceeded(RuntimeError):
@@ -138,37 +142,44 @@ def _letters(graph, x):
             yield from ops.positive_word(s.element)
 
 
-def toeplitz_op(graph, x, ball):
-    """The compression of T_x to the ball: e_y -> e_{xy} while xy stays in.
-
-    Walks the ball's table along the letters of x from the right.  This
-    is exact: if xy is in the ball, so is every intermediate product,
-    since its degree is at most that of xy.
-    """
+def _positive(graph, x, message):
     x = graph.as_normal(x)
     if not is_positive(graph, x):
-        raise ValueError("Toeplitz isometries are indexed by positive elements")
+        raise ValueError(message)
+    return x
+
+
+def _walk(graph, x, ball):
+    """The pairs (xy, y) with xy in the ball, as row and column arrays.
+
+    Walks the ball's table along the letters of x from the right.  Exact:
+    each intermediate product has degree at most deg xy, so is in the ball.
+    """
     row_of = {label: i for i, label in enumerate(graph.generator_labels())}
-    n = len(ball)
-    cols = rows = np.arange(n)
+    cols = rows = np.arange(len(ball))
     for letter in reversed(list(_letters(graph, x))):
         rows = ball.table[row_of[letter], rows]
         inside = rows >= 0
         rows, cols = rows[inside], cols[inside]
-    mat = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, n), dtype=float
-    )
+    return rows, cols
+
+
+def toeplitz_op(graph, x, ball):
+    """The compression of T_x to the ball: e_y -> e_{xy} while xy stays in."""
+    x = _positive(graph, x, "Toeplitz isometries are indexed by positive elements")
+    rows, cols = _walk(graph, x, ball)
+    n = len(ball)
+    mat = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     return SparseOperator(mat)
 
 
 def range_projection_diag(graph, x, ball):
-    """Diagonal of T_x T_x^*: 1 at z iff x <= z.  Exact on the ball."""
-    x = graph.as_normal(x)
-    if not is_positive(graph, x):
-        raise ValueError("range projections are indexed by positive elements")
-    return np.array(
-        [1 if leq(graph, x, z) else 0 for z in ball.elements], dtype=int
-    )
+    """Diagonal of T_x T_x^*: 1 at z iff x <= z, that is (the ball being
+    divisor closed) iff T_x reaches row z.  Exact on the ball."""
+    x = _positive(graph, x, "range projections are indexed by positive elements")
+    diag = np.zeros(len(ball), dtype=int)
+    diag[_walk(graph, x, ball)[0]] = 1
+    return diag
 
 
 @dataclass(frozen=True)
@@ -185,16 +196,15 @@ def covariance_check(graph, x, y, ball):
     """Pointwise check of V_x V_x^* V_y V_y^* = V_{x v y} V_{x v y}^*.
 
     Over the ball this says: z dominates both x and y iff x v y is finite
-    and dominates z.  Doubles as an independent test of the lub algorithm.
+    and dominates z.  Each upper set is read off the ball's table (a join
+    past the ball degree reaches no row), never from lub, so this doubles
+    as an independent test of lub.  x and y must be positive.
     """
+    lhs = range_projection_diag(graph, x, ball) & range_projection_diag(graph, y, ball)
     join = lub(graph, x, y)
-    bad = []
-    for z in ball.elements:
-        lhs = leq(graph, x, z) and leq(graph, y, z)
-        rhs = join is not INFINITY and leq(graph, join, z)
-        if lhs != rhs:
-            bad.append(z)
-    return CovarianceReport(not bad, join, tuple(bad))
+    rhs = 0 if join is INFINITY else range_projection_diag(graph, join, ball)
+    bad = np.flatnonzero(lhs != rhs)
+    return CovarianceReport(not bad.size, join, tuple(ball.elements[i] for i in bad))
 
 
 def defect_product_diag(graph, elements, ball):
@@ -228,6 +238,9 @@ class IsometryFamily:
         missing = set(labels) - set(matrices)
         if missing:
             raise ValueError(f"missing matrices for generators {sorted(missing)}")
+        unknown = set(matrices) - set(labels)
+        if unknown:
+            raise ValueError(f"unknown generator labels {sorted(unknown)}")
         arrays = {}
         for label, m in matrices.items():
             try:
@@ -244,9 +257,7 @@ class IsometryFamily:
 
     def of(self, x):
         """V(x) for positive x, multiplied along the canonical expression."""
-        x = self.graph.as_normal(x)
-        if not is_positive(self.graph, x):
-            raise ValueError("the extension is defined on positive elements")
+        x = _positive(self.graph, x, "the extension is defined on positive elements")
         letters = [(label, False) for label in _letters(self.graph, x)]
         return _product(letters, self.matrices, np.eye(self.dimension, dtype=complex))
 
@@ -374,8 +385,15 @@ def check_toeplitz_relations(graph, ball):
     letter raises the degree by one and each adjoint lowers it (or
     kills the vector), so no product leaves the ball; and adjoints are
     exact on a divisor-closed ball.  Every comparison is therefore exact
-    0/1 arithmetic.
+    0/1 arithmetic.  A ball too small to compare every relation is a
+    ValueError that names the least degree that compares them all.
     """
+    rels = [(*rel, max(sum(not a for _, a in side) for side in rel[1:] if side))
+            for rel in _generator_relations(graph)]
+    need = max(k for *_, k in rels)
+    if need > ball.max_degree:
+        raise ValueError(f"a ball of degree {ball.max_degree} leaves relations "
+                         f"uncompared; every relation is compared from degree {need}")
     mats = {
         label: toeplitz_op(graph, x, ball).matrix
         for label, x in zip(graph.generator_labels(), graph.generator_words())
@@ -383,11 +401,8 @@ def check_toeplitz_relations(graph, ball):
     eye = sp.identity(len(ball), format="csr")
     degrees = np.array([y.degree for y in ball.elements])
     bad = []
-    for desc, lhs, rhs in _generator_relations(graph):
-        k = max(sum(not adjoint for _, adjoint in side) for side in (lhs, rhs or ()))
+    for desc, lhs, rhs, k in rels:
         keep = np.flatnonzero(degrees + k <= ball.max_degree)
-        if not keep.size:
-            continue
         a = _product(lhs, mats, eye)[:, keep]
         b = (0 * eye if rhs is None else _product(rhs, mats, eye))[:, keep]
         if (a != b).nnz:

@@ -228,12 +228,16 @@ class TestErrorHandling:
         (["relcheck", "--ctx", "free2", "--rep", "REP_1D"], 2, "parse"),
         (["relcheck", "--ctx", "free2", "--rep", "REP_STR"], 2, "parse"),
         (["relcheck", "--ctx", "free2", "--rep", "REP_RAGGED"], 2, "parse"),
+        (["relcheck", "--ctx", "b3", "--max-degree", "2"], 1, "ValueError"),
+        (["relcheck", "--ctx", "free2", "--rep", "REP_EXTRA"], 2, "parse"),
     ])
     def test_error_envelope(self, run, tmp_path, argv, code, kind):
         # one case per error class: unknown context, LiteralError,
         # NotFiniteTypeError, JSONDecodeError, OSError, two DomainErrors,
         # NotInPPInvError, BallSizeExceeded and NormNotCertified; then
-        # --rep files that are not a JSON object of square numeric matrices
+        # --rep files that are not a JSON object of square numeric matrices;
+        # a ball too small to compare every relation; a --rep family with
+        # a matrix for a label that is not a generator
         inf = tmp_path / "inf.json"
         inf.write_text(json.dumps({"vertices": [{"name": "v", "factor": {
             "artin": {"generators": ["s", "t"], "m": [[1, "inf"], ["inf", 1]]},
@@ -246,6 +250,7 @@ class TestErrorHandling:
             "REP_1D": {"a": [1, 0], "b": [0, 1]},
             "REP_STR": {"a": "x", "b": "y"},
             "REP_RAGGED": {"a": [[1, 0], [1]], "b": [[1, 0], [0, 1]]},
+            "REP_EXTRA": {"a": [[1.0]], "b": [[1.0]], "c": [[1.0]]},
         }
         for name, content in bad_reps.items():
             paths[name] = tmp_path / f"{name}.json"

@@ -24,6 +24,7 @@ from qlattice import (
     range_projection_diag,
     toeplitz_op,
 )
+from qlattice import toeplitz
 from qlattice.cli import _load_context
 from qlattice.oracles import dense_norm, dense_operator
 from qlattice.toeplitz import _component_labels
@@ -163,6 +164,33 @@ class TestToeplitzOps:
         assert diag.tolist() == want
         assert diag[ball.position(path3.identity())] == 0
 
+    def test_range_projection_rejects_non_positive_symbols(self, free2):
+        ball = enumerate_ball(free2, 2)
+        with pytest.raises(ValueError, match="positive"):
+            range_projection_diag(free2, nw(free2, ("a", 1), ("b", -1)), ball)
+
+
+class TestUpperSets:
+    @pytest.mark.parametrize(
+        "name,degree",
+        [("free2", 5), ("path3", 5), ("b3", 5), ("square4", 4), ("b4", 4)],
+    )
+    def test_table_masks_equal_the_leq_scan(self, name, degree):
+        # the ball is divisor closed, so the rows T_x reaches are exactly
+        # the z >= x; checked here against leq for every x in the ball
+        graph = _load_context(name)
+        ball = enumerate_ball(graph, degree)
+        for x in ball.elements:
+            want = [1 if leq(graph, x, z) else 0 for z in ball.elements]
+            assert range_projection_diag(graph, x, ball).tolist() == want, x
+
+    def test_joins_past_the_ball_degree_reach_nothing(self, b3):
+        ball = enumerate_ball(b3, 2)
+        delta = nw(b3, ("v", "sts"))
+        assert not range_projection_diag(b3, delta, ball).any()
+        report = covariance_check(b3, nw(b3, ("v", "s")), nw(b3, ("v", "t")), ball)
+        assert report.ok and report.lub.syllables == delta.syllables
+
 
 class TestCovariance:
     def test_bounded_pair(self, path3):
@@ -189,6 +217,27 @@ class TestCovariance:
             x, y = rng.choice(pool), rng.choice(pool)
             assert covariance_check(mixed, x, y, ball).ok
 
+    def test_rejects_non_positive_arguments(self, free2):
+        ball = enumerate_ball(free2, 2)
+        a, inv = nw(free2, ("a", 1)), nw(free2, ("b", -1))
+        for x, y in [(a, inv), (inv, a)]:
+            with pytest.raises(ValueError, match="positive"):
+                covariance_check(free2, x, y, ball)
+
+    def test_a_wrong_lub_is_reported(self, free2, path3, monkeypatch):
+        # both sides are read off the table, never from lub, so a wrong
+        # join still shows: one argument of an incomparable pair, or
+        # infinity for a bounded pair
+        a, b = nw(free2, ("a", 1)), nw(free2, ("b", 1))
+        monkeypatch.setattr(toeplitz, "lub", lambda graph, x, y: x)
+        report = covariance_check(free2, a, b, enumerate_ball(free2, 3))
+        assert not report.ok and report.mismatches[0].syllables == a.syllables
+        monkeypatch.setattr(toeplitz, "lub", lambda graph, x, y: INFINITY)
+        a, b = nw(path3, ("a", 1)), nw(path3, ("b", 1))
+        report = covariance_check(path3, a, b, enumerate_ball(path3, 3))
+        ab = nw(path3, ("a", 1), ("b", 1))
+        assert not report.ok and report.mismatches[0].syllables == ab.syllables
+
 
 class TestDefect:
     def test_diagonal_over_generators(self, path3):
@@ -212,6 +261,12 @@ class TestDefect:
         with pytest.raises(ValueError):
             defect_product_diag(path3, [], ball)
 
+    def test_rejects_non_positive_elements(self, path3):
+        ball = enumerate_ball(path3, 2)
+        family = [nw(path3, ("a", 1)), nw(path3, ("c", -1))]
+        with pytest.raises(ValueError, match="positive"):
+            defect_product_diag(path3, family, ball)
+
 
 def left_regular_family(graph, degree):
     """The truncated Toeplitz matrices as a concrete IsometryFamily input."""
@@ -233,6 +288,11 @@ class TestIsometryFamily:
             IsometryFamily(free2, {"a": np.eye(2), "b": np.eye(3)})
         with pytest.raises(ValueError, match="matrix for 'a' must be square 2-D"):
             IsometryFamily(free2, {"a": np.ones((2, 3)), "b": np.eye(2)})
+
+    def test_labels_that_are_not_generators_rejected(self, free2):
+        mats = {"a": np.eye(2), "b": np.eye(2), "c": np.eye(2), "d": np.eye(2)}
+        with pytest.raises(ValueError, match=r"unknown generator labels \['c', 'd'\]"):
+            IsometryFamily(free2, mats)
 
     def test_extension_along_reduced_expressions(self, path3):
         _, mats = left_regular_family(path3, 4)
@@ -295,6 +355,18 @@ class TestToeplitzRelations:
         edge = CommutationGraph(vertices, [("a", "b")])
         report = check_toeplitz_relations(edge, ball)
         assert [desc for desc, _ in report.violations] == ["orthogonal ranges b,c"]
+
+    @pytest.mark.parametrize(
+        "ctx,need", [("free2", 1), ("path3", 2), ("b3", 3), ("mixed", 3)]
+    )
+    def test_ball_too_small_for_some_relation(self, ctx, need, request):
+        # a relation with k non-adjoint letters is compared only on
+        # columns e_y with deg y + k <= max_degree; a ball with none for
+        # some relation must not report ok
+        graph = request.getfixturevalue(ctx)
+        with pytest.raises(ValueError, match=f"compared from degree {need}$"):
+            check_toeplitz_relations(graph, enumerate_ball(graph, need - 1))
+        assert check_toeplitz_relations(graph, enumerate_ball(graph, need)).ok
 
 
 class TestNorms:
