@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import math
 import sys
 
 from . import io as qio
@@ -297,6 +298,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not math.isfinite(args.tolerance):
+            raise InputError("parse", f"--tolerance {args.tolerance} is not finite")
         graph = _load_context(args.ctx)
         result = args.fn(graph, args)
     except tuple(t for t, _, _ in _ERRORS) as exc:

@@ -7,7 +7,10 @@ common right divisors) is done by subword reversing: the generator rule
 rewrites s^-1 t into (s\\t)(t\\s)^-1, where s\\t is the alternating word of
 length m(s,t)-1 starting with t, and s^-1 s into the empty word.  For a
 finite-type matrix this rewriting always terminates and computes the
-lattice operations of the monoid.
+lattice operations of the monoid.  Most reversals test whether a letter
+left-divides a word; _letter_quotient settles most tests from the word's
+length and letters (proof there), and canonical_word stops at a canonical
+tail, since shortlex-least words are closed under taking suffixes.
 
 General Artin group elements are carried around as canonical fractions
 a b^-1 with a, b positive and without a common nontrivial right divisor.
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce as _fold
 from itertools import permutations
 
 INFINITE = math.inf
@@ -187,13 +189,16 @@ class ArtinMonoid:
                 f"Artin matrix over {self.generators} is not of finite type"
             )
         self.index = {s: i for i, s in enumerate(self.generators)}
-        # s^-1 t reverses to (s\t)(t\s)^-1, as signed letters
-        self._reversal = {(s, s): [] for s in self.generators}
+        code = self._code = {s: i + 1 for i, s in enumerate(self.generators)}
+        self._letter = (None,) + self.generators
+        # s^-1 t reverses to (s\t)(t\s)^-1; with letters coded 1..n and
+        # inverses -1..-n, _reversal[s][t] holds it (row and column 0 unused)
+        self._reversal = [[[] for _ in self._letter] for _ in self._letter]
         for s, t in permutations(self.generators, 2):
             mm = self.coxeter(s, t) - 1
-            self._reversal[s, t] = (
-                [(c, +1) for c in self._alt(t, s, mm)]
-                + [(c, -1) for c in reversed(self._alt(s, t, mm))]
+            self._reversal[code[s]][code[t]] = (
+                [code[c] for c in self._alt(t, s, mm)]
+                + [-code[c] for c in reversed(self._alt(s, t, mm))]
             )
 
     def coxeter(self, s, t):
@@ -210,21 +215,25 @@ class ArtinMonoid:
         Returns (p, q) = (u\\v, v\\u); in particular u (u\\v) = v (v\\u)
         is the least common multiple of u and v.
         """
-        word = [(s, -1) for s in reversed(u)] + [(t, +1) for t in v]
+        if not u or not v:
+            return tuple(v), tuple(u)
+        code, table = self._code, self._reversal
+        word = [-code[s] for s in reversed(u)] + [code[t] for t in v]
         steps = 0
         i = 0
         while i < len(word) - 1:
-            if not (word[i][1] < 0 and word[i + 1][1] > 0):
+            a, b = word[i], word[i + 1]
+            if a > 0 or b < 0:
                 i += 1
                 continue
-            word[i:i + 2] = self._reversal[word[i][0], word[i + 1][0]]
-            i = max(i - 1, 0)
+            word[i:i + 2] = table[-a][b]
+            i = i - 1 if i else 0
             steps += 1
             if steps > _REVERSING_STEP_CAP:
                 raise NoCommonMultipleError("reversing step cap exceeded")
-        pos = tuple(c for c, sign in word if sign > 0)
-        neg = tuple(c for c, sign in reversed(word) if sign < 0)
-        return pos, neg
+        letter = self._letter
+        return (tuple(letter[c] for c in word if c > 0),
+                tuple(letter[-c] for c in reversed(word) if c < 0))
 
     def complement(self, u, v):
         """u\\v, the word with u (u\\v) = u lcm v."""
@@ -246,59 +255,67 @@ class ArtinMonoid:
             raise ValueError("left_quotient: divisor does not divide")
         return p
 
-    def right_quotient(self, z, c):
-        """The word w with w c = z; requires c to right-divide z."""
-        return tuple(
-            reversed(self.left_quotient(tuple(reversed(c)), tuple(reversed(z))))
-        )
-
     def lub_words(self, u, v):
         return u + self.complement(u, v)
 
-    def left_gcd(self, p, q):
-        """Greatest common left divisor, by stripping lubs of common letters."""
-        out = ()
+    def _letter_quotient(self, s, w):
+        """The word w' with s w' = w, or None if s does not left-divide w.
+
+        w is nonempty.  Reverses only if len(w) >= m(s, w[0]) and s occurs
+        in w.  Both are necessary: if s <= t w' with t != s, then lcm(s, t)
+        = t (t\\s) divides t w', which needs m(s, t) letters; and t\\s
+        begins with s, so s <= w'.
+        """
+        if w[0] == s:
+            return w[1:]
+        if len(w) >= self.coxeter(s, w[0]) and s in w:
+            quotient, over = self.reverse_fraction((s,), w)
+            return None if over else quotient
+
+    def _strip(self, p, q):
+        """(g, g\\p, g\\q) for g the left gcd of p and q, one common letter
+        at a time: s <= p, q gives gcd(p, q) = s gcd(s\\p, s\\q)."""
+        g = []
         while p and q:
-            common = [
-                (s,) for s in self.generators
-                if self.left_divides((s,), p) and self.left_divides((s,), q)
-            ]
-            if not common:
+            for s in self.generators:
+                p1 = self._letter_quotient(s, p)
+                q1 = None if p1 is None else self._letter_quotient(s, q)
+                if q1 is not None:
+                    break
+            else:
                 break
-            g = _fold(self.lub_words, common)
-            out = out + g
-            p = self.left_quotient(g, p)
-            q = self.left_quotient(g, q)
-        return out
+            g.append(s)
+            p, q = p1, q1
+        return tuple(g), p, q
 
     def rgcd_words(self, u, v):
-        g = self.left_gcd(tuple(reversed(u)), tuple(reversed(v)))
-        return tuple(reversed(g))
+        return self._strip(tuple(u)[::-1], tuple(v)[::-1])[0][::-1]
 
     def word_key(self, w):
         return (len(w),) + tuple(self.index[c] for c in w)
 
-    def canonical_word(self, w):
-        """Shortlex-least word equal to w.
+    def canonical_word(self, w, tail=()):
+        """Shortlex-least word equal to w + tail, for a shortlex-least tail.
 
         Equal words have equal length, so this is the lexicographically
         least one: repeatedly split off the least generator that
         left-divides what remains.  The first letter of the remainder
-        always divides it, which bounds each scan.
+        always divides it, which bounds each scan.  Suffixes of
+        shortlex-least words are shortlex-least, so once the scan has taken
+        every letter of w unchanged, the rest is the tail as it is.
         """
-        rest = tuple(w)
+        rest = tuple(w) + tuple(tail)
+        fresh = len(w)  # letters before the canonical tail
         out = []
-        while rest:
+        while fresh > 0:
             for s in self.generators:
-                if s == rest[0]:
-                    rest = rest[1:]
+                quotient = self._letter_quotient(s, rest)
+                if quotient is not None:
                     break
-                quotient, over = self.reverse_fraction((s,), rest)
-                if not over:
-                    rest = quotient
-                    break
+            fresh = fresh - 1 if s == rest[0] else len(quotient)
             out.append(s)
-        return tuple(out)
+            rest = quotient
+        return tuple(out) + rest
 
     def parse_word(self, text):
         """Split a string into generator letters (longest match first)."""
@@ -382,10 +399,9 @@ class ArtinOps:
     def element(self, num, den=()):
         """Build the canonical fraction for num * den^-1."""
         num, den = tuple(num), tuple(den)
-        c = self.monoid.rgcd_words(num, den)
-        if c:
-            num = self.monoid.right_quotient(num, c)
-            den = self.monoid.right_quotient(den, c)
+        if num and den:
+            _, p, q = self.monoid._strip(num[::-1], den[::-1])
+            num, den = p[::-1], q[::-1]
         return ArtinFraction(
             self.monoid.canonical_word(num), self.monoid.canonical_word(den)
         )
@@ -394,6 +410,8 @@ class ArtinOps:
         return not f.num and not f.den
 
     def multiply(self, f, g):
+        if not f.den and not g.den:  # g.num is canonical: a canonical tail
+            return ArtinFraction(self.monoid.canonical_word(f.num, g.num), ())
         # f.den^-1 g.num reverses to x y^-1
         x, y = self.monoid.reverse_fraction(f.den, g.num)
         return self.element(f.num + x, g.den + y)

@@ -106,8 +106,8 @@ def parse_weights(graph, literal):
     for label, weight in literal.items():
         if label not in labels:
             raise LiteralError(f"unknown generator label {label!r}")
-        if not isinstance(weight, (int, float)) or weight < 0:
-            raise LiteralError(f"weight for {label!r} must be nonnegative")
+        if type(weight) not in (int, float) or not 0 <= weight < float("inf"):
+            raise LiteralError(f"weight for {label!r} must be finite and nonnegative")
         vertex, element = labels[label]
         out[graph.reduce([graph.syllable(vertex, element)])] = float(weight)
     return out

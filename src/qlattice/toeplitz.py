@@ -341,6 +341,8 @@ def check_graph_relations(family, tol=1e-9, ball=None, samples=25, seed=0):
     the full covariance identity with the computed lub (zero when the lub
     is infinite).
     """
+    if not np.isfinite(tol):
+        raise ValueError(f"the tolerance must be finite, not {tol}")
     graph = family.graph
     bad = []
 
@@ -467,6 +469,8 @@ def norm_estimate(graph, weights, ball, tol=1e-9, max_iter=10_000):
     """
     if not weights:
         raise ValueError("norm_estimate needs a nonempty weight function")
+    if not np.isfinite(tol):
+        raise ValueError(f"the tolerance must be finite, not {tol}")
     acc = None
     for x, lam in sorted(weights.items(), key=lambda kv: graph.sort_key(kv[0])):
         if lam < 0:

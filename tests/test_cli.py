@@ -230,6 +230,13 @@ class TestErrorHandling:
         (["relcheck", "--ctx", "free2", "--rep", "REP_RAGGED"], 2, "parse"),
         (["relcheck", "--ctx", "b3", "--max-degree", "2"], 1, "ValueError"),
         (["relcheck", "--ctx", "free2", "--rep", "REP_EXTRA"], 2, "parse"),
+        (["relcheck", "--ctx", "free2", "--rep", "REP_SCALED", "--tolerance", "nan"],
+         2, "parse"),
+        (["norm-curve", "--ctx", "b3", "--tolerance", "nan",
+          "--weights", json.dumps({"s": 0.5, "t": 0.5})], 2, "parse"),
+        (["norm-curve", "--ctx", "path3", "--weights", '{"a": NaN}'], 2, "parse"),
+        (["norm-curve", "--ctx", "path3", "--weights", '{"a": Infinity}'], 2, "parse"),
+        (["norm-curve", "--ctx", "path3", "--weights", '{"a": true}'], 2, "parse"),
     ])
     def test_error_envelope(self, run, tmp_path, argv, code, kind):
         # one case per error class: unknown context, LiteralError,
@@ -237,7 +244,9 @@ class TestErrorHandling:
         # NotInPPInvError, BallSizeExceeded and NormNotCertified; then
         # --rep files that are not a JSON object of square numeric matrices;
         # a ball too small to compare every relation; a --rep family with
-        # a matrix for a label that is not a generator
+        # a matrix for a label that is not a generator; a NaN tolerance
+        # (which every residual comparison would pass); weights that are
+        # NaN, infinite or a boolean
         inf = tmp_path / "inf.json"
         inf.write_text(json.dumps({"vertices": [{"name": "v", "factor": {
             "artin": {"generators": ["s", "t"], "m": [[1, "inf"], ["inf", 1]]},
@@ -251,6 +260,7 @@ class TestErrorHandling:
             "REP_STR": {"a": "x", "b": "y"},
             "REP_RAGGED": {"a": [[1, 0], [1]], "b": [[1, 0], [0, 1]]},
             "REP_EXTRA": {"a": [[1.0]], "b": [[1.0]], "c": [[1.0]]},
+            "REP_SCALED": {"a": [[2, 0], [0, 2]], "b": [[1, 0], [0, 1]]},
         }
         for name, content in bad_reps.items():
             paths[name] = tmp_path / f"{name}.json"

@@ -10,6 +10,7 @@ from qlattice import ArtinOps, NotFiniteTypeError, ZOps, factor_from_spec
 from qlattice.cli import main
 from qlattice.factors import coxeter_is_finite_type, validate_coxeter
 from qlattice.oracles import (
+    bfs_left_divides,
     bfs_minimal_common_multiples,
     bfs_right_divisors,
     rewrite_closure,
@@ -28,6 +29,24 @@ MON = B3.monoid
 def words_up_to(monoid, length):
     for n in range(length + 1):
         yield from itertools.product(monoid.generators, repeat=n)
+
+
+def random_word(rng, monoid, shortest, longest):
+    return tuple(
+        rng.choice(monoid.generators) for _ in range(rng.randint(shortest, longest))
+    )
+
+
+def assert_rgcd_matches_oracle(monoid, u, v):
+    got = monoid.rgcd_words(u, v)
+    dv = bfs_right_divisors(monoid, v)
+    common = [
+        d for d in bfs_right_divisors(monoid, u)
+        if any(rewrite_equal(monoid, d, e) for e in dv)
+    ]
+    best = max(common, key=len)
+    assert len(got) == len(best), (u, v)
+    assert any(rewrite_equal(monoid, got, d) for d in common if len(d) == len(got))
 
 
 class TestFiniteType:
@@ -145,15 +164,7 @@ class TestLatticeOps:
     def test_rgcd_matches_right_divisor_enumeration(self):
         small = [w for w in words_up_to(MON, 3) if w]
         for u, v in itertools.product(small, repeat=2):
-            got = MON.rgcd_words(u, v)
-            du = bfs_right_divisors(MON, u)
-            dv = bfs_right_divisors(MON, v)
-            common = [
-                d for d in du if any(rewrite_equal(MON, d, e) for e in dv)
-            ]
-            best = max(common, key=len)
-            assert len(got) == len(best)
-            assert any(rewrite_equal(MON, got, d) for d in common if len(d) == len(got))
+            assert_rgcd_matches_oracle(MON, u, v)
 
 
 # finite types for the canonical-word differential test (D4's branch is t)
@@ -223,6 +234,51 @@ class TestCanonicalWord:
         for _ in range(50):
             B4.element(tuple(rng.choice("stu") for _ in range(12)))
         assert {k: len(v) for k, v in vars(B4.monoid).items()} == before
+
+
+class TestPrunedArithmetic:
+    """One-letter division, gcd stripping and canonical tails, each
+    against the rewriting oracles, which never call the code under test."""
+
+    @pytest.mark.parametrize("name", ["A2", "B3", "H3"])
+    def test_letter_division_matches_the_rewrite_oracle(self, name):
+        mon = ArtinOps(*FINITE_TYPES[name]).monoid
+        for w in words_up_to(mon, 5):
+            for s in mon.generators if w else ():
+                quotient = mon._letter_quotient(s, w)
+                assert (quotient is not None) == bfs_left_divides(mon, (s,), w)
+                if quotient is not None:
+                    assert rewrite_equal(mon, (s,) + quotient, w), (s, w)
+
+    @pytest.mark.parametrize("name", ["B3", "H3", "D4"])
+    def test_rgcd_matches_right_divisor_enumeration(self, name):
+        # a shared random suffix makes most of the gcds nontrivial
+        mon = ArtinOps(*FINITE_TYPES[name]).monoid
+        rng = random.Random(f"rgcd-{name}")
+        for _ in range(25):
+            common = random_word(rng, mon, 0, 2)
+            u = random_word(rng, mon, 1, 3) + common
+            v = random_word(rng, mon, 1, 3) + common
+            assert_rgcd_matches_oracle(mon, u, v)
+
+    @pytest.mark.parametrize("name", sorted(FINITE_TYPES))
+    def test_canonical_tail(self, name):
+        mon = ArtinOps(*FINITE_TYPES[name]).monoid
+        rng = random.Random(f"tail-{name}")
+        least = lambda w: min(rewrite_closure(mon, w), key=mon.word_key)
+        for _ in range(60):
+            w = random_word(rng, mon, 0, 4)
+            tail = least(random_word(rng, mon, 0, 4))
+            assert mon.canonical_word(w, tail) == least(w + tail), (w, tail)
+
+    @pytest.mark.parametrize("name", sorted(FINITE_TYPES))
+    def test_positive_products_equal_the_fraction(self, name):
+        ops = ArtinOps(*FINITE_TYPES[name])
+        rng = random.Random(f"product-{name}")
+        for _ in range(60):
+            f = ops.element(random_word(rng, ops.monoid, 0, 8))
+            g = ops.element(random_word(rng, ops.monoid, 0, 8))
+            assert ops.multiply(f, g) == ops.element(f.num + g.num)
 
 
 class TestFractions:

@@ -325,6 +325,14 @@ class TestIsometryFamily:
         report = check_graph_relations(IsometryFamily(graph2, {"a": u, "b": w}))
         assert report.ok
 
+    def test_non_finite_tolerance_rejected(self, free2):
+        # NaN compares false with every residual, so it would pass anything
+        family = IsometryFamily(free2, {"a": 2 * np.eye(2), "b": np.eye(2)})
+        assert not check_graph_relations(family).ok
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                check_graph_relations(family, tol=tol)
+
     def test_orthogonality_violation_is_reported(self, free2):
         # identical unitaries at non-adjacent vertices cannot have
         # orthogonal ranges
@@ -479,6 +487,9 @@ class TestNorms:
             norm_estimate(free2, {nw(free2, ("a", 1)): -1.0}, ball)
         with pytest.raises(ValueError):
             norm_estimate(free2, {nw(free2, ("a", 9)): 1.0}, ball)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                norm_estimate(free2, {nw(free2, ("a", 1)): 1.0}, ball, tol=tol)
         with pytest.raises(ValueError):
             norm_curve(free2, {"zz": 1.0}, [2])
         with pytest.raises(ValueError):
