@@ -203,10 +203,9 @@ def cmd_relcheck(graph, args):
 
 
 def cmd_norm_curve(graph, args):
-    qio.parse_weights(graph, args.weights)  # validates labels and signs
     rows = norm_curve(
         graph,
-        {k: v for k, v in json.loads(args.weights).items()},
+        qio.parse_weights(graph, args.weights),
         range(1, args.max_degree + 1),
         tol=args.tolerance,
         size_cap=args.max_ball,

@@ -245,16 +245,6 @@ class ArtinMonoid:
         p, q = self.reverse_fraction(u, v)
         return not p and not q
 
-    def left_divides(self, u, z):
-        return self.reverse_fraction(u, z)[1] == ()
-
-    def left_quotient(self, u, z):
-        """The word w with u w = z; requires u to left-divide z."""
-        p, q = self.reverse_fraction(u, z)
-        if q:
-            raise ValueError("left_quotient: divisor does not divide")
-        return p
-
     def lub_words(self, u, v):
         return u + self.complement(u, v)
 

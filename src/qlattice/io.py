@@ -15,6 +15,7 @@ vertex, e.g. [["a", 2], ["v", "sts"], ["v", {"num": "s", "den": "t"}]].
 from __future__ import annotations
 
 import json
+import sys
 
 from .graph import CommutationGraph
 
@@ -96,7 +97,7 @@ def word_to_json(graph, x):
 
 
 def parse_weights(graph, literal):
-    """{"label": weight} -> {generator NormalWord: weight}."""
+    """{"label": weight} -> {generator label: float weight}, validated."""
     if isinstance(literal, str):
         literal = json.loads(literal)
     if not isinstance(literal, dict) or not literal:
@@ -106,8 +107,9 @@ def parse_weights(graph, literal):
     for label, weight in literal.items():
         if label not in labels:
             raise LiteralError(f"unknown generator label {label!r}")
-        if type(weight) not in (int, float) or not 0 <= weight < float("inf"):
+        # int and float compare exactly, so this also keeps out integer
+        # literals that float() cannot convert
+        if type(weight) not in (int, float) or not 0 <= weight <= sys.float_info.max:
             raise LiteralError(f"weight for {label!r} must be finite and nonnegative")
-        vertex, element = labels[label]
-        out[graph.reduce([graph.syllable(vertex, element)])] = float(weight)
+        out[label] = float(weight)
     return out

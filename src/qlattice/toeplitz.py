@@ -18,8 +18,14 @@ in the ball and T_x e_w = e_z.  Range projections, covariance and defect
 are read off the table with no order test.  Norms are the exception: the
 compressed norm is a lower bound for the full one and is nondecreasing
 in the ball degree.  norm_estimate certifies it to a tolerance with a
-Rayleigh/Collatz-Wielandt bracket, and norm_curve reports the resulting
-lower bounds as a nondecreasing sequence.
+bracket on the top eigenvalue of A^T A: power iteration with a
+Rayleigh/Collatz-Wielandt bracket, and a dense solve of each connected
+block (a Rayleigh quotient below, a Cholesky factorisation that succeeds
+in floating point above) once the power steps have cost as much as that
+solve, or at once when it costs less than one step.  norm_curve
+assembles A once, on the largest ball, reads each smaller ball's A as a
+leading block, and reports the resulting lower bounds as a nondecreasing
+sequence.
 """
 
 from __future__ import annotations
@@ -65,21 +71,6 @@ class ConeBall:
 
     def position(self, x):
         return self.index[x.syllables]
-
-    def truncate(self, degree):
-        """The ball of degree <= ``degree``, as a prefix of this one.
-
-        The basis is sorted by degree first, so this equals
-        ``enumerate_ball(graph, degree)`` element for element.
-        """
-        if not 0 <= degree <= self.max_degree:
-            raise ValueError(
-                f"can only truncate to degrees 0..{self.max_degree}, not {degree}"
-            )
-        k = bisect.bisect_right(self.elements, degree, key=lambda x: x.degree)
-        table = self.table[:, :k].copy()
-        table[table >= k] = -1
-        return ConeBall(self.graph, degree, self.elements[:k], table)
 
 
 def enumerate_ball(graph, max_degree, size_cap=200_000):
@@ -434,7 +425,7 @@ def _component_labels(b):
 
 
 class NormNotCertified(ValueError):
-    """The power iteration ended before its norm bracket closed.
+    """The norm bracket did not close to the tolerance.
 
     ``iterations`` is the number of power steps taken before giving up.
     """
@@ -444,33 +435,26 @@ class NormNotCertified(ValueError):
         self.iterations = iterations
 
 
-def norm_estimate(graph, weights, ball, tol=1e-9, max_iter=10_000):
-    """Certified lower bound on the norm of the compressed sum lambda_x T_x.
+#: Largest connected block of A^T A that the solve factorises densely; a
+#: larger one leaves the whole solve to power iteration.  A 1,023-row
+#: block adds 40 MB to the peak memory and takes 0.17 s; 1,500 rows about
+#: twice and three times that.
+_DENSE_LIMIT = 1500
 
-    Power iteration on B = A^T A, restricted to its nonzero rows, from the
-    all-ones vector.  B is nonnegative because the weights are, so the
-    iterate v stays positive on those rows and each step brackets the norm.
-    From below: sqrt of the largest Rayleigh quotient of v restricted to a
-    connected component of B (each is a test vector; the per-component
-    quotient is not dragged down by components of smaller norm).  From
-    above: sqrt(max_i (Bv)_i / v_i), the Collatz-Wielandt bound.  B is
-    block diagonal, so each step divides every component of the iterate
-    by its own maximum: neither bound changes, and components of smaller
-    norm do not decay towards underflow.  Both ends are widened by the
-    rounding error of the float sums behind them (Higham's gamma_k bound,
-    with k from the row and weight counts), so the bracket is always at
-    least 2 * slack * lower wide.  Returns the lower end once the bracket
-    is at most tol * max(lower, 1) wide, so the exact norm lies in
-    [result, result + tol * max(result, 1)].
-    Raises NormNotCertified as soon as the tolerance is below what the
-    rounding allowance lets the bracket reach, if max_iter runs out
-    first, or if an entry of v falls so low that its square underflows,
-    since the rounding allowance holds only without underflow.
-    """
+#: Cost model for the switch from power iteration to the dense solve, in
+#: the time of one multiply-add of B times a vector: a power step costs
+#: nnz(B) + _STEP_OVERHEAD, and a dense solve _DENSE_COST * sum of s^3
+#: over its blocks of size s.  Fitted on the presets (2-core x86 host,
+#: OpenBLAS): a step takes 25 us + 7 ns * nnz, a dense solve of blocks
+#: of 250 to 2,000 rows 0.1 to 0.5 ns * sum s^3 (median 0.18).
+_STEP_OVERHEAD = 3400
+_DENSE_COST = 1 / 40
+
+
+def _weighted_sum(graph, weights, ball):
+    """A = sum lambda_x T_x over the ball, as a csr matrix."""
     if not weights:
         raise ValueError("norm_estimate needs a nonempty weight function")
-    if not np.isfinite(tol):
-        raise ValueError(f"the tolerance must be finite, not {tol}")
     acc = None
     for x, lam in sorted(weights.items(), key=lambda kv: graph.sort_key(kv[0])):
         if lam < 0:
@@ -479,32 +463,150 @@ def norm_estimate(graph, weights, ball, tol=1e-9, max_iter=10_000):
             raise ValueError("weight support must lie inside the ball")
         term = lam * toeplitz_op(graph, x, ball).matrix
         acc = term if acc is None else acc + term
-    a = acc.tocsr()
-    b = (a.T @ a).tocsr()
-    rows = np.flatnonzero(np.diff(b.indptr))
-    if not rows.size:
-        return 0.0
-    b = b[rows][:, rows]
-    component = _component_labels(b)
+    return acc.tocsr()
+
+
+def _dense_bracket(b, component):
+    """Lower and upper bounds on the largest eigenvalue of B = A^T A.
+
+    Each connected block of B is solved exactly, the blocks of one size
+    stacked into one call each of eigvalsh, cholesky and solve.  For a
+    group of blocks of size s, take m = its largest computed eigenvalue
+    times 1 + s(s+1)u, where u = 2^-53 is the unit roundoff, and
+    C = fl(mI - B) for each block of the group.  Below: the largest
+    Rayleigh quotient of |v|, v = C^-1 (1, ..., 1).  That is one step of
+    inverse iteration shifted just above the top eigenvalue, so v is the
+    top eigenvector of the block with the group's largest eigenvalue to
+    about machine precision (B is nonnegative, so |v| does at least as
+    well as v); any v gives a lower bound.  The quotient is formed as
+    v.(Bv) / v.v, sums of s terms each, like the power path's quotient,
+    so the caller's rounding allowance covers both.  (eigh would give the
+    vectors too, but its threaded divide-and-conquer takes tens of
+    milliseconds on some 31- and 63-row path3 blocks, a hundred times
+    eigvalsh.)  Above: factorise the C of the group.
+    Rump (2006, Verification of positive definiteness, BIT 46) proves
+    positive definiteness from a Cholesky factorisation that succeeds in
+    floating point, after a shift of order gamma_{s+1} trace.  The
+    statement used here: if the floating-point Cholesky factorisation of
+    a symmetric floating-point C of size s with nonnegative diagonal runs
+    to completion without underflow, then
+    lambda_min(C) >= -gamma_{s+1} / (1 - gamma_{s+1}) * trace(C), with
+    gamma_k = ku / (1 - ku).  (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 10.1: the factor R has R^T R = C + dC
+    with |dC| <= gamma_{s+1} |R^T||R|, and each column r_j of R has
+    |r_j|^2 <= c_jj / (1 - gamma_{s+1}).)  Here trace(C) <= s m, because
+    fl(m - b_ii) <= m, and forming C rounds only its diagonal, by at most
+    u/(1-u) m.  So every eigenvalue of B is at most
+    m (1 + 2s(s+1)u + 2u), plus s(s + 2 + m) times the smallest normal
+    float as a generous allowance for Rump's underflow term.  That holds
+    for any m; m only decides whether the factorisation succeeds, and the
+    upper bound is infinite if one fails.
+    """
+    u = np.finfo(float).eps / 2
+    tiny = np.finfo(float).tiny
+    sizes = np.bincount(component)
+    order = np.argsort(component, kind="stable")
+    local = np.empty(len(component), dtype=np.intp)
+    local[order] = np.arange(len(component)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    row, col = np.repeat(np.arange(len(component)), np.diff(b.indptr)), b.indices
+    entry_size = sizes[component[row]]
+    slot = np.empty(len(sizes), dtype=np.intp)
+    lower = upper = 0.0
+    for s in np.unique(sizes):
+        ids = np.flatnonzero(sizes == s)
+        slot[ids] = np.arange(len(ids))
+        keep = entry_size == s
+        blocks = np.zeros((len(ids), s, s))
+        blocks[slot[component[row[keep]]], local[row[keep]], local[col[keep]]] = b.data[keep]
+        m = max(float(np.linalg.eigvalsh(blocks)[:, -1].max()) * (1 + s * (s + 1) * u), tiny)
+        shifted = -blocks
+        shifted[:, np.arange(s), np.arange(s)] += m
+        try:
+            np.linalg.cholesky(shifted)
+            v = np.abs(np.linalg.solve(shifted, np.ones((len(ids), s, 1))))
+        except np.linalg.LinAlgError:
+            return lower, np.inf
+        upper = max(upper, m * (1 + 2 * s * (s + 1) * u + 2 * u) + s * (s + 2 + m) * tiny)
+        w = (blocks @ v)[:, :, 0]
+        v = v[:, :, 0]
+        rayleigh = np.einsum("gi,gi->g", v, w) / np.einsum("gi,gi->g", v, v)
+        lower = max(lower, float(rayleigh.max()))
+    return lower, upper
+
+
+def _power_brackets(b, component, slack):
+    """Power iteration on b from the all-ones vector; see norm_estimate.
+
+    Yields the bracket (lower, upper) on the root of b's largest
+    eigenvalue after each step, and stops when the next iterate would
+    underflow.
+    """
     peak = np.zeros(component.max() + 1)
-    slack = (3 * len(rows) + len(weights) + 8) * np.finfo(float).eps
     floor = np.sqrt(np.finfo(float).tiny)
-    v = np.ones(len(rows))
-    lo = hi = 0.0
-    for step in range(max_iter):
+    v = np.ones(b.shape[0])
+    lo = 0.0
+    while True:
         w = b @ v
         peak[:] = 0.0
         np.maximum.at(peak, component, w)
         scaled = w / peak[component]
         if scaled.min() < floor:
+            return
+        rayleigh = np.bincount(component, v * w) / np.bincount(component, v * v)
+        lo = max(lo, float(np.sqrt(rayleigh.max())) * (1 - slack))
+        yield lo, float(np.sqrt(np.max(w / v))) * (1 + slack)
+        v = scaled
+
+
+def _certified_norm(a, terms, tol, max_iter=10_000):
+    """Certified lower bound on the norm of the csr matrix a.
+
+    ``terms`` is the number of weighted isometries summed into a, which
+    bounds the float sums behind each entry of B = a^T a.  Returns the
+    lower end of a bracket at most tol * max(lower, 1) wide; see
+    norm_estimate.
+    """
+    if not np.isfinite(tol):
+        raise ValueError(f"the tolerance must be finite, not {tol}")
+    b = a.T @ a
+    if not np.isfinite(b.data).all():
+        raise ValueError("A^T A overflows the float range: the weights are too "
+                         "large to square")
+    # B is symmetric, so its compressed arrays read the same by rows or by
+    # columns, and dropping its empty rows and columns is a relabelling
+    rows = np.flatnonzero(np.diff(b.indptr))
+    if not rows.size:
+        return 0.0
+    position = np.empty(b.shape[0], dtype=np.intp)
+    position[rows] = np.arange(len(rows))
+    indptr = np.append(b.indptr[rows], b.indptr[-1])
+    b = sp.csr_matrix((b.data, position[b.indices], indptr), shape=(len(rows),) * 2)
+    component = _component_labels(b)
+    sizes = np.bincount(component)
+    slack = (3 * len(rows) + terms + 8) * np.finfo(float).eps
+    dense_at = None
+    if sizes.max() <= _DENSE_LIMIT:
+        # the dense solve runs after as many power steps as it costs itself
+        cost = _DENSE_COST * float(np.sum(sizes.astype(float) ** 3))
+        dense_at = min(int(cost / (b.nnz + _STEP_OVERHEAD)), max_iter)
+    brackets = _power_brackets(b, component, slack)
+    lo = hi = 0.0
+    for step in range(max_iter + 1):
+        if step == dense_at:
+            lower, upper = _dense_bracket(b, component)
+            dense_lo = float(np.sqrt(lower)) * (1 - slack)
+            if float(np.sqrt(upper)) * (1 + slack) - dense_lo <= tol * max(dense_lo, 1.0):
+                return dense_lo
+        if step == max_iter:
+            break
+        bracket = next(brackets, None)
+        if bracket is None:
             raise NormNotCertified(
                 f"power iterate underflowed before the norm bracket "
                 f"[{lo:.15g}, {hi:.15g}] closed to the tolerance {tol:g}",
                 step,
             )
-        rayleigh = np.bincount(component, v * w) / np.bincount(component, v * v)
-        lo = max(lo, float(np.sqrt(rayleigh.max())) * (1 - slack))
-        hi = float(np.sqrt(np.max(w / v))) * (1 + slack)
+        lo, hi = bracket
         if hi - lo <= tol * max(lo, 1.0):
             return lo
         if tol * max(lo, 1.0) < 2 * slack * lo:
@@ -514,7 +616,6 @@ def norm_estimate(graph, weights, ball, tol=1e-9, max_iter=10_000):
                 f"bracket [{lo:.15g}, {hi:.15g}] can close to",
                 step,
             )
-        v = scaled
     raise NormNotCertified(
         f"norm bracket [{lo:.15g}, {hi:.15g}] still wider than the "
         f"tolerance {tol:g} after {max_iter} iterations",
@@ -522,14 +623,57 @@ def norm_estimate(graph, weights, ball, tol=1e-9, max_iter=10_000):
     )
 
 
+def norm_estimate(graph, weights, ball, tol=1e-9, max_iter=10_000):
+    """Certified lower bound on the norm of the compressed sum lambda_x T_x.
+
+    The norm is the square root of the largest eigenvalue of B = A^T A,
+    restricted to its nonzero rows.  B is block diagonal over its
+    connected components.  Two brackets are available.  The dense one
+    (_dense_bracket) solves every block exactly: a Rayleigh quotient from
+    below, a Cholesky factorisation that succeeds in floating point from
+    above.  Its cost grows with the cube of the block size, so it is
+    tried only when no block has more than _DENSE_LIMIT rows, and only
+    after as many power steps as the cost model (_DENSE_COST,
+    _STEP_OVERHEAD) says it costs, and at most max_iter: none on small
+    blocks, where it is
+    cheaper than a step, and thousands on blocks of a thousand rows,
+    where power iteration often closes first.  Either way the solve takes
+    at most about twice the time of the faster bracket.  If the dense
+    bracket does not close to the tolerance, power iteration goes on.  It
+    starts from the all-ones vector; B is nonnegative because the weights
+    are, so the iterate v stays positive on the nonzero rows and each step
+    brackets the norm.  From below: sqrt of the largest Rayleigh quotient
+    of v restricted to a connected component of B (each is a test vector;
+    the per-component quotient is not dragged down by components of
+    smaller norm).  From above: sqrt(max_i (Bv)_i / v_i), the
+    Collatz-Wielandt bound.  Each step divides every component of the
+    iterate by its own maximum: neither bound changes, and components of
+    smaller norm do not decay towards underflow.  Both ends of either
+    bracket are widened by the rounding error of the float sums behind
+    them (Higham's gamma_k bound, with k from the row and weight counts),
+    so a bracket is always at least 2 * slack * lower wide.  Returns the
+    lower end once a bracket is at most tol * max(lower, 1) wide, so the
+    exact norm lies in [result, result + tol * max(result, 1)].
+    Raises ValueError if B overflows the float range.  Raises
+    NormNotCertified as soon as the tolerance is below what the rounding
+    allowance lets the bracket reach, if max_iter power steps run out
+    first, or if an entry of v falls so low that its square underflows,
+    since the rounding allowance holds only without underflow.
+    """
+    return _certified_norm(_weighted_sum(graph, weights, ball), len(weights), tol, max_iter)
+
+
 def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
     """Rows (degree, ball size, certified norm) for generator weights.
 
-    The ball is enumerated once, at the largest degree; each smaller one
-    is its prefix (ConeBall.truncate).  Each value is the running maximum
-    of the norm_estimate lower bounds over the degrees so far.  That is
-    still a lower bound within tol of the exact norm, because A_{n-1} is
-    the compression of A_n to the smaller ball; the values are
+    The ball is enumerated, and A = sum lambda_x T_x assembled, once, at
+    the largest degree.  The basis is sorted by degree and degree is
+    additive, so T_x e_y leaves the ball of degree n exactly when
+    deg xy > n: the ball of degree n is a prefix of k elements, and its A
+    is the leading block A[:k, :k].  Each value is the running maximum of
+    the certified lower bounds (norm_estimate) over the degrees so far.
+    That is still a lower bound within tol of the exact norm, because
+    A_{n-1} is the compression of A_n to the smaller ball; the values are
     nondecreasing in the degree.  The degrees must therefore be given in
     increasing order.
     """
@@ -545,12 +689,19 @@ def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
         raise ValueError(f"unknown generator labels {sorted(unknown)}")
     if not degrees:
         return []
+    if degrees[0] < 0:
+        raise ValueError(f"ball degrees must be >= 0, not {degrees[0]}")
     big = enumerate_ball(graph, degrees[-1], size_cap=size_cap)
     weights = {gen_words[k]: w for k, w in weights_by_label.items()}
+    a = _weighted_sum(graph, weights, big)
+    ball_degrees = [x.degree for x in big.elements]
     rows = []
     best = 0.0
     for n in degrees:
-        ball = big.truncate(n)
-        best = max(best, norm_estimate(graph, weights, ball, tol=tol))
-        rows.append((n, len(ball), best))
+        if n < 1:
+            # generator weights have degree 1, so the ball of degree 0 misses them
+            raise ValueError("weight support must lie inside the ball")
+        k = bisect.bisect_right(ball_degrees, n)
+        best = max(best, _certified_norm(a[:k, :k], len(weights), tol))
+        rows.append((n, k, best))
     return rows

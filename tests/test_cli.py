@@ -177,6 +177,17 @@ class TestAnalysisCommands:
         assert code == 0
         assert out.strip().splitlines()[-1] == "6,247,0.781211021665"
 
+    def test_norm_curve_near_degenerate_weights(self, run):
+        # one dominant weight: power iteration used to run out of steps
+        code, out = run(
+            "norm-curve", "--ctx", "path3", "--max-degree", "10",
+            "--weights", json.dumps({"a": 1, "b": 1e-6, "c": 1e-6}),
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 11
+        assert lines[-1].startswith("10,4083,1.0000009")
+
     def test_norm_curve_rejects_an_unreachable_tolerance(self, run):
         code, doc = run_json(
             run, "norm-curve", "--ctx", "b3", "--max-degree", "4", "--tolerance", "0",
@@ -237,6 +248,10 @@ class TestErrorHandling:
         (["norm-curve", "--ctx", "path3", "--weights", '{"a": NaN}'], 2, "parse"),
         (["norm-curve", "--ctx", "path3", "--weights", '{"a": Infinity}'], 2, "parse"),
         (["norm-curve", "--ctx", "path3", "--weights", '{"a": true}'], 2, "parse"),
+        (["norm-curve", "--ctx", "path3", "--max-degree", "2",
+          "--weights", json.dumps({"a": 1e308, "b": 1e308})], 1, "ValueError"),
+        (["norm-curve", "--ctx", "path3", "--weights", '{"a": 1' + "0" * 400 + "}"],
+         2, "parse"),
     ])
     def test_error_envelope(self, run, tmp_path, argv, code, kind):
         # one case per error class: unknown context, LiteralError,
@@ -246,7 +261,8 @@ class TestErrorHandling:
         # a ball too small to compare every relation; a --rep family with
         # a matrix for a label that is not a generator; a NaN tolerance
         # (which every residual comparison would pass); weights that are
-        # NaN, infinite or a boolean
+        # NaN, infinite or a boolean; weights whose squares overflow; an
+        # integer weight too large for a float
         inf = tmp_path / "inf.json"
         inf.write_text(json.dumps({"vertices": [{"name": "v", "factor": {
             "artin": {"generators": ["s", "t"], "m": [[1, "inf"], ["inf", 1]]},

@@ -304,11 +304,14 @@ class TestFractions:
         for u, v in itertools.product(small[:20], repeat=2):
             f = B3.multiply(B3.element(u), B3.invert(B3.element(v)))
             a, b = f.num, f.den
-            assert MON.left_divides(a, u)
-            assert MON.left_divides(b, v)
+            assert bfs_left_divides(MON, a, u)
+            assert bfs_left_divides(MON, b, v)
             assert MON.rgcd_words(a, b) == ()
-            e1 = MON.left_quotient(a, u)
-            e2 = MON.left_quotient(b, v)
+            # u = a (a\u) exactly when the reversal of a^-1 u leaves no
+            # denominator
+            e1, over1 = MON.reverse_fraction(a, u)
+            e2, over2 = MON.reverse_fraction(b, v)
+            assert over1 == () and over2 == ()
             assert MON.equal_words(e1, e2)
             assert MON.equal_words(e1, MON.rgcd_words(u, v))
 

@@ -27,7 +27,7 @@ from qlattice import (
 from qlattice import toeplitz
 from qlattice.cli import _load_context
 from qlattice.oracles import dense_norm, dense_operator
-from qlattice.toeplitz import _component_labels
+from qlattice.toeplitz import _component_labels, _dense_bracket
 
 from conftest import nw
 
@@ -93,20 +93,25 @@ class TestCayleyTable:
 
     @pytest.mark.parametrize("name", sorted(TABLE_CASES))
     def test_truncation_equals_a_fresh_enumeration(self, name):
+        # norm_curve reads the ball of degree d, and its operator, as the
+        # leading k elements and the leading k x k block of the largest one
         graph = _load_context(name)
         degree, _ = TABLE_CASES[name]
         big = enumerate_ball(graph, degree)
+        gens = graph.generator_words()
+
+        def weighted_sum(ball):
+            return sum((i + 1) * toeplitz_op(graph, x, ball).matrix for i, x in enumerate(gens))
+
+        big_sum = weighted_sum(big)
         for d in range(degree + 1):
             small = enumerate_ball(graph, d)
-            cut = big.truncate(d)
-            assert cut == small
-            assert cut.elements == small.elements
-            assert cut.index == small.index
-            assert np.array_equal(cut.table, small.table)
-        with pytest.raises(ValueError):
-            big.truncate(degree + 1)
-        with pytest.raises(ValueError):
-            big.truncate(-1)
+            k = len(small)
+            assert big.elements[:k] == small.elements
+            assert all(x.degree > d for x in big.elements[k:])
+            assert np.array_equal(np.where(big.table[:, :k] < k, big.table[:, :k], -1),
+                                  small.table)
+            assert np.array_equal(big_sum[:k, :k].toarray(), weighted_sum(small).toarray())
 
     @pytest.mark.parametrize(
         "name,degree", [("free2", 6), ("path3", 5), ("square4", 4), ("b3", 7), ("b4", 5)]
@@ -377,6 +382,14 @@ class TestToeplitzRelations:
         assert check_toeplitz_relations(graph, enumerate_ball(graph, need)).ok
 
 
+def nonzero_gram(graph, ball, weights):
+    """B = A^T A without its empty rows, A = sum weights[x] T_x."""
+    a = sum(lam * toeplitz_op(graph, x, ball).matrix for x, lam in weights.items())
+    b = (a.T @ a).tocsr()
+    rows = np.flatnonzero(np.diff(b.indptr))
+    return b[rows][:, rows]
+
+
 class TestNorms:
     def test_single_isometry_has_norm_one(self, free2):
         ball = enumerate_ball(free2, 5)
@@ -459,20 +472,70 @@ class TestNorms:
 
         graph = _load_context(name)
         ball = enumerate_ball(graph, degree)
-        a = sum(toeplitz_op(graph, x, ball).matrix for x in graph.generator_words())
-        b = (a.T @ a).tocsr()
-        rows = np.flatnonzero(np.diff(b.indptr))
-        b = b[rows][:, rows]
+        b = nonzero_gram(graph, ball, {x: 1.0 for x in graph.generator_words()})
         count, want = connected_components(b, directed=False)
         got = _component_labels(b)
         assert got.max() + 1 == count
         assert len(set(zip(got.tolist(), want.tolist()))) == count
 
-    def test_uncertified_norm_raises(self, b3):
+    @pytest.mark.parametrize(
+        "name,degree", [("free2", 6), ("path3", 7), ("square4", 5), ("b3", 10), ("b4", 5)]
+    )
+    def test_dense_bracket_contains_the_top_eigenvalue(self, name, degree):
+        # with generator weights alone B has a constant diagonal; the
+        # square of a generator makes it vary
+        graph = _load_context(name)
+        ball = enumerate_ball(graph, degree)
+        gens = graph.generator_words()
+        weights = {x: lam for x, lam in zip(gens, (1.0, 1e-3, 0.3, 0.7))}
+        weights[graph.multiply(gens[0], gens[0])] = 0.5
+        b = nonzero_gram(graph, ball, weights)
+        exact = np.linalg.eigvalsh(b.toarray())[-1]
+        lower, upper = _dense_bracket(b, _component_labels(b))
+        assert lower <= exact * (1 + 1e-13) and exact <= upper
+        assert upper - lower <= 1e-10 * exact
+
+    @pytest.mark.parametrize(
+        "name,degree", [("free2", 6), ("path3", 8), ("square4", 6), ("b3", 10), ("b4", 6)]
+    )
+    def test_small_blocks_need_no_power_step(self, name, degree):
+        # every block fits the dense solve, so the bracket closes with
+        # max_iter = 0, even for a near-degenerate weight
+        graph = _load_context(name)
+        ball = enumerate_ball(graph, degree)
+        gens = graph.generator_words()
+        weights = {x: 1e-6 if i else 1.0 for i, x in enumerate(gens)}
+        val = norm_estimate(graph, weights, ball, max_iter=0)
+        assert val <= dense_norm(graph, weights, ball) <= val + 1e-9 * max(val, 1.0)
+
+    def test_power_iteration_closes_before_a_costly_dense_solve(self, monkeypatch):
+        # square4 at degree 7 has a 448-row block: unit weights certify in
+        # about 55 power steps, fewer than the cost model prices the dense
+        # solve at, so it never runs; a near-degenerate weighting needs it
+        graph = _load_context("square4")
+        ball = enumerate_ball(graph, 7)
+        gens = graph.generator_words()
+        calls = []
+        solve = toeplitz._dense_bracket
+        monkeypatch.setattr(toeplitz, "_dense_bracket",
+                            lambda *args: calls.append(args) or solve(*args))
+        for weights, dense in (({x: 1.0 for x in gens}, False),
+                               ({x: 1e-6 if i else 1.0 for i, x in enumerate(gens)}, True)):
+            calls.clear()
+            val = norm_estimate(graph, weights, ball)
+            assert bool(calls) == dense
+            # max_iter = 0 goes straight to the dense solve
+            assert abs(val - norm_estimate(graph, weights, ball, max_iter=0)) <= 1e-9 * max(val, 1.0)
+
+    def test_uncertified_norm_raises(self, path3, b3):
+        # path3 at degree 11 has a 2,047-row block, past the dense limit,
+        # so only power iteration runs
+        big = enumerate_ball(path3, 11)
+        gens = {x: 1.0 for x in path3.generator_words()}
+        with pytest.raises(NormNotCertified, match="after 2 iterations"):
+            norm_estimate(path3, gens, big, max_iter=2)
         ball = enumerate_ball(b3, 6)
         weights = {nw(b3, ("v", "s")): 0.5, nw(b3, ("v", "t")): 0.5}
-        with pytest.raises(NormNotCertified, match="after 2 iterations"):
-            norm_estimate(b3, weights, ball, max_iter=2)
         # a zero tolerance is below the bracket's rounding allowance, so it
         # is rejected from the first bracket, before any power step
         with pytest.raises(NormNotCertified, match="the least the norm bracket") as info:
@@ -490,7 +553,40 @@ class TestNorms:
         for tol in (math.nan, math.inf):
             with pytest.raises(ValueError, match="must be finite"):
                 norm_estimate(free2, {nw(free2, ("a", 1)): 1.0}, ball, tol=tol)
+        # finite weights whose squares overflow: A^T A is not finite
+        for big in ({"a": 1e308, "b": 1e308}, {"a": 1e200, "b": 1.0}):
+            weights = {nw(free2, (label, 1)): lam for label, lam in big.items()}
+            with pytest.raises(ValueError, match="overflows the float range"):
+                norm_estimate(free2, weights, ball)
         with pytest.raises(ValueError):
             norm_curve(free2, {"zz": 1.0}, [2])
         with pytest.raises(ValueError):
             norm_curve(free2, {"a": 1.0}, [3, 2])
+        with pytest.raises(ValueError, match=">= 0"):
+            norm_curve(free2, {"a": 1.0}, [-1, 2])
+        # generator weights have degree 1, so a curve from degree 0 misses them
+        for degrees in ([0], [0, 1, 2]):
+            with pytest.raises(ValueError, match="inside the ball"):
+                norm_curve(free2, {"a": 1.0}, degrees)
+
+    def test_b3_closed_form(self, b3):
+        # the dense-SVD norms of (T_s + T_t)/2 follow
+        # cos(pi / (2 (n - floor((n - 2) / 3)))) for n = 2..12
+        tol = 1e-10
+        rows = norm_curve(b3, {"s": 0.5, "t": 0.5}, range(2, 13), tol=tol)
+        assert [n for n, _, _ in rows] == list(range(2, 13))
+        for n, _, val in rows:
+            exact = math.cos(math.pi / (2 * (n - (n - 2) // 3)))
+            assert val <= exact <= val + tol, n
+
+    def test_near_degenerate_weights_certify(self, path3):
+        # one dominant weight: power iteration converged at the rate
+        # lambda_2 / lambda_1, close to 1, and ran out of steps
+        by_label = {"a": 1.0, "b": 1e-6, "c": 1e-6}
+        weights = {nw(path3, (label, 1)): lam for label, lam in by_label.items()}
+        rows = norm_curve(path3, by_label, range(1, 9))
+        for n, size, val in rows:
+            ball = enumerate_ball(path3, n)
+            assert size == len(ball)
+            exact = dense_norm(path3, weights, ball)
+            assert val <= exact <= val + 1e-9 * max(val, 1.0), n
