@@ -7,6 +7,8 @@ Supported factors: the integers with cone N, and finite-type Artin
 groups with the Artin monoid as cone.
 """
 
+import importlib
+
 from .factors import (
     INFINITY,
     ArtinFraction,
@@ -16,7 +18,7 @@ from .factors import (
     ZOps,
     factor_from_spec,
 )
-from .graph import CommutationGraph, NormalWord, Syllable
+from .graph import BallSizeExceeded, CommutationGraph, NormalWord, Syllable
 from .order import (
     DirectProductElement,
     NotInPPInvError,
@@ -31,22 +33,28 @@ from .order import (
     phi_lub,
     rgcd,
 )
-from .toeplitz import (
-    BallSizeExceeded,
-    ConeBall,
-    IsometryFamily,
-    NormNotCertified,
-    SparseOperator,
-    check_graph_relations,
-    check_toeplitz_relations,
-    covariance_check,
-    defect_product_diag,
-    enumerate_ball,
-    norm_curve,
-    norm_estimate,
-    range_projection_diag,
-    toeplitz_op,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    """The names of __all__ not bound above come from .toeplitz, imported on
+    first use (PEP 562), so the lattice side loads neither numpy nor scipy."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    toeplitz = importlib.import_module(".toeplitz", __name__)
+    if name != "toeplitz":
+        globals()[name] = getattr(toeplitz, name)
+    return globals()[name]
+
+
+__all__ = [
+    "ArtinFraction", "ArtinOps", "BallSizeExceeded", "CommutationGraph", "ConeBall",
+    "DirectProductElement", "INFINITY", "IsometryFamily", "NoCommonMultipleError",
+    "NormNotCertified", "NormalWord", "NotFiniteTypeError", "NotInPPInvError",
+    "SparseOperator", "Syllable", "ZOps", "canonical_fraction", "check_graph_relations",
+    "check_toeplitz_relations", "covariance_check", "defect_product_diag",
+    "enumerate_ball", "factor_from_spec", "factors", "graph", "i_adjacent",
+    "is_positive", "leq", "leq_r", "lub", "lub_general", "norm_curve", "norm_estimate",
+    "order", "phi", "phi_lub", "range_projection_diag", "rgcd", "toeplitz",
+    "toeplitz_op",
+]
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ import math
 import sys
 
 from . import io as qio
-from . import verify as qverify
 from .factors import INFINITY
+from .graph import BallSizeExceeded
 from .order import (
     canonical_fraction,
     lub_general,
@@ -28,16 +28,9 @@ from .order import (
     rgcd,
     is_positive,
 )
-from .toeplitz import (
-    BallSizeExceeded,
-    IsometryFamily,
-    check_graph_relations,
-    check_toeplitz_relations,
-    covariance_check,
-    defect_product_diag,
-    enumerate_ball,
-    norm_curve,
-)
+
+# The numeric subcommands import toeplitz and verify themselves, so the
+# lattice ones load neither numpy nor scipy.
 
 
 class DomainError(Exception):
@@ -142,6 +135,7 @@ def cmd_phi(graph, args):
 
 
 def cmd_ball(graph, args):
+    from .toeplitz import enumerate_ball
     ball = enumerate_ball(graph, args.max_degree, size_cap=args.max_ball)
     return {
         "size": len(ball),
@@ -150,6 +144,7 @@ def cmd_ball(graph, args):
 
 
 def cmd_cov_check(graph, args):
+    from .toeplitz import covariance_check, enumerate_ball
     x, y = _words(graph, args, 2)
     if not (is_positive(graph, x) and is_positive(graph, y)):
         raise DomainError("not-positive", "cov-check takes positive words")
@@ -163,6 +158,7 @@ def cmd_cov_check(graph, args):
 
 
 def cmd_defect(graph, args):
+    from .toeplitz import defect_product_diag, enumerate_ball
     ball = enumerate_ball(graph, args.max_degree, size_cap=args.max_ball)
     if args.words or args.infile:
         family = _words(graph, args)
@@ -177,6 +173,8 @@ def cmd_defect(graph, args):
 
 
 def cmd_relcheck(graph, args):
+    from .toeplitz import IsometryFamily, check_graph_relations, enumerate_ball
+    from .toeplitz import check_toeplitz_relations
     if args.rep:
         with open(args.rep) as fh:
             matrices = json.load(fh)
@@ -203,6 +201,7 @@ def cmd_relcheck(graph, args):
 
 
 def cmd_norm_curve(graph, args):
+    from .toeplitz import norm_curve
     rows = norm_curve(
         graph,
         qio.parse_weights(graph, args.weights),
@@ -222,7 +221,8 @@ def cmd_norm_curve(graph, args):
 
 
 def cmd_verify(graph, args):
-    report = qverify.run_verification(
+    from .verify import run_verification
+    report = run_verification(
         graph, seed=args.seed, samples=args.samples, degree=args.max_degree,
         cap=min(2 * args.max_degree, args.max_degree + 3),
     )

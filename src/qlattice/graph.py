@@ -30,6 +30,10 @@ class UnknownVertexError(KeyError):
     pass
 
 
+class BallSizeExceeded(RuntimeError):
+    """A cone ball of the requested degree outgrows its size cap."""
+
+
 @dataclass(frozen=True)
 class Syllable:
     """A nontrivial factor element tagged by the vertex it belongs to."""

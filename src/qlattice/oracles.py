@@ -7,8 +7,6 @@ paths it is used to validate.  Desk-scale only.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .factors import INFINITY
 from .graph import Syllable
 
@@ -202,6 +200,20 @@ def upper_bound_bitsets(graph, sources, ball_elements, leq_fn):
     return out
 
 
+def product_upper_bitsets(graph, sources, ball):
+    """upper_bound_bitsets as the products x w, deg x + deg w <= the ball's degree.
+
+    Degree is additive on positives, so these are exactly the z >= x in
+    the ball; no order test and no table read.
+    """
+    out = {}
+    for x in sources:
+        ups = (graph.multiply(x, w) for w in ball.elements
+               if x.degree + w.degree <= ball.max_degree)
+        out[x.syllables] = sum(1 << ball.index[z.syllables] for z in ups)
+    return out
+
+
 def check_lub_against_ball(graph, x, y, computed, bitsets, ball_elements,
                            ball_index, leq_fn):
     """Compare a computed lub against the common-upper-bound set of a ball.
@@ -253,6 +265,7 @@ def dense_operator(graph, x, ball):
     Column y has a 1 at row xy while xy stays in the ball; built from the
     ball's elements only, without its multiplication table.
     """
+    import numpy as np
     position = {z.syllables: i for i, z in enumerate(ball.elements)}
     mat = np.zeros((len(position), len(position)))
     for j, y in enumerate(ball.elements):
@@ -268,5 +281,6 @@ def dense_norm(graph, weights, ball):
     The matrix is the weighted sum of ``dense_operator``, without the
     sparse operators or the power iteration.
     """
+    import numpy as np
     mat = sum(lam * dense_operator(graph, x, ball) for x, lam in weights.items())
     return float(np.linalg.svd(mat, compute_uv=False)[0])

@@ -34,15 +34,13 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 
+# scipy.sparse is imported only inside the three functions that build
+# sparse matrices, so balls, covariance and defect load numpy alone.
 import numpy as np
-import scipy.sparse as sp
 
 from .factors import INFINITY
+from .graph import BallSizeExceeded
 from .order import is_positive, lub
-
-
-class BallSizeExceeded(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -68,9 +66,6 @@ class ConeBall:
 
     def __contains__(self, x):
         return x.syllables in self.index
-
-    def position(self, x):
-        return self.index[x.syllables]
 
 
 def enumerate_ball(graph, max_degree, size_cap=200_000):
@@ -157,6 +152,7 @@ def _walk(graph, x, ball):
 
 def toeplitz_op(graph, x, ball):
     """The compression of T_x to the ball: e_y -> e_{xy} while xy stays in."""
+    import scipy.sparse as sp
     x = _positive(graph, x, "Toeplitz isometries are indexed by positive elements")
     rows, cols = _walk(graph, x, ball)
     n = len(ball)
@@ -381,6 +377,7 @@ def check_toeplitz_relations(graph, ball):
     0/1 arithmetic.  A ball too small to compare every relation is a
     ValueError that names the least degree that compares them all.
     """
+    import scipy.sparse as sp
     rels = [(*rel, max(sum(not a for _, a in side) for side in rel[1:] if side))
             for rel in _generator_relations(graph)]
     need = max(k for *_, k in rels)
@@ -566,6 +563,7 @@ def _certified_norm(a, terms, tol, max_iter=10_000):
     lower end of a bracket at most tol * max(lower, 1) wide; see
     norm_estimate.
     """
+    import scipy.sparse as sp
     if not np.isfinite(tol):
         raise ValueError(f"the tolerance must be finite, not {tol}")
     b = a.T @ a

@@ -69,13 +69,12 @@ def check_lub_oracle(graph, rng, degree, cap, samples):
     """lub() against the common-upper-bound scan of an enumerated ball."""
     small = enumerate_ball(graph, degree)
     big = enumerate_ball(graph, cap)
-    bitsets = oracles.upper_bound_bitsets(graph, small.elements, big.elements, leq)
-    index = {z.syllables: i for i, z in enumerate(big.elements)}
+    bitsets = oracles.product_upper_bitsets(graph, small.elements, big)
     pool = list(small.elements)
     for _ in range(samples):
         x, y = rng.choice(pool), rng.choice(pool)
         ok, detail = oracles.check_lub_against_ball(
-            graph, x, y, lub(graph, x, y), bitsets, big.elements, index, leq
+            graph, x, y, lub(graph, x, y), bitsets, big.elements, big.index, leq
         )
         if not ok:
             return False, f"lub({x},{y}): {detail}"

@@ -39,8 +39,8 @@ from qlattice.oracles import (
     bfs_normal_form,
     check_lub_against_ball,
     dense_norm,
+    product_upper_bitsets,
     rewrite_closure,
-    upper_bound_bitsets,
 )
 from qlattice.verify import random_syllables
 
@@ -107,11 +107,10 @@ def test_criterion_2_lub_oracle(contexts, balls4, report):
     for name, graph in contexts.items():
         small = balls4[name]
         big = enumerate_ball(graph, 8)
-        bitsets = upper_bound_bitsets(graph, small.elements, big.elements, leq)
-        index = {z.syllables: i for i, z in enumerate(big.elements)}
+        bitsets = product_upper_bitsets(graph, small.elements, big)
         for x, y in itertools.product(small.elements, repeat=2):
             ok, detail = check_lub_against_ball(
-                graph, x, y, lub(graph, x, y), bitsets, big.elements, index, leq
+                graph, x, y, lub(graph, x, y), bitsets, big.elements, big.index, leq
             )
             assert ok, f"{name}: lub({x},{y}): {detail}"
             pairs += 1

@@ -1,9 +1,14 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qlattice
 from qlattice.cli import main
 
 
@@ -292,3 +297,59 @@ class TestPresets:
     def test_all_presets_load(self, run, name):
         code, doc = run_json(run, "nf", "--ctx", name, "[]")
         assert code == 0 and doc["result"] == []
+
+
+def numeric_modules_after(code):
+    """Whether numpy and scipy are loaded after code runs in a new interpreter."""
+    path = [str(Path(qlattice.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    report = "print(json.dumps([m in sys.modules for m in ('numpy', 'scipy')]))"
+    proc = subprocess.run([sys.executable, "-c", f"{code}\nimport json, sys\n{report}"],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def commands(*argvs):
+    """Code that runs each CLI command and asserts that it succeeds."""
+    runs = "".join(f"assert main({argv!r}) == 0\n" for argv in argvs)
+    return "from qlattice.cli import main\n" + runs
+
+
+B3_ST, B3_TS = json.dumps([["v", "st"]]), json.dumps([["v", "ts"]])
+
+
+class TestStartup:
+    def test_import_loads_no_numeric_library(self):
+        assert numeric_modules_after("import qlattice") == [False, False]
+
+    def test_lattice_commands_load_no_numeric_library(self):
+        ctx = ["--ctx", "b3"]
+        code = commands(["nf", *ctx, B3_ST], ["eq", *ctx, B3_ST, B3_TS],
+                        ["len", *ctx, B3_ST], ["lub", *ctx, B3_ST, B3_TS],
+                        ["rgcd", *ctx, B3_ST, B3_TS], ["fraction", *ctx, B3_ST],
+                        ["phi", *ctx, B3_ST])
+        assert numeric_modules_after(code) == [False, False]
+
+    @pytest.mark.parametrize("argv", [
+        ["ball", "--ctx", "b3", "--max-degree", "3"],
+        ["cov-check", "--ctx", "b3", B3_ST, B3_TS],
+        ["defect", "--ctx", "b3"],
+    ])
+    def test_table_commands_load_numpy_but_not_scipy(self, argv):
+        assert numeric_modules_after(commands(argv)) == [True, False]
+
+    def test_public_names(self):
+        assert sorted(qlattice.__all__) == [
+            "ArtinFraction", "ArtinOps", "BallSizeExceeded", "CommutationGraph",
+            "ConeBall", "DirectProductElement", "INFINITY", "IsometryFamily",
+            "NoCommonMultipleError", "NormNotCertified", "NormalWord",
+            "NotFiniteTypeError", "NotInPPInvError", "SparseOperator", "Syllable",
+            "ZOps", "canonical_fraction", "check_graph_relations",
+            "check_toeplitz_relations", "covariance_check", "defect_product_diag",
+            "enumerate_ball", "factor_from_spec", "factors", "graph", "i_adjacent",
+            "is_positive", "leq", "leq_r", "lub", "lub_general", "norm_curve",
+            "norm_estimate", "order", "phi", "phi_lub", "range_projection_diag",
+            "rgcd", "toeplitz", "toeplitz_op",
+        ]
+        star = "from qlattice import *\nassert norm_curve.__name__ == 'norm_curve'"
+        assert numeric_modules_after(star) == [True, False]

@@ -18,7 +18,12 @@ from qlattice import (
     phi_lub,
     rgcd,
 )
-from qlattice.oracles import check_lub_against_ball, upper_bound_bitsets
+from qlattice.cli import _load_context
+from qlattice.oracles import (
+    check_lub_against_ball,
+    product_upper_bitsets,
+    upper_bound_bitsets,
+)
 from qlattice.toeplitz import enumerate_ball
 from qlattice.verify import random_syllables
 
@@ -116,6 +121,13 @@ class TestLub:
                 graph, x, y, lub(graph, x, y), bitsets, big.elements, index, leq
             )
             assert ok, f"{ctx}: lub({x},{y}): {detail}"
+
+    @pytest.mark.parametrize("name", ["free2", "path3", "square4", "b3", "b4"])
+    def test_product_upper_sets_equal_the_leq_scan(self, name):
+        graph = _load_context(name)
+        small, big = enumerate_ball(graph, 3), enumerate_ball(graph, 6)
+        by_leq = upper_bound_bitsets(graph, small.elements, big.elements, leq)
+        assert product_upper_bitsets(graph, small.elements, big) == by_leq
 
 
 class TestFractions:

@@ -59,7 +59,7 @@ class TestConeBall:
     def test_position_roundtrip(self, b3):
         ball = enumerate_ball(b3, 3)
         for i, x in enumerate(ball.elements):
-            assert ball.position(x) == i
+            assert ball.index[x.syllables] == i
 
 
 # generators plus longer positives, several with multi-letter Artin syllables
@@ -142,8 +142,8 @@ class TestToeplitzOps:
         ball = enumerate_ball(free2, 2)
         a = nw(free2, ("a", 1))
         op = toeplitz_op(free2, a, ball)
-        col = op.matrix[:, ball.position(free2.identity())].toarray().ravel()
-        assert col[ball.position(a)] == 1.0
+        col = op.matrix[:, ball.index[free2.identity().syllables]].toarray().ravel()
+        assert col[ball.index[a.syllables]] == 1.0
         assert col.sum() == 1.0
 
     def test_rejects_non_positive_symbols(self, free2):
@@ -167,7 +167,7 @@ class TestToeplitzOps:
         diag = range_projection_diag(path3, nw(path3, ("a", 1)), ball)
         want = [1 if leq(path3, nw(path3, ("a", 1)), z) else 0 for z in ball.elements]
         assert diag.tolist() == want
-        assert diag[ball.position(path3.identity())] == 0
+        assert diag[ball.index[path3.identity().syllables]] == 0
 
     def test_range_projection_rejects_non_positive_symbols(self, free2):
         ball = enumerate_ball(free2, 2)
@@ -250,7 +250,7 @@ class TestDefect:
         diag = defect_product_diag(path3, path3.generator_words(), ball)
         # exactly the identity survives: every other ball element is
         # divisible by some generator
-        assert diag[ball.position(path3.identity())] == 1
+        assert diag[ball.index[path3.identity().syllables]] == 1
         assert diag.sum() == 1
 
     def test_partial_family_leaves_more_support(self, path3):
