@@ -23,7 +23,6 @@ from .order import (
     DirectProductElement,
     NotInPPInvError,
     canonical_fraction,
-    i_adjacent,
     is_positive,
     leq,
     leq_r,
@@ -52,9 +51,8 @@ __all__ = [
     "NormNotCertified", "NormalWord", "NotFiniteTypeError", "NotInPPInvError",
     "SparseOperator", "Syllable", "ZOps", "canonical_fraction", "check_graph_relations",
     "check_toeplitz_relations", "covariance_check", "defect_product_diag",
-    "enumerate_ball", "factor_from_spec", "factors", "graph", "i_adjacent",
-    "is_positive", "leq", "leq_r", "lub", "lub_general", "norm_curve", "norm_estimate",
-    "order", "phi", "phi_lub", "range_projection_diag", "rgcd", "toeplitz",
-    "toeplitz_op",
+    "enumerate_ball", "factor_from_spec", "factors", "graph", "is_positive", "leq",
+    "leq_r", "lub", "lub_general", "norm_curve", "norm_estimate", "order", "phi",
+    "phi_lub", "range_projection_diag", "rgcd", "toeplitz", "toeplitz_op",
 ]
 __version__ = "0.1.0"

@@ -279,7 +279,7 @@ def dense_norm(graph, weights, ball):
     """Top singular value of the compressed sum lambda_x T_x, by dense SVD.
 
     The matrix is the weighted sum of ``dense_operator``, without the
-    sparse operators or the power iteration.
+    sparse operators or the certified brackets.
     """
     import numpy as np
     mat = sum(lam * dense_operator(graph, x, ball) for x, lam in weights.items())

@@ -45,7 +45,12 @@ def _factor_lub(ops, a, b):
 
 
 def _peeled_lub(graph, vertex, x_i, x_rest, y_i, y_rest):
-    """x_I v y_I if i_adjacent's condition holds for the split parts, else INFINITY."""
+    """x_I v y_I if the split parts are compatible at the vertex, else INFINITY.
+
+    With x = x_I x' and y = y_I y', the three-part condition: the factor
+    lub x_I v y_I must exist, and on each side either that lub is already
+    the peeled syllable or I is adjacent to every vertex of the remainder.
+    """
     z = _factor_lub(graph.ops[vertex], x_i, y_i)
     if z is INFINITY:
         return INFINITY
@@ -55,20 +60,6 @@ def _peeled_lub(graph, vertex, x_i, x_rest, y_i, y_rest):
         ):
             return INFINITY
     return z
-
-
-def i_adjacent(graph, x, y, vertex):
-    """The three-part compatibility condition at one vertex.
-
-    With x = x_I x' and y = y_I y': the factor lub x_I v y_I must exist,
-    and on each side either that lub is already the peeled syllable or I
-    is adjacent to every vertex of the remainder.
-    """
-    graph.check_vertex(vertex)
-    return _peeled_lub(
-        graph, vertex,
-        *graph.initial_split(x, vertex), *graph.initial_split(y, vertex),
-    ) is not INFINITY
 
 
 def lub(graph, x, y):

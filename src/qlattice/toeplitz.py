@@ -18,11 +18,11 @@ in the ball and T_x e_w = e_z.  Range projections, covariance and defect
 are read off the table with no order test.  Norms are the exception: the
 compressed norm is a lower bound for the full one and is nondecreasing
 in the ball degree.  norm_estimate certifies it to a tolerance with a
-bracket on the top eigenvalue of A^T A: power iteration with a
-Rayleigh/Collatz-Wielandt bracket, and a dense solve of each connected
-block (a Rayleigh quotient below, a Cholesky factorisation that succeeds
-in floating point above) once the power steps have cost as much as that
-solve, or at once when it costs less than one step.  norm_curve
+bracket on the top eigenvalue of A^T A: a dense solve of each connected
+block when no block is large (a Rayleigh quotient below, a Cholesky
+factorisation that succeeds in floating point above), else one sparse
+LDL^T factorisation of the whole matrix shifted just past a Lanczos
+estimate, with its residual bounded a posteriori.  norm_curve
 assembles A once, on the largest ball, reads each smaller ball's A as a
 leading block, and reports the resulting lower bounds as a nondecreasing
 sequence.
@@ -34,8 +34,9 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 
-# scipy.sparse is imported only inside the three functions that build
-# sparse matrices, so balls, covariance and defect load numpy alone.
+# scipy.sparse is imported only inside the functions that build sparse
+# matrices, so balls, covariance and defect load numpy alone, and
+# scipy.sparse.linalg only inside _sparse_bracket, which small blocks skip.
 import numpy as np
 
 from .factors import INFINITY
@@ -422,30 +423,15 @@ def _component_labels(b):
 
 
 class NormNotCertified(ValueError):
-    """The norm bracket did not close to the tolerance.
-
-    ``iterations`` is the number of power steps taken before giving up.
-    """
-
-    def __init__(self, message, iterations):
-        super().__init__(message)
-        self.iterations = iterations
+    """The norm bracket did not close to the tolerance."""
 
 
-#: Largest connected block of A^T A that the solve factorises densely; a
-#: larger one leaves the whole solve to power iteration.  A 1,023-row
-#: block adds 40 MB to the peak memory and takes 0.17 s; 1,500 rows about
-#: twice and three times that.
-_DENSE_LIMIT = 1500
-
-#: Cost model for the switch from power iteration to the dense solve, in
-#: the time of one multiply-add of B times a vector: a power step costs
-#: nnz(B) + _STEP_OVERHEAD, and a dense solve _DENSE_COST * sum of s^3
-#: over its blocks of size s.  Fitted on the presets (2-core x86 host,
-#: OpenBLAS): a step takes 25 us + 7 ns * nnz, a dense solve of blocks
-#: of 250 to 2,000 rows 0.1 to 0.5 ns * sum s^3 (median 0.18).
-_STEP_OVERHEAD = 3400
-_DENSE_COST = 1 / 40
+#: Largest connected block of B = A^T A that the dense bracket solves; a
+#: larger one sends the whole of B to the sparse bracket.  Measured on the
+#: presets with unit weights (2-core x86, OpenBLAS), dense against sparse:
+#: largest block 127 rows 2.2 and 2.4 ms, 192 rows 3.0 and 3.1 ms, 255
+#: rows 6.5 and 3.7 ms, 448 rows 24 and 4.9 ms.
+_DENSE_BLOCK = 200
 
 
 def _weighted_sum(graph, weights, ball):
@@ -476,7 +462,7 @@ def _dense_bracket(b, component):
     top eigenvector of the block with the group's largest eigenvalue to
     about machine precision (B is nonnegative, so |v| does at least as
     well as v); any v gives a lower bound.  The quotient is formed as
-    v.(Bv) / v.v, sums of s terms each, like the power path's quotient,
+    v.(Bv) / v.v, sums of s terms each, like the sparse bracket's,
     so the caller's rounding allowance covers both.  (eigh would give the
     vectors too, but its threaded divide-and-conquer takes tens of
     milliseconds on some 31- and 63-row path3 blocks, a hundred times
@@ -531,31 +517,82 @@ def _dense_bracket(b, component):
     return lower, upper
 
 
-def _power_brackets(b, component, slack):
-    """Power iteration on b from the all-ones vector; see norm_estimate.
+def _sparse_bracket(b, component):
+    """Lower and upper bounds on the largest eigenvalue of B = A^T A.
 
-    Yields the bracket (lower, upper) on the root of b's largest
-    eigenvalue after each step, and stops when the next iterate would
-    underflow.
+    For a B with blocks too large for _dense_bracket.  Lanczos (eigsh from
+    the all-ones vector) estimates the top eigenvalue t; take m = t (1 +
+    delta), C = fl(mI - B), and factorise C = P L D L^T P^T with spilu: no
+    dropping under the fill cap, no pivoting, one symmetric fill-reducing
+    permutation P.  Nothing about the factors is trusted (Rump 2006).
+    Above: if every entry of the computed D is positive, M = P L D L^T P^T,
+    formed exactly from the floats, is positive semidefinite by Sylvester's
+    law of inertia; then mI - B = M + E has no eigenvalue below -|E|_inf
+    (the row-sum norm bounds the 2-norm of a symmetric matrix), and every
+    eigenvalue of B is at most m plus the largest row sum of |E|.  With k
+    the largest row count of L, gamma_k = ku / (1 - ku), u = 2^-53 and R =
+    fl(C - fl(L D L^T)), each entry of L D L^T is a sum of at most k
+    products of three floats, so |E| <= |R| + gamma_{k+2} (|C| +
+    |L||D||L^T|) (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.5); the |C| term also covers the rounding of C's diagonal, and
+    the row sums of |L||D||L^T| take three products with a vector.  A
+    computed sum of nonnegative floats is at least half the exact one, so
+    the bound doubles these sums, adds n (k + 2) times the smallest normal
+    float for underflow, and rounds up.  If spilu fails or pivots, or a
+    pivot is not positive, delta grows, at most twice; the upper bound is
+    infinite if it never succeeds.  Below: the largest per-component
+    Rayleigh quotient of |v|, v = C^-1 (m, ..., m), as in _dense_bracket.
+    A B with entries all below 1 is first scaled up by a power of two,
+    exactly; scaling the bounds back moves each by less than the smallest
+    normal float, which they are widened by.  The fill cap keeps L and U
+    within 40 times the memory of C (square4 at degree 12, the largest
+    preset ball under the default size cap, fills 31 times); past it spilu
+    drops entries and the residual keeps the upper bound from closing.
     """
-    peak = np.zeros(component.max() + 1)
-    floor = np.sqrt(np.finfo(float).tiny)
-    v = np.ones(b.shape[0])
-    lo = 0.0
-    while True:
-        w = b @ v
-        peak[:] = 0.0
-        np.maximum.at(peak, component, w)
-        scaled = w / peak[component]
-        if scaled.min() < floor:
-            return
-        rayleigh = np.bincount(component, v * w) / np.bincount(component, v * v)
-        lo = max(lo, float(np.sqrt(rayleigh.max())) * (1 - slack))
-        yield lo, float(np.sqrt(np.max(w / v))) * (1 + slack)
-        v = scaled
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh, spilu
+    u = np.finfo(float).eps / 2
+    tiny = np.finfo(float).tiny
+    n = b.shape[0]
+    ones = np.ones(n)
+    # a power of two scales B exactly, and keeps the pivots of a tiny B
+    # clear of the subnormal range
+    shift = min(int(np.frexp(b.data.max())[1]), 0)
+    b = sp.csr_matrix((np.ldexp(b.data, -shift), b.indices, b.indptr), shape=b.shape)
+    try:
+        top = float(eigsh(b, k=1, which="LA", v0=ones, return_eigenvectors=False)[0])
+    except ArpackNoConvergence:
+        return 0.0, np.inf
+    for delta in (1e-12, 1e-10, 1e-8):
+        m = max(top * (1 + delta), tiny)
+        c = (m * sp.identity(n, format="csc") - b).tocsc()
+        try:
+            lu = spilu(c, drop_tol=0, fill_factor=40, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0, options={"SymmetricMode": True})
+        except RuntimeError:  # an exactly singular factor
+            continue
+        d = lu.U.diagonal()
+        if np.array_equal(lu.perm_r, lu.perm_c) and (d > 0).all():
+            break
+    else:
+        return 0.0, np.inf
+    # spilu factorises C with rows and columns permuted alike: L U = C[q][:, q]
+    q = np.argsort(lu.perm_r)
+    c = c[q][:, q]
+    low = lu.L.tocsr()
+    k = int(np.diff(low.indptr).max())
+    gamma = (k + 2) * u / (1 - (k + 2) * u)
+    size = abs(low)
+    err = abs(c - low @ sp.diags(d) @ low.T) @ ones + gamma * (
+        abs(c) @ ones + size @ (d * (size.T @ ones)))
+    upper = (m + 2 * float(err.max()) + n * (k + 2) * tiny) * (1 + 4 * u)
+    v = np.abs(lu.solve(np.full(n, m)))
+    rayleigh = np.bincount(component, v * (b @ v)) / np.bincount(component, v * v)
+    lower = max(float(np.ldexp(rayleigh.max(), shift)) - tiny, 0.0)
+    return lower, float(np.ldexp(upper, shift)) + tiny
 
 
-def _certified_norm(a, terms, tol, max_iter=10_000):
+def _certified_norm(a, terms, tol):
     """Certified lower bound on the norm of the csr matrix a.
 
     ``terms`` is the number of weighted isometries summed into a, which
@@ -580,85 +617,43 @@ def _certified_norm(a, terms, tol, max_iter=10_000):
     indptr = np.append(b.indptr[rows], b.indptr[-1])
     b = sp.csr_matrix((b.data, position[b.indices], indptr), shape=(len(rows),) * 2)
     component = _component_labels(b)
-    sizes = np.bincount(component)
+    dense = np.bincount(component).max() <= _DENSE_BLOCK
+    lower, upper = (_dense_bracket if dense else _sparse_bracket)(b, component)
     slack = (3 * len(rows) + terms + 8) * np.finfo(float).eps
-    dense_at = None
-    if sizes.max() <= _DENSE_LIMIT:
-        # the dense solve runs after as many power steps as it costs itself
-        cost = _DENSE_COST * float(np.sum(sizes.astype(float) ** 3))
-        dense_at = min(int(cost / (b.nnz + _STEP_OVERHEAD)), max_iter)
-    brackets = _power_brackets(b, component, slack)
-    lo = hi = 0.0
-    for step in range(max_iter + 1):
-        if step == dense_at:
-            lower, upper = _dense_bracket(b, component)
-            dense_lo = float(np.sqrt(lower)) * (1 - slack)
-            if float(np.sqrt(upper)) * (1 + slack) - dense_lo <= tol * max(dense_lo, 1.0):
-                return dense_lo
-        if step == max_iter:
-            break
-        bracket = next(brackets, None)
-        if bracket is None:
-            raise NormNotCertified(
-                f"power iterate underflowed before the norm bracket "
-                f"[{lo:.15g}, {hi:.15g}] closed to the tolerance {tol:g}",
-                step,
-            )
-        lo, hi = bracket
-        if hi - lo <= tol * max(lo, 1.0):
-            return lo
-        if tol * max(lo, 1.0) < 2 * slack * lo:
-            raise NormNotCertified(
-                f"the tolerance {tol:g} is below "
-                f"{2 * slack * lo / max(lo, 1.0):.3g}, the least the norm "
-                f"bracket [{lo:.15g}, {hi:.15g}] can close to",
-                step,
-            )
+    lo = float(np.sqrt(lower)) * (1 - slack)
+    hi = float(np.sqrt(upper)) * (1 + slack)
+    if hi - lo <= tol * max(lo, 1.0):
+        return lo
+    if tol * max(lo, 1.0) < 2 * slack * lo:
+        raise NormNotCertified(
+            f"the tolerance {tol:g} is below {2 * slack * lo / max(lo, 1.0):.3g}, "
+            f"the least the norm bracket [{lo:.15g}, {hi:.15g}] can close to")
     raise NormNotCertified(
-        f"norm bracket [{lo:.15g}, {hi:.15g}] still wider than the "
-        f"tolerance {tol:g} after {max_iter} iterations",
-        max_iter,
-    )
+        f"norm bracket [{lo:.15g}, {hi:.15g}] is wider than the tolerance {tol:g}")
 
 
-def norm_estimate(graph, weights, ball, tol=1e-9, max_iter=10_000):
+def norm_estimate(graph, weights, ball, tol=1e-9):
     """Certified lower bound on the norm of the compressed sum lambda_x T_x.
 
     The norm is the square root of the largest eigenvalue of B = A^T A,
     restricted to its nonzero rows.  B is block diagonal over its
-    connected components.  Two brackets are available.  The dense one
-    (_dense_bracket) solves every block exactly: a Rayleigh quotient from
+    connected components.  If no block has more than _DENSE_BLOCK rows,
+    _dense_bracket solves every block exactly: a Rayleigh quotient from
     below, a Cholesky factorisation that succeeds in floating point from
-    above.  Its cost grows with the cube of the block size, so it is
-    tried only when no block has more than _DENSE_LIMIT rows, and only
-    after as many power steps as the cost model (_DENSE_COST,
-    _STEP_OVERHEAD) says it costs, and at most max_iter: none on small
-    blocks, where it is
-    cheaper than a step, and thousands on blocks of a thousand rows,
-    where power iteration often closes first.  Either way the solve takes
-    at most about twice the time of the faster bracket.  If the dense
-    bracket does not close to the tolerance, power iteration goes on.  It
-    starts from the all-ones vector; B is nonnegative because the weights
-    are, so the iterate v stays positive on the nonzero rows and each step
-    brackets the norm.  From below: sqrt of the largest Rayleigh quotient
-    of v restricted to a connected component of B (each is a test vector;
-    the per-component quotient is not dragged down by components of
-    smaller norm).  From above: sqrt(max_i (Bv)_i / v_i), the
-    Collatz-Wielandt bound.  Each step divides every component of the
-    iterate by its own maximum: neither bound changes, and components of
-    smaller norm do not decay towards underflow.  Both ends of either
-    bracket are widened by the rounding error of the float sums behind
-    them (Higham's gamma_k bound, with k from the row and weight counts),
-    so a bracket is always at least 2 * slack * lower wide.  Returns the
-    lower end once a bracket is at most tol * max(lower, 1) wide, so the
-    exact norm lies in [result, result + tol * max(result, 1)].
-    Raises ValueError if B overflows the float range.  Raises
-    NormNotCertified as soon as the tolerance is below what the rounding
-    allowance lets the bracket reach, if max_iter power steps run out
-    first, or if an entry of v falls so low that its square underflows,
-    since the rounding allowance holds only without underflow.
+    above.  Otherwise _sparse_bracket brackets the whole of B: a Rayleigh
+    quotient from below, a sparse LDL^T factorisation of a shift just
+    past the Lanczos estimate, with its residual bounded, from above.
+    Both ends of the bracket are widened by the rounding error of the
+    float sums behind them and behind B (Higham's gamma_k bound, with k
+    from the row and weight counts), so a bracket is always at least
+    2 * slack * lower wide.  Returns the lower end once the bracket is at
+    most tol * max(lower, 1) wide, so the exact norm lies in
+    [result, result + tol * max(result, 1)].  Raises ValueError if B
+    overflows the float range, and NormNotCertified if the bracket is
+    wider than the tolerance, saying so when the tolerance is below what
+    the rounding allowance lets any bracket reach.
     """
-    return _certified_norm(_weighted_sum(graph, weights, ball), len(weights), tol, max_iter)
+    return _certified_norm(_weighted_sum(graph, weights, ball), len(weights), tol)
 
 
 def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):

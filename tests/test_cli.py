@@ -6,10 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 import qlattice
 from qlattice.cli import main
+from qlattice.oracles import dense_norm
+from qlattice.toeplitz import enumerate_ball
 
 
 @pytest.fixture()
@@ -20,6 +25,19 @@ def run(capsys):
         return code, out
 
     return _run
+
+
+def lanczos_norm(graph, weights, ball):
+    """Top singular value of the compressed sum lambda_x T_x, by Lanczos.
+
+    The sparse operator is assembled from ``graph.multiply`` and the
+    ball's element index, without the ball's multiplication table.
+    """
+    entries = [(ball.index.get(graph.multiply(x, y).syllables), j, lam)
+               for j, y in enumerate(ball.elements) for x, lam in weights.items()]
+    rows, cols, vals = zip(*[e for e in entries if e[0] is not None])
+    a = sp.csr_matrix((vals, (rows, cols)), shape=(len(ball),) * 2)
+    return float(np.sqrt(eigsh(a.T @ a, k=1, which="LA", return_eigenvectors=False)[0]))
 
 
 def run_json(run, *argv):
@@ -182,16 +200,34 @@ class TestAnalysisCommands:
         assert code == 0
         assert out.strip().splitlines()[-1] == "6,247,0.781211021665"
 
-    def test_norm_curve_near_degenerate_weights(self, run):
-        # one dominant weight: power iteration used to run out of steps
-        code, out = run(
-            "norm-curve", "--ctx", "path3", "--max-degree", "10",
-            "--weights", json.dumps({"a": 1, "b": 1e-6, "c": 1e-6}),
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 11
-        assert lines[-1].startswith("10,4083,1.0000009")
+    def test_norm_curve_near_degenerate_weights(self, run, path3):
+        # one dominant weight: power iteration used to run out of steps at
+        # degree 11 and lose the rows below with it.  Unit weights at
+        # degree 11 have a block of 2,047 rows.  The dense oracle checks
+        # the near-degenerate rows up to degree 9, Lanczos the others.
+        near = {"a": 1, "b": 1e-6, "c": 1e-6}
+        exact = {}
+        for weights, max_degree in ((near, 10), (near, 11), (near, 12),
+                                    ({"a": 1, "b": 1, "c": 1}, 11)):
+            code, out = run("norm-curve", "--ctx", "path3", "--max-degree",
+                            str(max_degree), "--weights", json.dumps(weights))
+            assert code == 0
+            lines = out.strip().splitlines()
+            assert len(lines) == max_degree + 1
+            by_word = {path3.reduce([path3.syllable(label, 1)]): lam
+                       for label, lam in weights.items()}
+            for line in lines[1:]:
+                degree, size, val = line.split(",")
+                key = (json.dumps(weights), int(degree))
+                if key not in exact:
+                    ball = enumerate_ball(path3, int(degree))
+                    dense = weights is near and ball.max_degree <= 9
+                    oracle = dense_norm if dense else lanczos_norm
+                    exact[key] = len(ball), oracle(path3, by_word, ball)
+                want_size, norm = exact[key]
+                assert int(size) == want_size
+                # the value is printed to 12 decimals
+                assert float(val) - 1e-12 <= norm <= float(val) + 1e-9 * max(norm, 1.0)
 
     def test_norm_curve_rejects_an_unreachable_tolerance(self, run):
         code, doc = run_json(
@@ -299,11 +335,11 @@ class TestPresets:
         assert code == 0 and doc["result"] == []
 
 
-def numeric_modules_after(code):
-    """Whether numpy and scipy are loaded after code runs in a new interpreter."""
+def numeric_modules_after(code, modules=("numpy", "scipy")):
+    """Whether each module is loaded after code runs in a new interpreter."""
     path = [str(Path(qlattice.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    report = "print(json.dumps([m in sys.modules for m in ('numpy', 'scipy')]))"
+    report = f"print(json.dumps([m in sys.modules for m in {modules!r}]))"
     proc = subprocess.run([sys.executable, "-c", f"{code}\nimport json, sys\n{report}"],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -338,6 +374,13 @@ class TestStartup:
     def test_table_commands_load_numpy_but_not_scipy(self, argv):
         assert numeric_modules_after(commands(argv)) == [True, False]
 
+    def test_small_norm_curves_load_no_sparse_solver(self):
+        # every block of this curve is small enough for the dense bracket
+        argv = ["norm-curve", "--ctx", "b3", "--max-degree", "8",
+                "--weights", json.dumps({"s": 0.5, "t": 0.5})]
+        modules = ("scipy.sparse", "scipy.sparse.linalg")
+        assert numeric_modules_after(commands(argv), modules) == [True, False]
+
     def test_public_names(self):
         assert sorted(qlattice.__all__) == [
             "ArtinFraction", "ArtinOps", "BallSizeExceeded", "CommutationGraph",
@@ -346,10 +389,10 @@ class TestStartup:
             "NotFiniteTypeError", "NotInPPInvError", "SparseOperator", "Syllable",
             "ZOps", "canonical_fraction", "check_graph_relations",
             "check_toeplitz_relations", "covariance_check", "defect_product_diag",
-            "enumerate_ball", "factor_from_spec", "factors", "graph", "i_adjacent",
-            "is_positive", "leq", "leq_r", "lub", "lub_general", "norm_curve",
-            "norm_estimate", "order", "phi", "phi_lub", "range_projection_diag",
-            "rgcd", "toeplitz", "toeplitz_op",
+            "enumerate_ball", "factor_from_spec", "factors", "graph", "is_positive",
+            "leq", "leq_r", "lub", "lub_general", "norm_curve", "norm_estimate",
+            "order", "phi", "phi_lub", "range_projection_diag", "rgcd", "toeplitz",
+            "toeplitz_op",
         ]
         star = "from qlattice import *\nassert norm_curve.__name__ == 'norm_curve'"
         assert numeric_modules_after(star) == [True, False]

@@ -8,7 +8,6 @@ from qlattice import (
     INFINITY,
     NotInPPInvError,
     canonical_fraction,
-    i_adjacent,
     is_positive,
     leq,
     leq_r,
@@ -74,19 +73,6 @@ class TestLub:
         t = nw(b3, ("v", "t"))
         got = lub(b3, s, t)
         assert got.syllables == nw(b3, ("v", "sts")).syllables
-
-    def test_i_adjacency_matches_lub_success_for_single_vertex_peel(self, path3):
-        rng = random.Random(11)
-        ball = enumerate_ball(path3, 3)
-        pool = list(ball.elements)
-        for _ in range(60):
-            x, y = rng.choice(pool), rng.choice(pool)
-            finite = lub(path3, x, y) is not INFINITY
-            if finite:
-                # every vertex passes the compatibility test
-                assert all(
-                    i_adjacent(path3, x, y, v) for v in path3.vertices
-                )
 
     def test_lub_is_commutative_and_idempotent(self, mixed):
         ball = enumerate_ball(mixed, 3)

@@ -27,7 +27,12 @@ from qlattice import (
 from qlattice import toeplitz
 from qlattice.cli import _load_context
 from qlattice.oracles import dense_norm, dense_operator
-from qlattice.toeplitz import _component_labels, _dense_bracket
+from qlattice.toeplitz import (
+    _DENSE_BLOCK,
+    _component_labels,
+    _dense_bracket,
+    _sparse_bracket,
+)
 
 from conftest import nw
 
@@ -390,6 +395,10 @@ def nonzero_gram(graph, ball, weights):
     return b[rows][:, rows]
 
 
+#: Preset balls (name, degree) that both brackets are checked on.
+BRACKET_CASES = [("free2", 6), ("path3", 7), ("square4", 5), ("b3", 10), ("b4", 5)]
+
+
 class TestNorms:
     def test_single_isometry_has_norm_one(self, free2):
         ball = enumerate_ball(free2, 5)
@@ -478,12 +487,17 @@ class TestNorms:
         assert got.max() + 1 == count
         assert len(set(zip(got.tolist(), want.tolist()))) == count
 
-    @pytest.mark.parametrize(
-        "name,degree", [("free2", 6), ("path3", 7), ("square4", 5), ("b3", 10), ("b4", 5)]
-    )
-    def test_dense_bracket_contains_the_top_eigenvalue(self, name, degree):
+    @pytest.mark.parametrize("bracket,name,degree", [
+        *(pytest.param(_dense_bracket, *case, id="%s-%d" % case)
+          for case in BRACKET_CASES),
+        *(pytest.param(_sparse_bracket, *case, id="sparse-%s-%d" % case)
+          for case in [*BRACKET_CASES, ("square4", 7)]),
+    ])
+    def test_dense_bracket_contains_the_top_eigenvalue(self, bracket, name, degree):
         # with generator weights alone B has a constant diagonal; the
-        # square of a generator makes it vary
+        # square of a generator makes it vary.  The sparse bracket serves
+        # blocks past _DENSE_BLOCK (square4 at degree 7 is one block of
+        # 769 rows here) but holds on any B.
         graph = _load_context(name)
         ball = enumerate_ball(graph, degree)
         gens = graph.generator_words()
@@ -491,7 +505,7 @@ class TestNorms:
         weights[graph.multiply(gens[0], gens[0])] = 0.5
         b = nonzero_gram(graph, ball, weights)
         exact = np.linalg.eigvalsh(b.toarray())[-1]
-        lower, upper = _dense_bracket(b, _component_labels(b))
+        lower, upper = bracket(b, _component_labels(b))
         assert lower <= exact * (1 + 1e-13) and exact <= upper
         assert upper - lower <= 1e-10 * exact
 
@@ -499,48 +513,33 @@ class TestNorms:
         "name,degree", [("free2", 6), ("path3", 8), ("square4", 6), ("b3", 10), ("b4", 6)]
     )
     def test_small_blocks_need_no_power_step(self, name, degree):
-        # every block fits the dense solve, so the bracket closes with
-        # max_iter = 0, even for a near-degenerate weight
+        # a near-degenerate weight (lambda_2 / lambda_1 close to 1)
+        # certifies in one bracket like any other
         graph = _load_context(name)
         ball = enumerate_ball(graph, degree)
         gens = graph.generator_words()
         weights = {x: 1e-6 if i else 1.0 for i, x in enumerate(gens)}
-        val = norm_estimate(graph, weights, ball, max_iter=0)
+        val = norm_estimate(graph, weights, ball)
         assert val <= dense_norm(graph, weights, ball) <= val + 1e-9 * max(val, 1.0)
 
-    def test_power_iteration_closes_before_a_costly_dense_solve(self, monkeypatch):
-        # square4 at degree 7 has a 448-row block: unit weights certify in
-        # about 55 power steps, fewer than the cost model prices the dense
-        # solve at, so it never runs; a near-degenerate weighting needs it
+    def test_large_block_certifies_by_the_sparse_bracket(self):
+        # square4 at degree 7 has a 448-row block, past _DENSE_BLOCK
         graph = _load_context("square4")
         ball = enumerate_ball(graph, 7)
         gens = graph.generator_words()
-        calls = []
-        solve = toeplitz._dense_bracket
-        monkeypatch.setattr(toeplitz, "_dense_bracket",
-                            lambda *args: calls.append(args) or solve(*args))
-        for weights, dense in (({x: 1.0 for x in gens}, False),
-                               ({x: 1e-6 if i else 1.0 for i, x in enumerate(gens)}, True)):
-            calls.clear()
+        unit = {x: 1.0 for x in gens}
+        b = nonzero_gram(graph, ball, unit)
+        assert np.bincount(_component_labels(b)).max() == 448 > _DENSE_BLOCK
+        for weights in (unit, {x: 1e-6 if i else 1.0 for i, x in enumerate(gens)}):
             val = norm_estimate(graph, weights, ball)
-            assert bool(calls) == dense
-            # max_iter = 0 goes straight to the dense solve
-            assert abs(val - norm_estimate(graph, weights, ball, max_iter=0)) <= 1e-9 * max(val, 1.0)
+            assert val <= dense_norm(graph, weights, ball) <= val + 1e-9 * max(val, 1.0)
 
-    def test_uncertified_norm_raises(self, path3, b3):
-        # path3 at degree 11 has a 2,047-row block, past the dense limit,
-        # so only power iteration runs
-        big = enumerate_ball(path3, 11)
-        gens = {x: 1.0 for x in path3.generator_words()}
-        with pytest.raises(NormNotCertified, match="after 2 iterations"):
-            norm_estimate(path3, gens, big, max_iter=2)
+    def test_uncertified_norm_raises(self, b3):
         ball = enumerate_ball(b3, 6)
         weights = {nw(b3, ("v", "s")): 0.5, nw(b3, ("v", "t")): 0.5}
-        # a zero tolerance is below the bracket's rounding allowance, so it
-        # is rejected from the first bracket, before any power step
-        with pytest.raises(NormNotCertified, match="the least the norm bracket") as info:
+        # a zero tolerance is below the bracket's rounding allowance
+        with pytest.raises(NormNotCertified, match="the least the norm bracket"):
             norm_estimate(b3, weights, ball, tol=0.0)
-        assert info.value.iterations == 0
 
     def test_input_validation(self, free2):
         ball = enumerate_ball(free2, 3)
