@@ -461,12 +461,13 @@ def _dense_bracket(b, component):
     inverse iteration shifted just above the top eigenvalue, so v is the
     top eigenvector of the block with the group's largest eigenvalue to
     about machine precision (B is nonnegative, so |v| does at least as
-    well as v); any v gives a lower bound.  The quotient is formed as
-    v.(Bv) / v.v, sums of s terms each, like the sparse bracket's,
-    so the caller's rounding allowance covers both.  (eigh would give the
-    vectors too, but its threaded divide-and-conquer takes tens of
-    milliseconds on some 31- and 63-row path3 blocks, a hundred times
-    eigvalsh.)  Above: factorise the C of the group.
+    well as v); any v gives a lower bound.  v is scaled by a power of two
+    to a largest entry below 1, so v.v cannot underflow for a large m, and
+    the quotient is formed as v.(Bv) / v.v, sums of s terms each, like the
+    sparse bracket's, so the caller's rounding allowance covers both.
+    (eigh would give the vectors too, but its threaded divide-and-conquer
+    takes tens of milliseconds on some 31- and 63-row path3 blocks, a
+    hundred times eigvalsh.)  Above: factorise the C of the group.
     Rump (2006, Verification of positive definiteness, BIT 46) proves
     positive definiteness from a Cholesky factorisation that succeeds in
     floating point, after a shift of order gamma_{s+1} trace.  The
@@ -510,6 +511,7 @@ def _dense_bracket(b, component):
         except np.linalg.LinAlgError:
             return lower, np.inf
         upper = max(upper, m * (1 + 2 * s * (s + 1) * u + 2 * u) + s * (s + 2 + m) * tiny)
+        v = np.ldexp(v, -np.frexp(v.max(axis=1, keepdims=True))[1])
         w = (blocks @ v)[:, :, 0]
         v = v[:, :, 0]
         rayleigh = np.einsum("gi,gi->g", v, w) / np.einsum("gi,gi->g", v, v)
@@ -522,7 +524,7 @@ def _sparse_bracket(b, component):
 
     For a B with blocks too large for _dense_bracket.  Lanczos (eigsh from
     the all-ones vector) estimates the top eigenvalue t; take m = t (1 +
-    delta), C = fl(mI - B), and factorise C = P L D L^T P^T with spilu: no
+    10^-12), C = fl(mI - B), and factorise C = P L D L^T P^T with spilu: no
     dropping under the fill cap, no pivoting, one symmetric fill-reducing
     permutation P.  Nothing about the factors is trusted (Rump 2006).
     Above: if every entry of the computed D is positive, M = P L D L^T P^T,
@@ -534,62 +536,54 @@ def _sparse_bracket(b, component):
     fl(C - fl(L D L^T)), each entry of L D L^T is a sum of at most k
     products of three floats, so |E| <= |R| + gamma_{k+2} (|C| +
     |L||D||L^T|) (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3.5); the |C| term also covers the rounding of C's diagonal, and
-    the row sums of |L||D||L^T| take three products with a vector.  A
+    section 3.5); the |C| term also covers the rounding of C's diagonal,
+    and the row sums of |L||D||L^T| take three products with a vector.  A
     computed sum of nonnegative floats is at least half the exact one, so
     the bound doubles these sums, adds n (k + 2) times the smallest normal
-    float for underflow, and rounds up.  If spilu fails or pivots, or a
-    pivot is not positive, delta grows, at most twice; the upper bound is
-    infinite if it never succeeds.  Below: the largest per-component
-    Rayleigh quotient of |v|, v = C^-1 (m, ..., m), as in _dense_bracket.
-    A B with entries all below 1 is first scaled up by a power of two,
-    exactly; scaling the bounds back moves each by less than the smallest
-    normal float, which they are widened by.  The fill cap keeps L and U
-    within 40 times the memory of C (square4 at degree 12, the largest
-    preset ball under the default size cap, fills 31 times); past it spilu
-    drops entries and the residual keeps the upper bound from closing.
+    float for underflow, and rounds up.  The upper bound is infinite if
+    Lanczos does not converge, or spilu fails, pivots or leaves a pivot
+    that is not positive.  Below: the largest per-component Rayleigh
+    quotient of |v|, v = C^-1 (1, ..., 1), as in _dense_bracket.  C^-1 is
+    the sum of B^j / m^(j+1) over j >= 0, so every entry of v is at least
+    1/m, and scaling v to a largest entry below 1 keeps v.(Bv) from
+    overflowing without any entry of v underflowing.  The fill cap keeps L
+    and U within 40 times the memory of C (square4 at degree 12, the
+    largest preset ball under the default size cap, fills 31 times with
+    generator weights); past it spilu drops entries, and the residual keeps
+    the upper bound from closing.
     """
     import scipy.sparse as sp
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh, spilu
+    from scipy.sparse.linalg import eigsh, spilu
     u = np.finfo(float).eps / 2
     tiny = np.finfo(float).tiny
     n = b.shape[0]
     ones = np.ones(n)
-    # a power of two scales B exactly, and keeps the pivots of a tiny B
-    # clear of the subnormal range
-    shift = min(int(np.frexp(b.data.max())[1]), 0)
-    b = sp.csr_matrix((np.ldexp(b.data, -shift), b.indices, b.indptr), shape=b.shape)
     try:
         top = float(eigsh(b, k=1, which="LA", v0=ones, return_eigenvectors=False)[0])
-    except ArpackNoConvergence:
-        return 0.0, np.inf
-    for delta in (1e-12, 1e-10, 1e-8):
-        m = max(top * (1 + delta), tiny)
+        m = max(top * (1 + 1e-12), tiny)
         c = (m * sp.identity(n, format="csc") - b).tocsc()
-        try:
-            lu = spilu(c, drop_tol=0, fill_factor=40, permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0, options={"SymmetricMode": True})
-        except RuntimeError:  # an exactly singular factor
-            continue
-        d = lu.U.diagonal()
-        if np.array_equal(lu.perm_r, lu.perm_c) and (d > 0).all():
-            break
-    else:
+        lu = spilu(c, drop_tol=0, fill_factor=40, permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except RuntimeError:  # eigsh did not converge, or spilu met a singular pivot
         return 0.0, np.inf
+    d = lu.U.diagonal()
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and (d > 0).all()):
+        return 0.0, np.inf
+    v = np.abs(lu.solve(ones))
+    v = np.ldexp(v, -np.frexp(v.max())[1])
+    rayleigh = np.bincount(component, v * (b @ v)) / np.bincount(component, v * v)
     # spilu factorises C with rows and columns permuted alike: L U = C[q][:, q]
     q = np.argsort(lu.perm_r)
-    c = c[q][:, q]
     low = lu.L.tocsr()
+    del lu
+    c = c[q][:, q]
     k = int(np.diff(low.indptr).max())
     gamma = (k + 2) * u / (1 - (k + 2) * u)
     size = abs(low)
     err = abs(c - low @ sp.diags(d) @ low.T) @ ones + gamma * (
         abs(c) @ ones + size @ (d * (size.T @ ones)))
     upper = (m + 2 * float(err.max()) + n * (k + 2) * tiny) * (1 + 4 * u)
-    v = np.abs(lu.solve(np.full(n, m)))
-    rayleigh = np.bincount(component, v * (b @ v)) / np.bincount(component, v * v)
-    lower = max(float(np.ldexp(rayleigh.max(), shift)) - tiny, 0.0)
-    return lower, float(np.ldexp(upper, shift)) + tiny
+    return float(rayleigh.max()), upper
 
 
 def _certified_norm(a, terms, tol):
@@ -615,14 +609,23 @@ def _certified_norm(a, terms, tol):
     position = np.empty(b.shape[0], dtype=np.intp)
     position[rows] = np.arange(len(rows))
     indptr = np.append(b.indptr[rows], b.indptr[-1])
-    b = sp.csr_matrix((b.data, position[b.indices], indptr), shape=(len(rows),) * 2)
+    # a power of two scales B exactly; scaling up a B whose entries are all
+    # below 1 keeps the brackets' pivots and solves clear of the subnormal
+    # range, and scaling the bounds back rounds each by less than the
+    # smallest subnormal float
+    shift = min(int(np.frexp(b.data.max())[1]), 0)
+    b = sp.csr_matrix((np.ldexp(b.data, -shift), position[b.indices], indptr),
+                      shape=(len(rows),) * 2)
     component = _component_labels(b)
     dense = np.bincount(component).max() <= _DENSE_BLOCK
     lower, upper = (_dense_bracket if dense else _sparse_bracket)(b, component)
+    sub = np.finfo(float).smallest_subnormal
+    lower = max(float(np.ldexp(lower, shift)) - sub, 0.0)
+    upper = float(np.ldexp(upper, shift)) + sub
     slack = (3 * len(rows) + terms + 8) * np.finfo(float).eps
     lo = float(np.sqrt(lower)) * (1 - slack)
     hi = float(np.sqrt(upper)) * (1 + slack)
-    if hi - lo <= tol * max(lo, 1.0):
+    if lo <= hi and hi - lo <= tol * max(lo, 1.0):
         return lo
     if tol * max(lo, 1.0) < 2 * slack * lo:
         raise NormNotCertified(

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -487,17 +488,10 @@ class TestNorms:
         assert got.max() + 1 == count
         assert len(set(zip(got.tolist(), want.tolist()))) == count
 
-    @pytest.mark.parametrize("bracket,name,degree", [
-        *(pytest.param(_dense_bracket, *case, id="%s-%d" % case)
-          for case in BRACKET_CASES),
-        *(pytest.param(_sparse_bracket, *case, id="sparse-%s-%d" % case)
-          for case in [*BRACKET_CASES, ("square4", 7)]),
-    ])
-    def test_dense_bracket_contains_the_top_eigenvalue(self, bracket, name, degree):
+    @staticmethod
+    def check_bracket(bracket, name, degree):
         # with generator weights alone B has a constant diagonal; the
-        # square of a generator makes it vary.  The sparse bracket serves
-        # blocks past _DENSE_BLOCK (square4 at degree 7 is one block of
-        # 769 rows here) but holds on any B.
+        # square of a generator makes it vary
         graph = _load_context(name)
         ball = enumerate_ball(graph, degree)
         gens = graph.generator_words()
@@ -508,6 +502,16 @@ class TestNorms:
         lower, upper = bracket(b, _component_labels(b))
         assert lower <= exact * (1 + 1e-13) and exact <= upper
         assert upper - lower <= 1e-10 * exact
+
+    @pytest.mark.parametrize("name,degree", BRACKET_CASES)
+    def test_dense_bracket_contains_the_top_eigenvalue(self, name, degree):
+        self.check_bracket(_dense_bracket, name, degree)
+
+    @pytest.mark.parametrize("name,degree", [*BRACKET_CASES, ("square4", 7)])
+    def test_sparse_bracket_contains_the_top_eigenvalue(self, name, degree):
+        # the sparse bracket serves blocks past _DENSE_BLOCK (square4 at
+        # degree 7 is one block of 769 rows here) but holds on any B
+        self.check_bracket(_sparse_bracket, name, degree)
 
     @pytest.mark.parametrize(
         "name,degree", [("free2", 6), ("path3", 8), ("square4", 6), ("b3", 10), ("b4", 6)]
@@ -533,6 +537,46 @@ class TestNorms:
         for weights in (unit, {x: 1e-6 if i else 1.0 for i, x in enumerate(gens)}):
             val = norm_estimate(graph, weights, ball)
             assert val <= dense_norm(graph, weights, ball) <= val + 1e-9 * max(val, 1.0)
+
+    @pytest.mark.parametrize("failure", ["lanczos", "singular", "negative pivot"])
+    def test_failed_sparse_factorisation_raises(self, monkeypatch, failure):
+        # each way _sparse_bracket can fail leaves the upper bound infinite
+        import scipy.sparse.linalg as sla
+
+        spilu = sla.spilu
+
+        def no_lanczos(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", [], [])
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        def negated(c, **kwargs):
+            return spilu(-c, **kwargs)
+
+        broken = {"lanczos": ("eigsh", no_lanczos), "singular": ("spilu", singular),
+                  "negative pivot": ("spilu", negated)}[failure]
+        monkeypatch.setattr(sla, *broken)
+        graph = _load_context("square4")
+        ball = enumerate_ball(graph, 7)
+        weights = {x: 1.0 for x in graph.generator_words()}
+        with pytest.raises(NormNotCertified, match=r"\[0, inf\] is wider than"):
+            norm_estimate(graph, weights, ball)
+
+    @pytest.mark.parametrize("scale", [1e141, 1e-150])
+    @pytest.mark.parametrize("name,degree", [("free2", 9), ("square4", 7)])
+    def test_extreme_weight_scales_certify(self, name, degree, scale):
+        # free2 takes the dense bracket, square4 at degree 7 the sparse one.
+        # At 1e141 an inverse-iteration vector left unscaled overflows
+        # v.(Bv) or underflows v.v; at 1e-150 B must be scaled up before
+        # either bracket, or v.v underflows and the norm reads 0.
+        graph = _load_context(name)
+        ball = enumerate_ball(graph, degree)
+        weights = {x: scale * (1 + 0.1 * i) for i, x in enumerate(graph.generator_words())}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = norm_estimate(graph, weights, ball)
+        assert val <= dense_norm(graph, weights, ball) <= val * (1 + 1e-9)
 
     def test_uncertified_norm_raises(self, b3):
         ball = enumerate_ball(b3, 6)
