@@ -15,7 +15,7 @@ syllable whose vertex is least in the graph's fixed vertex order.  It is
 the lexicographically least linear extension of the order in which
 syllables at equal or non-adjacent vertices cannot pass each other, so
 ``reduce`` builds it in one pass of stack insertion that keeps the prefix
-in that order; the output is the greedy form, unchanged.  Equal elements
+canonical, so a product reuses its canonical left factor.  Equal elements
 have identical syllable sequences and equality is a sequence comparison.
 """
 
@@ -45,8 +45,10 @@ class Syllable:
 class NormalWord:
     """The canonical reduced word representing a group element.
 
-    Only :meth:`CommutationGraph.reduce` and friends construct these; the
-    degree is the sum of the factor degrees of the syllables.
+    Only :meth:`CommutationGraph.reduce` and friends construct these, from
+    validated syllables that are trusted from then on.  The degree, the sum
+    of the syllables' factor degrees, is a homomorphism to Z: the relations
+    keep the Artin degree |num| - |den|.
     """
     syllables: tuple
     degree: int
@@ -57,12 +59,6 @@ class NormalWord:
     @property
     def is_identity(self):
         return not self.syllables
-
-
-def _syllables_of(w):
-    if isinstance(w, NormalWord):
-        return list(w.syllables)
-    return list(w)
 
 
 class CommutationGraph:
@@ -151,27 +147,21 @@ class CommutationGraph:
             seen.add(s.vertex)
         return positions
 
-    def reduce(self, w):
-        """Canonical reduced word for the element represented by w.
+    def _insert(self, out, sylls):
+        """Insert nontrivial syllables into out, a canonical reduced list.
 
-        Stack insertion into a prefix kept in canonical order.  A new
-        syllable scans left past syllables at adjacent vertices.  At one
-        of its own vertex it amalgamates; a deletion removes a syllable
-        that no later one depends on, which keeps the prefix reduced and
-        canonical.  Otherwise it depends on nothing further right, so the
-        greedy extraction takes it just before the first later syllable
-        of larger vertex, and it is inserted there.
+        A new syllable scans left past syllables at adjacent vertices.  At
+        one of its own vertex it amalgamates; a deletion removes a syllable
+        that no later one depends on, which keeps out reduced and canonical.
+        Otherwise it depends on nothing further right, so the greedy
+        extraction takes it just before the first later syllable of larger
+        vertex, and it is inserted there.  So after each syllable out is the
+        canonical reduced word of the product so far.
         """
-        sylls = _syllables_of(w)
-        for s in sylls:
-            self.check_vertex(s.vertex)
         index = self.vertex_index
-        out = []
         for s in sylls:
             v = s.vertex
             ops = self.ops[v]
-            if ops.is_identity(s.element):
-                continue
             commuting = self.neighbours[v]
             j = len(out) - 1
             while j >= 0 and out[j].vertex in commuting:
@@ -187,8 +177,24 @@ class CommutationGraph:
             while j < len(out) and index[out[j].vertex] < index[v]:
                 j += 1
             out.insert(j, s)
-        degree = sum(self.ops[s.vertex].degree(s.element) for s in out)
-        return NormalWord(tuple(out), degree)
+        return out
+
+    def reduce(self, w):
+        """Canonical reduced word for the element represented by w.
+
+        A NormalWord is its own reduction.  A raw list's vertices are
+        checked and its identities dropped; its degree is the input's sum.
+        """
+        if isinstance(w, NormalWord):
+            return w
+        sylls, degree = [], 0
+        for s in w:
+            self.check_vertex(s.vertex)
+            ops = self.ops[s.vertex]
+            if not ops.is_identity(s.element):
+                sylls.append(s)
+                degree += ops.degree(s.element)
+        return NormalWord(tuple(self._insert([], sylls)), degree)
 
     def as_normal(self, x):
         """x itself when it is a NormalWord, else the reduction of its syllables."""
@@ -204,15 +210,18 @@ class CommutationGraph:
     # -- group operations ---------------------------------------------------
 
     def multiply(self, x, y):
-        return self.reduce(_syllables_of(x) + _syllables_of(y))
+        """xy: a canonical x is its own reduction, so only y is inserted."""
+        x, y = self.as_normal(x), self.as_normal(y)
+        out = self._insert(list(x.syllables), y.syllables)
+        return NormalWord(tuple(out), x.degree + y.degree)
 
     def invert(self, x):
-        return self.reduce(
-            [
-                Syllable(s.vertex, self.ops[s.vertex].invert(s.element))
-                for s in reversed(_syllables_of(x))
-            ]
-        )
+        """x^-1: x's inverse syllables, reversed, are already reduced, so
+        inserting them only re-sorts them."""
+        x = self.as_normal(x)
+        inverses = (Syllable(s.vertex, self.ops[s.vertex].invert(s.element))
+                    for s in reversed(x.syllables))
+        return NormalWord(tuple(self._insert([], inverses)), -x.degree)
 
     # -- initial structure --------------------------------------------------
 

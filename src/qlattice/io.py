@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .graph import CommutationGraph
+from .graph import CommutationGraph, Syllable
 
 
 class LiteralError(ValueError):
@@ -77,7 +77,7 @@ def parse_word(graph, literal):
         element = parse_element(graph, vertex, raw)
         if graph.ops[vertex].is_identity(element):
             raise LiteralError(f"trivial syllable {item!r}")
-        syllables.append(graph.syllable(vertex, element))
+        syllables.append(Syllable(vertex, element))
     return graph.reduce(syllables)
 
 

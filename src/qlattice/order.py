@@ -14,11 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .factors import INFINITY
-from .graph import Syllable
+from .graph import NormalWord, Syllable
 
 
 class NotInPPInvError(ValueError):
-    """The element is not a fraction of positives (no upper bound in P)."""
+    """args[0] has no upper bound in P; the message is built when read."""
+
+    def __str__(self):
+        return f"{self.args[0]} is not a fraction of positives"
 
 
 def is_positive(graph, x):
@@ -107,6 +110,13 @@ def canonical_fraction(graph, x):
     a vertex adjacent to m's; a deletion removes pairs.  The result is a
     reduced word for x, and all reduced words of x share their syllables
     and the order of those at equal or non-adjacent vertices.
+
+    a = a_1 ... a_k is canonical as it stands.  The a-syllables form an
+    ideal of x's dependence order: on a chain of dependent syllables that
+    ends at one with a_j != 1, the last with a_i = 1 (so b_i != 1) would
+    depend on its successor, against the criterion.  Chains into the ideal
+    stay in it, so it is reduced, and the greedy least-vertex extraction on
+    x, filtered to it, is the greedy extraction on it.
     """
     x = graph.as_normal(x)
     parts_a, parts_b = [], []
@@ -116,12 +126,13 @@ def canonical_fraction(graph, x):
         a_i, b_i = ops.factorize(s.element)
         if not ops.is_identity(a_i):
             if not negative <= graph.neighbours[s.vertex]:
-                raise NotInPPInvError(f"{x} is not a fraction of positives")
+                raise NotInPPInvError(x)
             parts_a.append(Syllable(s.vertex, a_i))
         if not ops.is_identity(b_i):
             negative.add(s.vertex)
             parts_b.append(Syllable(s.vertex, b_i))
-    return graph.reduce(parts_a), graph.reduce(list(reversed(parts_b)))
+    b = graph.reduce(list(reversed(parts_b)))
+    return NormalWord(tuple(parts_a), x.degree + b.degree), b
 
 
 def lub_general(graph, x, y):

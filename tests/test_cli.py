@@ -262,6 +262,16 @@ class TestErrorHandling:
         code, doc = run_json(run, "lub", "--ctx", "path3", "[]")
         assert code == 2 and doc["ok"] is False
 
+    def test_not_in_pp_inv_detail(self, run):
+        code, doc = run_json(
+            run, "fraction", "--ctx", "free2", json.dumps([["a", -1], ["b", 1]])
+        )
+        assert code == 1
+        assert doc["error"] == {"kind": "NotInPPInvError", "detail": (
+            "NormalWord(syllables=(Syllable(vertex='a', element=-1), "
+            "Syllable(vertex='b', element=1)), degree=0) is not a fraction of positives"
+        )}
+
     @pytest.mark.parametrize("argv, code, kind", [
         (["nf", "--ctx", "nope", "[]"], 2, "context"),
         (["nf", "--ctx", "path3", json.dumps([["a", "x"]])], 2, "parse"),

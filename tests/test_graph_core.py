@@ -56,6 +56,21 @@ class TestReducedWords:
         assert got.degree == 1
         assert len(got) == 2
 
+    def test_reduce_drops_identity_syllables(self, path3, b3):
+        got = path3.reduce([Syllable("a", 0), Syllable("b", 1), Syllable("c", 0)])
+        assert got.syllables == (Syllable("b", 1),) and got.degree == 1
+        assert b3.reduce([Syllable("v", b3.ops["v"].identity)]).is_identity
+
+    def test_raw_lists_are_validated(self, path3):
+        # a NormalWord's syllables are trusted; a raw list's still checked
+        x = nw(path3, ("a", 1))
+        with pytest.raises(UnknownVertexError):
+            path3.reduce([Syllable("a", 1), Syllable("zz", 1)])
+        with pytest.raises(UnknownVertexError):
+            path3.multiply(x, [Syllable("zz", 1)])
+        with pytest.raises(UnknownVertexError):
+            path3.multiply([Syllable("zz", 1)], x)
+
     def test_artin_syllables_merge(self, b3):
         w = [braid(b3, "s"), braid(b3, "t")]
         got = b3.reduce([Syllable("v", e) for e in w])

@@ -2,9 +2,11 @@
 
 Random graphs have up to five vertices, each carrying Z, B3 or B4.  The
 normal form is checked against the shuffle/amalgamation BFS and against
-the greedy form computed by rescanning; the local PP^-1 test of
-canonical_fraction against multiplying a b^-1 out.  Examples are drawn
-from a fixed seed.
+the greedy form computed by rescanning, for reduce and for products and
+inverses of normal words, which skip re-reducing their canonical inputs;
+the local PP^-1 test of canonical_fraction against multiplying a b^-1
+out.  Every degree is checked against the sum over the syllables.
+Examples are drawn from a fixed seed.
 """
 
 from functools import lru_cache
@@ -40,13 +42,13 @@ def graph_of(kinds, edges):
 
 
 @st.composite
-def syllables(draw, graph):
+def syllables(draw, graph, positive=False):
     v = draw(st.sampled_from(graph.vertices))
     ops = graph.ops[v]
     if ops.kind == "Z":
-        return Syllable(v, draw(st.sampled_from([-2, -1, 1, 2])))
+        return Syllable(v, draw(st.sampled_from([1, 2] if positive else [-2, -1, 1, 2])))
     letters = st.lists(st.sampled_from(ops.monoid.generators), max_size=3)
-    element = ops.element(draw(letters), draw(letters))
+    element = ops.element(draw(letters), [] if positive else draw(letters))
     if ops.is_identity(element):
         element = ops.element(ops.monoid.generators[:1])
     return Syllable(v, element)
@@ -62,8 +64,37 @@ def words(draw, min_size=0, max_size=6, min_vertices=1):
     return graph, draw(st.lists(syllables(graph), min_size=min_size, max_size=max_size))
 
 
+@st.composite
+def word_pairs(draw):
+    """(graph, w1, w2): w2 starts by undoing a suffix of w1, so the product
+    cancels and deletes where the two meet."""
+    graph, w1 = draw(words(max_size=3))
+    k = draw(st.integers(0, len(w1)))
+    w2 = inverses(graph, w1[len(w1) - k:])
+    return graph, w1, w2 + draw(st.lists(syllables(graph), max_size=3))
+
+
+@st.composite
+def fractions(draw):
+    """(graph, x) with x = p q^-1 for positive words p and q."""
+    graph, _ = draw(words(max_size=0, min_vertices=2))
+    p = draw(st.lists(syllables(graph, positive=True), max_size=5))
+    q = draw(st.lists(syllables(graph, positive=True), max_size=5))
+    return graph, graph.reduce(p + inverses(graph, q))
+
+
+def inverses(graph, word):
+    """The syllables of the inverse of word, as a raw list."""
+    return [Syllable(s.vertex, graph.ops[s.vertex].invert(s.element))
+            for s in reversed(word)]
+
+
 def state(x):
     return tuple((s.vertex, s.element) for s in x.syllables)
+
+
+def assert_degree_is_summed(graph, x):
+    assert x.degree == sum(graph.ops[s.vertex].degree(s.element) for s in x.syllables)
 
 
 def check_fraction(graph, x):
@@ -86,9 +117,41 @@ PATH3 = graph_of(("Z", "Z", "Z"), ((0, 1), (1, 2)))
 @given(words())
 def test_reduce_matches_both_oracles(case):
     graph, word = case
-    got = state(graph.reduce(word))
-    assert got == greedy_normal_form(graph, word)
-    assert got == bfs_normal_form(graph, word)
+    x = graph.reduce(word)
+    assert state(x) == greedy_normal_form(graph, word)
+    assert state(x) == bfs_normal_form(graph, word)
+    assert_degree_is_summed(graph, x)
+
+
+@DIFFERENTIAL
+@given(word_pairs())
+def test_product_of_normal_words_matches_both_oracles(case):
+    # multiply keeps x's canonical syllables and inserts only y's
+    graph, w1, w2 = case
+    xy = graph.multiply(graph.reduce(w1), graph.reduce(w2))
+    assert state(xy) == greedy_normal_form(graph, w1 + w2)
+    assert state(xy) == bfs_normal_form(graph, w1 + w2)
+    assert_degree_is_summed(graph, xy)
+
+
+@DIFFERENTIAL
+@given(words())
+def test_inverse_of_a_normal_word_matches_the_greedy_form(case):
+    graph, word = case
+    got = graph.invert(graph.reduce(word))
+    assert state(got) == greedy_normal_form(graph, inverses(graph, word))
+    assert_degree_is_summed(graph, got)
+
+
+@DIFFERENTIAL
+@given(fractions())
+def test_fraction_numerator_is_canonical_without_a_reduce(case):
+    graph, x = case
+    assert check_fraction(graph, x)
+    a, b = canonical_fraction(graph, x)
+    assert state(a) == greedy_normal_form(graph, a.syllables)
+    assert_degree_is_summed(graph, a)
+    assert_degree_is_summed(graph, b)
 
 
 @DIFFERENTIAL
