@@ -182,11 +182,11 @@ class CommutationGraph:
     def reduce(self, w):
         """Canonical reduced word for the element represented by w.
 
-        A NormalWord is its own reduction.  A raw list's vertices are
-        checked and its identities dropped; its degree is the input's sum.
+        Vertices are checked and identities dropped, a NormalWord's too (only
+        ``as_normal`` trusts one); the degree is the input's sum.
         """
         if isinstance(w, NormalWord):
-            return w
+            w = w.syllables
         sylls, degree = [], 0
         for s in w:
             self.check_vertex(s.vertex)
