@@ -23,7 +23,7 @@ from .factors import INFINITY
 from .graph import BallSizeExceeded
 from .order import (
     canonical_fraction,
-    lub_general,
+    lub,
     phi,
     rgcd,
     is_positive,
@@ -110,7 +110,7 @@ def cmd_len(graph, args):
 
 def cmd_lub(graph, args):
     x, y = _words(graph, args, 2)
-    return _result_word(graph, lub_general(graph, x, y))
+    return _result_word(graph, lub(graph, x, y))
 
 
 def cmd_rgcd(graph, args):

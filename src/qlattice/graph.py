@@ -241,9 +241,6 @@ class CommutationGraph:
                 return sylls[p].element, self.reduce(rest)
         return self.ops[vertex].identity, x
 
-    def vertices_of(self, x):
-        return {s.vertex for s in self.as_normal(x).syllables}
-
     # -- deterministic ordering ---------------------------------------------
 
     def syllable_key(self, s):

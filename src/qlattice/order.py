@@ -1,12 +1,10 @@
 """Order-theoretic algorithms on a graph product of quasi-lattice orders.
 
 The positive cone consists of the elements whose reduced expressions have
-all syllables in the factor cones.  Least upper bounds of positives are
-computed by the vertex-recursive algorithm: peel the least initial vertex
-I off both arguments, combine the factor lub of the I-syllables with the
-lub of the remainders, and fail (Infinity) when the I-adjacency
-compatibility conditions do not hold.  General elements reduce to the
-positive case through canonical fractions x = a b^-1 with rgcd(a, b) = 1.
+all syllables in the factor cones.  Every order question reduces to it
+through canonical fractions x = a b^-1 with rgcd(a, b) = 1: the lub of 1
+and a b^-1 is a, so x v y = x (1 v x^-1 y), and x v y is Infinity when
+x^-1 y is not such a fraction.
 """
 
 from __future__ import annotations
@@ -39,56 +37,19 @@ def leq_r(graph, x, y):
     return is_positive(graph, graph.multiply(y, graph.invert(x)))
 
 
-def _factor_lub(ops, a, b):
-    if ops.is_identity(a):
-        return b
-    if ops.is_identity(b):
-        return a
-    return ops.lub_or_infinity(a, b)
-
-
-def _peeled_lub(graph, vertex, x_i, x_rest, y_i, y_rest):
-    """x_I v y_I if the split parts are compatible at the vertex, else INFINITY.
-
-    With x = x_I x' and y = y_I y', the three-part condition: the factor
-    lub x_I v y_I must exist, and on each side either that lub is already
-    the peeled syllable or I is adjacent to every vertex of the remainder.
-    """
-    z = _factor_lub(graph.ops[vertex], x_i, y_i)
-    if z is INFINITY:
-        return INFINITY
-    for peeled, rest in ((x_i, x_rest), (y_i, y_rest)):
-        if peeled != z and not all(
-            graph.adjacent(vertex, v) for v in graph.vertices_of(rest)
-        ):
-            return INFINITY
-    return z
-
-
 def lub(graph, x, y):
-    """Least upper bound of two positives, or INFINITY.
+    """x v y for any two group elements, or INFINITY.
 
-    The recursion always peels the least vertex of the union of initial
-    vertex sets, which makes traces reproducible and guarantees that the
-    total length strictly decreases.
+    By left invariance x v y = x (1 v x^-1 y), and 1 v x^-1 y is the
+    a-part of the canonical fraction of x^-1 y, which exists exactly when
+    x and y have a common upper bound.
     """
     x, y = graph.as_normal(x), graph.as_normal(y)
-    if x.is_identity:
-        return y
-    if y.is_identity:
-        return x
-    candidates = graph.initial_vertices(x) | graph.initial_vertices(y)
-    vertex = min(candidates, key=graph.vertex_index.__getitem__)
-    x_i, x_rest = graph.initial_split(x, vertex)
-    y_i, y_rest = graph.initial_split(y, vertex)
-    z = _peeled_lub(graph, vertex, x_i, x_rest, y_i, y_rest)
-    if z is INFINITY:
+    try:
+        a, _ = canonical_fraction(graph, graph.multiply(graph.invert(x), y))
+    except NotInPPInvError:
         return INFINITY
-    rest = lub(graph, x_rest, y_rest)
-    if rest is INFINITY:
-        return INFINITY
-    head = [] if graph.ops[vertex].is_identity(z) else [Syllable(vertex, z)]
-    return graph.multiply(head, rest)
+    return graph.multiply(x, a)
 
 
 def canonical_fraction(graph, x):
@@ -116,10 +77,12 @@ def canonical_fraction(graph, x):
     ends at one with a_j != 1, the last with a_i = 1 (so b_i != 1) would
     depend on its successor, against the criterion.  Chains into the ideal
     stay in it, so it is reduced, and the greedy least-vertex extraction on
-    x, filtered to it, is the greedy extraction on it.
+    x, filtered to it, is the greedy extraction on it.  b's syllables come
+    from x's trusted word, so like ``invert`` it only inserts them, and
+    its degree is the sum of theirs.
     """
     x = graph.as_normal(x)
-    parts_a, parts_b = [], []
+    parts_a, parts_b, b_degree = [], [], 0
     negative = set()  # the vertices of the syllables so far with b_i != 1
     for s in x.syllables:
         ops = graph.ops[s.vertex]
@@ -131,23 +94,14 @@ def canonical_fraction(graph, x):
         if not ops.is_identity(b_i):
             negative.add(s.vertex)
             parts_b.append(Syllable(s.vertex, b_i))
-    b = graph.reduce(list(reversed(parts_b)))
-    return NormalWord(tuple(parts_a), x.degree + b.degree), b
+            b_degree += ops.degree(b_i)
+    b = NormalWord(tuple(graph._insert([], reversed(parts_b))), b_degree)
+    return NormalWord(tuple(parts_a), x.degree + b_degree), b
 
 
 def lub_general(graph, x, y):
-    """x v y for arbitrary group elements, or INFINITY.
-
-    By left invariance x v y = x * (least upper bound of x^-1 y in P), and
-    the latter is the a-part of the canonical fraction.
-    """
-    x, y = graph.as_normal(x), graph.as_normal(y)
-    z = graph.multiply(graph.invert(x), y)
-    try:
-        a, _ = canonical_fraction(graph, z)
-    except NotInPPInvError:
-        return INFINITY
-    return graph.multiply(x, a)
+    """The former name of :func:`lub`, which takes any two elements."""
+    return lub(graph, x, y)
 
 
 def rgcd(graph, u, v):
@@ -212,7 +166,7 @@ def phi_lub(graph, xi, eta):
     for v in graph.vertices:
         a = xi.component(graph, v)
         b = eta.component(graph, v)
-        z = _factor_lub(graph.ops[v], a, b)
+        z = graph.ops[v].lub_or_infinity(a, b)
         if z is INFINITY:
             return INFINITY
         out[v] = z

@@ -676,10 +676,7 @@ def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
     degrees = list(degrees)
     if degrees != sorted(degrees):
         raise ValueError("norm_curve needs the degrees in increasing order")
-    labels = graph.generator_labels()
-    gen_words = {}
-    for label, (v, e) in labels.items():
-        gen_words[label] = graph.reduce([graph.syllable(v, e)])
+    gen_words = dict(zip(graph.generator_labels(), graph.generator_words()))
     unknown = set(weights_by_label) - set(gen_words)
     if unknown:
         raise ValueError(f"unknown generator labels {sorted(unknown)}")
