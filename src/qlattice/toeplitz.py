@@ -18,11 +18,12 @@ in the ball and T_x e_w = e_z.  Range projections, covariance and defect
 are read off the table with no order test.  Norms are the exception: the
 compressed norm is a lower bound for the full one and is nondecreasing
 in the ball degree.  norm_estimate certifies it to a tolerance with a
-bracket on the top eigenvalue of A^T A: a dense solve of each connected
-block when no block is large (a Rayleigh quotient below, a Cholesky
-factorisation that succeeds in floating point above), else one sparse
-LDL^T factorisation of the whole matrix shifted just past a Lanczos
-estimate, with its residual bounded a posteriori.  norm_curve
+bracket on the top eigenvalue of the nonnegative matrix A^T A, read off
+one positive vector v: Rayleigh quotients below, the Collatz-Wielandt
+bound max_i (A^T A v)_i / v_i above.  v is one step of inverse iteration
+from just above the top eigenvalue, solved densely block by block when no
+connected block is large, else through one sparse factorisation of the
+whole matrix; nothing about the solve is trusted.  norm_curve
 assembles A once, on the largest ball, reads each smaller ball's A as a
 leading block, and reports the resulting lower bounds as a nondecreasing
 sequence.
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 # scipy.sparse is imported only inside the functions that build sparse
 # matrices, so balls, covariance and defect load numpy alone, and
-# scipy.sparse.linalg only inside _sparse_bracket, which small blocks skip.
+# scipy.sparse.linalg only inside _sparse_vector, which small blocks skip.
 import numpy as np
 
 from .factors import INFINITY
@@ -426,12 +427,12 @@ class NormNotCertified(ValueError):
     """The norm bracket did not close to the tolerance."""
 
 
-#: Largest connected block of B = A^T A that the dense bracket solves; a
-#: larger one sends the whole of B to the sparse bracket.  Measured on the
-#: presets with unit weights (2-core x86, OpenBLAS), dense against sparse:
-#: largest block 127 rows 2.2 and 2.4 ms, 192 rows 3.0 and 3.1 ms, 255
-#: rows 6.5 and 3.7 ms, 448 rows 24 and 4.9 ms.
-_DENSE_BLOCK = 200
+#: Largest connected block of B = A^T A that _dense_vector solves; a larger
+#: one sends all of B to _sparse_vector.  Measured on the presets with unit
+#: weights (2-core x86, OpenBLAS, best of 7), dense against sparse: largest
+#: block 71 rows 2.7 and 2.9 ms, 80 rows 0.9 and 1.1 ms, 120 rows 5.8 and
+#: 4.4 ms, 127 rows 1.6 and 1.6 ms, 192 rows 2.4 and 1.4 ms.
+_DENSE_BLOCK = 100
 
 
 def _weighted_sum(graph, weights, ball):
@@ -449,42 +450,52 @@ def _weighted_sum(graph, weights, ball):
     return acc.tocsr()
 
 
-def _dense_bracket(b, component):
-    """Lower and upper bounds on the largest eigenvalue of B = A^T A.
+def _bracket(b, v, component):
+    """Lower and upper bounds on the largest eigenvalue of B = A^T A from v.
 
-    Each connected block of B is solved exactly, the blocks of one size
-    stacked into one call each of eigvalsh, cholesky and solve.  For a
-    group of blocks of size s, take m = its largest computed eigenvalue
-    times 1 + s(s+1)u, where u = 2^-53 is the unit roundoff, and
-    C = fl(mI - B) for each block of the group.  Below: the largest
-    Rayleigh quotient of |v|, v = C^-1 (1, ..., 1).  That is one step of
-    inverse iteration shifted just above the top eigenvalue, so v is the
-    top eigenvector of the block with the group's largest eigenvalue to
-    about machine precision (B is nonnegative, so |v| does at least as
-    well as v); any v gives a lower bound.  v is scaled by a power of two
-    to a largest entry below 1, so v.v cannot underflow for a large m, and
-    the quotient is formed as v.(Bv) / v.v, sums of s terms each, like the
-    sparse bracket's, so the caller's rounding allowance covers both.
-    (eigh would give the vectors too, but its threaded divide-and-conquer
-    takes tens of milliseconds on some 31- and 63-row path3 blocks, a
-    hundred times eigvalsh.)  Above: factorise the C of the group.
-    Rump (2006, Verification of positive definiteness, BIT 46) proves
-    positive definiteness from a Cholesky factorisation that succeeds in
-    floating point, after a shift of order gamma_{s+1} trace.  The
-    statement used here: if the floating-point Cholesky factorisation of
-    a symmetric floating-point C of size s with nonnegative diagonal runs
-    to completion without underflow, then
-    lambda_min(C) >= -gamma_{s+1} / (1 - gamma_{s+1}) * trace(C), with
-    gamma_k = ku / (1 - ku).  (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 10.1: the factor R has R^T R = C + dC
-    with |dC| <= gamma_{s+1} |R^T||R|, and each column r_j of R has
-    |r_j|^2 <= c_jj / (1 - gamma_{s+1}).)  Here trace(C) <= s m, because
-    fl(m - b_ii) <= m, and forming C rounds only its diagonal, by at most
-    u/(1-u) m.  So every eigenvalue of B is at most
-    m (1 + 2s(s+1)u + 2u), plus s(s + 2 + m) times the smallest normal
-    float as a generous allowance for Rump's underflow term.  That holds
-    for any m; m only decides whether the factorisation succeeds, and the
-    upper bound is infinite if one fails.
+    B is entrywise nonnegative (the weights are, and each T_x is 0/1), so
+    any v with no zero entry gives a bracket; v only decides its width.
+    Take |v|, scaled on each connected component of B by a power of two
+    to a largest entry below 1, which changes no quotient below and keeps
+    v.v from underflowing.  Below: the largest Rayleigh quotient v.(Bv) /
+    v.v of a component, that is of a block of B; its sums are in the
+    caller's rounding allowance.  Above: the Collatz-Wielandt bound
+    max_i (Bv)_i / v_i (Horn and Johnson, Matrix Analysis, 8.1.26): with
+    D = diag(v), D^-1 B D is similar to B and nonnegative, so no
+    eigenvalue exceeds its largest row sum.  With k the largest row count
+    of B, u = 2^-53 and gamma_k = ku / (1 - ku), a computed (Bv)_i plus k
+    times the smallest subnormal float is at least 1 - gamma_k times the
+    exact sum of at most k nonnegative products (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.5); with the rounding of
+    that addition and of the division, the computed maximum times
+    1 + 2 gamma_{k+2}, rounded up, is an upper bound.  For v = (mI - B)^-1
+    (1, ..., 1), (Bv)_i / v_i = m - 1 / v_i, so with m just above the top
+    eigenvalue the bracket is tight.  A zero or non-finite entry in v
+    gives [0, inf].
+    """
+    v = np.abs(v)
+    if not (np.isfinite(v).all() and (v > 0).all()):
+        return 0.0, np.inf
+    peak = np.zeros(component.max() + 1)
+    np.maximum.at(peak, component, v)
+    v = np.ldexp(v, -np.frexp(peak)[1][component])
+    u = np.finfo(float).eps / 2
+    k = int(np.diff(b.indptr).max())
+    gamma = (k + 2) * u / (1 - (k + 2) * u)
+    w = b @ v
+    rayleigh = np.bincount(component, v * w) / np.bincount(component, v * v)
+    upper = float(((w + k * np.finfo(float).smallest_subnormal) / v).max())
+    return float(rayleigh.max()), float(np.nextafter(upper * (1 + 2 * gamma), np.inf))
+
+
+def _dense_vector(b, component):
+    """(mI - B)^-1 (1, ..., 1), solved densely block by block.
+
+    The blocks of one size s are stacked into one call each of eigvalsh
+    and solve (a zero vector if it fails), with m the group's largest
+    computed eigenvalue times 1 + s(s+1)u.  (eigh would give the vectors
+    too, but its threaded divide-and-conquer takes tens of milliseconds
+    on some 31- and 63-row path3 blocks, a hundred times eigvalsh.)
     """
     u = np.finfo(float).eps / 2
     tiny = np.finfo(float).tiny
@@ -495,7 +506,7 @@ def _dense_bracket(b, component):
     row, col = np.repeat(np.arange(len(component)), np.diff(b.indptr)), b.indices
     entry_size = sizes[component[row]]
     slot = np.empty(len(sizes), dtype=np.intp)
-    lower = upper = 0.0
+    v = np.empty(len(component))
     for s in np.unique(sizes):
         ids = np.flatnonzero(sizes == s)
         slot[ids] = np.arange(len(ids))
@@ -503,87 +514,40 @@ def _dense_bracket(b, component):
         blocks = np.zeros((len(ids), s, s))
         blocks[slot[component[row[keep]]], local[row[keep]], local[col[keep]]] = b.data[keep]
         m = max(float(np.linalg.eigvalsh(blocks)[:, -1].max()) * (1 + s * (s + 1) * u), tiny)
-        shifted = -blocks
-        shifted[:, np.arange(s), np.arange(s)] += m
         try:
-            np.linalg.cholesky(shifted)
-            v = np.abs(np.linalg.solve(shifted, np.ones((len(ids), s, 1))))
+            x = np.linalg.solve(m * np.eye(s) - blocks, np.ones((len(ids), s, 1)))
         except np.linalg.LinAlgError:
-            return lower, np.inf
-        upper = max(upper, m * (1 + 2 * s * (s + 1) * u + 2 * u) + s * (s + 2 + m) * tiny)
-        v = np.ldexp(v, -np.frexp(v.max(axis=1, keepdims=True))[1])
-        w = (blocks @ v)[:, :, 0]
-        v = v[:, :, 0]
-        rayleigh = np.einsum("gi,gi->g", v, w) / np.einsum("gi,gi->g", v, v)
-        lower = max(lower, float(rayleigh.max()))
-    return lower, upper
+            return np.zeros(len(component))
+        mine = sizes[component] == s
+        v[mine] = x[slot[component[mine]], local[mine], 0]
+    return v
 
 
-def _sparse_bracket(b, component):
-    """Lower and upper bounds on the largest eigenvalue of B = A^T A.
+def _sparse_vector(b):
+    """(mI - B)^-1 (1, ..., 1), through one sparse factorisation.
 
-    For a B with blocks too large for _dense_bracket.  Lanczos (eigsh from
-    the all-ones vector) estimates the top eigenvalue t; take m = t (1 +
-    10^-12), C = fl(mI - B), and factorise C = P L D L^T P^T with spilu: no
-    dropping under the fill cap, no pivoting, one symmetric fill-reducing
-    permutation P.  Nothing about the factors is trusted (Rump 2006).
-    Above: if every entry of the computed D is positive, M = P L D L^T P^T,
-    formed exactly from the floats, is positive semidefinite by Sylvester's
-    law of inertia; then mI - B = M + E has no eigenvalue below -|E|_inf
-    (the row-sum norm bounds the 2-norm of a symmetric matrix), and every
-    eigenvalue of B is at most m plus the largest row sum of |E|.  With k
-    the largest row count of L, gamma_k = ku / (1 - ku), u = 2^-53 and R =
-    fl(C - fl(L D L^T)), each entry of L D L^T is a sum of at most k
-    products of three floats, so |E| <= |R| + gamma_{k+2} (|C| +
-    |L||D||L^T|) (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3.5); the |C| term also covers the rounding of C's diagonal,
-    and the row sums of |L||D||L^T| take three products with a vector.  A
-    computed sum of nonnegative floats is at least half the exact one, so
-    the bound doubles these sums, adds n (k + 2) times the smallest normal
-    float for underflow, and rounds up.  The upper bound is infinite if
-    Lanczos does not converge, or spilu fails, pivots or leaves a pivot
-    that is not positive.  Below: the largest per-component Rayleigh
-    quotient of |v|, v = C^-1 (1, ..., 1), as in _dense_bracket.  C^-1 is
-    the sum of B^j / m^(j+1) over j >= 0, so every entry of v is at least
-    1/m, and scaling v to a largest entry below 1 keeps v.(Bv) from
-    overflowing without any entry of v underflowing.  The fill cap keeps L
-    and U within 40 times the memory of C (square4 at degree 12, the
-    largest preset ball under the default size cap, fills 31 times with
-    generator weights); past it spilu drops entries, and the residual keeps
-    the upper bound from closing.
+    Lanczos (eigsh from the all-ones vector) estimates the top eigenvalue
+    t, m = t (1 + 10^-12), and spilu factorises C = fl(mI - B) with one
+    symmetric fill-reducing permutation, no pivoting and no dropping
+    under the fill cap.  The cap keeps the factors within 40 times the
+    memory of C (square4 at degree 12, the largest preset ball under the
+    default size cap, fills 31 times with generator weights); past it
+    spilu drops entries, and the bracket from the inexact v does not
+    close.  A zero vector if Lanczos or the factorisation fails.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh, spilu
-    u = np.finfo(float).eps / 2
-    tiny = np.finfo(float).tiny
     n = b.shape[0]
     ones = np.ones(n)
     try:
         top = float(eigsh(b, k=1, which="LA", v0=ones, return_eigenvectors=False)[0])
-        m = max(top * (1 + 1e-12), tiny)
+        m = max(top * (1 + 1e-12), np.finfo(float).tiny)
         c = (m * sp.identity(n, format="csc") - b).tocsc()
         lu = spilu(c, drop_tol=0, fill_factor=40, permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0, options={"SymmetricMode": True})
     except RuntimeError:  # eigsh did not converge, or spilu met a singular pivot
-        return 0.0, np.inf
-    d = lu.U.diagonal()
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and (d > 0).all()):
-        return 0.0, np.inf
-    v = np.abs(lu.solve(ones))
-    v = np.ldexp(v, -np.frexp(v.max())[1])
-    rayleigh = np.bincount(component, v * (b @ v)) / np.bincount(component, v * v)
-    # spilu factorises C with rows and columns permuted alike: L U = C[q][:, q]
-    q = np.argsort(lu.perm_r)
-    low = lu.L.tocsr()
-    del lu
-    c = c[q][:, q]
-    k = int(np.diff(low.indptr).max())
-    gamma = (k + 2) * u / (1 - (k + 2) * u)
-    size = abs(low)
-    err = abs(c - low @ sp.diags(d) @ low.T) @ ones + gamma * (
-        abs(c) @ ones + size @ (d * (size.T @ ones)))
-    upper = (m + 2 * float(err.max()) + n * (k + 2) * tiny) * (1 + 4 * u)
-    return float(rayleigh.max()), upper
+        return np.zeros(n)
+    return lu.solve(ones)
 
 
 def _certified_norm(a, terms, tol):
@@ -618,7 +582,8 @@ def _certified_norm(a, terms, tol):
                       shape=(len(rows),) * 2)
     component = _component_labels(b)
     dense = np.bincount(component).max() <= _DENSE_BLOCK
-    lower, upper = (_dense_bracket if dense else _sparse_bracket)(b, component)
+    v = _dense_vector(b, component) if dense else _sparse_vector(b)
+    lower, upper = _bracket(b, v, component)
     sub = np.finfo(float).smallest_subnormal
     lower = max(float(np.ldexp(lower, shift)) - sub, 0.0)
     upper = float(np.ldexp(upper, shift)) + sub
@@ -639,14 +604,11 @@ def norm_estimate(graph, weights, ball, tol=1e-9):
     """Certified lower bound on the norm of the compressed sum lambda_x T_x.
 
     The norm is the square root of the largest eigenvalue of B = A^T A,
-    restricted to its nonzero rows.  B is block diagonal over its
-    connected components.  If no block has more than _DENSE_BLOCK rows,
-    _dense_bracket solves every block exactly: a Rayleigh quotient from
-    below, a Cholesky factorisation that succeeds in floating point from
-    above.  Otherwise _sparse_bracket brackets the whole of B: a Rayleigh
-    quotient from below, a sparse LDL^T factorisation of a shift just
-    past the Lanczos estimate, with its residual bounded, from above.
-    Both ends of the bracket are widened by the rounding error of the
+    restricted to its nonzero rows, which _bracket bounds from one vector:
+    a Rayleigh quotient below, the Collatz-Wielandt bound above.  The
+    vector is one step of inverse iteration, solved block by block
+    (_dense_vector) if no connected block of B has more than _DENSE_BLOCK
+    rows, else through one sparse factorisation (_sparse_vector).  Both ends of the bracket are widened by the rounding error of the
     float sums behind them and behind B (Higham's gamma_k bound, with k
     from the row and weight counts), so a bracket is always at least
     2 * slack * lower wide.  Returns the lower end once the bracket is at

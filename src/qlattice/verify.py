@@ -65,10 +65,8 @@ def check_normal_forms(graph, rng, samples):
     return True, None
 
 
-def check_lub_oracle(graph, rng, degree, cap, samples):
+def check_lub_oracle(graph, rng, small, big, samples):
     """lub() against the common-upper-bound scan of an enumerated ball."""
-    small = enumerate_ball(graph, degree)
-    big = enumerate_ball(graph, cap)
     bitsets = oracles.product_upper_bitsets(graph, small.elements, big)
     pool = list(small.elements)
     for _ in range(samples):
@@ -81,9 +79,8 @@ def check_lub_oracle(graph, rng, degree, cap, samples):
     return True, None
 
 
-def check_fractions(graph, rng, degree, samples):
+def check_fractions(graph, rng, ball, samples):
     """Canonical fraction minimality, rgcd, and pair uniqueness."""
-    ball = enumerate_ball(graph, degree)
     pool = list(ball.elements)
     for _ in range(samples):
         u, v = rng.choice(pool), rng.choice(pool)
@@ -106,9 +103,8 @@ def check_fractions(graph, rng, degree, samples):
     return True, None
 
 
-def check_phi(graph, rng, degree, samples):
+def check_phi(graph, rng, ball, samples):
     """Injectivity on bounded pairs and compatibility with lubs."""
-    ball = enumerate_ball(graph, degree)
     pool = list(ball.elements)
     for _ in range(samples):
         x, y = rng.choice(pool), rng.choice(pool)
@@ -124,8 +120,7 @@ def check_phi(graph, rng, degree, samples):
     return True, None
 
 
-def check_covariance(graph, rng, degree, samples):
-    ball = enumerate_ball(graph, degree)
+def check_covariance(graph, rng, ball, samples):
     pool = list(ball.elements)
     for _ in range(samples):
         x, y = rng.choice(pool), rng.choice(pool)
@@ -135,23 +130,25 @@ def check_covariance(graph, rng, degree, samples):
     return True, None
 
 
-def check_defect(graph, degree):
-    ball = enumerate_ball(graph, degree)
+def check_defect(graph, ball):
     diag = defect_product_diag(graph, graph.generator_words(), ball)
     if diag[0] != 1:
         return False, "defect projection vanishes at the identity vector"
     return True, None
 
 
-def run_verification(graph, seed=0, samples=50, degree=3, cap=6):
+def run_verification(graph, seed=0, samples=50, degree=3, cap=6, size_cap=200_000):
+    """Run every check; each ball is enumerated under ``size_cap``."""
     rng = random.Random(seed)
+    ball = enumerate_ball(graph, degree, size_cap=size_cap)
     checks = {
         "normal_forms": lambda: check_normal_forms(graph, rng, samples),
-        "lub_oracle": lambda: check_lub_oracle(graph, rng, degree, cap, samples),
-        "canonical_fractions": lambda: check_fractions(graph, rng, degree, samples),
-        "phi": lambda: check_phi(graph, rng, degree, samples),
-        "covariance": lambda: check_covariance(graph, rng, degree, samples),
-        "defect": lambda: check_defect(graph, degree),
+        "lub_oracle": lambda: check_lub_oracle(
+            graph, rng, ball, enumerate_ball(graph, cap, size_cap=size_cap), samples),
+        "canonical_fractions": lambda: check_fractions(graph, rng, ball, samples),
+        "phi": lambda: check_phi(graph, rng, ball, samples),
+        "covariance": lambda: check_covariance(graph, rng, ball, samples),
+        "defect": lambda: check_defect(graph, ball),
     }
     report = {}
     for name, run in checks.items():

@@ -244,6 +244,18 @@ class TestAnalysisCommands:
         )
         assert code == 0 and doc["result"]["ok"] is True
 
+    @pytest.mark.parametrize("cap", [20, 100])
+    def test_verify_respects_max_ball(self, run, cap):
+        # square4 balls of degree 3 and 6 hold 49 and 769 elements: a cap
+        # of 20 stops the first ball verify enumerates, 100 the lub oracle's
+        argv = ["--ctx", "square4", "--max-degree", "3", "--max-ball", str(cap)]
+        for command in ("ball", "verify"):
+            code, doc = run_json(run, command, *argv)
+            if command == "ball" and cap == 100:
+                assert code == 0
+                continue
+            assert code == 1 and doc["error"]["kind"] == "BallSizeExceeded"
+
 
 class TestErrorHandling:
     def test_unknown_context(self, run):

@@ -30,9 +30,10 @@ from qlattice.cli import _load_context
 from qlattice.oracles import dense_norm, dense_operator
 from qlattice.toeplitz import (
     _DENSE_BLOCK,
+    _bracket,
     _component_labels,
-    _dense_bracket,
-    _sparse_bracket,
+    _dense_vector,
+    _sparse_vector,
 )
 
 from conftest import nw
@@ -489,7 +490,7 @@ class TestNorms:
         assert len(set(zip(got.tolist(), want.tolist()))) == count
 
     @staticmethod
-    def check_bracket(bracket, name, degree):
+    def bracket_case(name, degree):
         # with generator weights alone B has a constant diagonal; the
         # square of a generator makes it vary
         graph = _load_context(name)
@@ -498,20 +499,36 @@ class TestNorms:
         weights = {x: lam for x, lam in zip(gens, (1.0, 1e-3, 0.3, 0.7))}
         weights[graph.multiply(gens[0], gens[0])] = 0.5
         b = nonzero_gram(graph, ball, weights)
-        exact = np.linalg.eigvalsh(b.toarray())[-1]
-        lower, upper = bracket(b, _component_labels(b))
+        return b, _component_labels(b), np.linalg.eigvalsh(b.toarray())[-1]
+
+    def check_bracket(self, source, name, degree):
+        b, component, exact = self.bracket_case(name, degree)
+        lower, upper = _bracket(b, source(b, component), component)
         assert lower <= exact * (1 + 1e-13) and exact <= upper
         assert upper - lower <= 1e-10 * exact
 
     @pytest.mark.parametrize("name,degree", BRACKET_CASES)
     def test_dense_bracket_contains_the_top_eigenvalue(self, name, degree):
-        self.check_bracket(_dense_bracket, name, degree)
+        self.check_bracket(_dense_vector, name, degree)
 
     @pytest.mark.parametrize("name,degree", [*BRACKET_CASES, ("square4", 7)])
     def test_sparse_bracket_contains_the_top_eigenvalue(self, name, degree):
-        # the sparse bracket serves blocks past _DENSE_BLOCK (square4 at
-        # degree 7 is one block of 769 rows here) but holds on any B
-        self.check_bracket(_sparse_bracket, name, degree)
+        # the sparse vector serves blocks past _DENSE_BLOCK (square4 at
+        # degree 7 is one block of 769 rows here) but serves any B
+        self.check_bracket(lambda b, component: _sparse_vector(b), name, degree)
+
+    @pytest.mark.parametrize("name,degree", BRACKET_CASES)
+    def test_any_positive_vector_gives_a_bracket(self, name, degree):
+        # nothing about the vector is trusted: a poor one only widens the
+        # bracket, and one that is not positive gives none
+        b, component, exact = self.bracket_case(name, degree)
+        rng = np.random.default_rng(0)
+        for v in (np.ones(b.shape[0]), rng.uniform(0.5, 1.0, b.shape[0])):
+            lower, upper = _bracket(b, v, component)
+            assert lower <= exact * (1 + 1e-13) and exact <= upper
+        v = np.ones(b.shape[0])
+        v[b.shape[0] // 2] = 0.0
+        assert _bracket(b, v, component) == (0.0, np.inf)
 
     @pytest.mark.parametrize(
         "name,degree", [("free2", 6), ("path3", 8), ("square4", 6), ("b3", 10), ("b4", 6)]
@@ -538,12 +555,10 @@ class TestNorms:
             val = norm_estimate(graph, weights, ball)
             assert val <= dense_norm(graph, weights, ball) <= val + 1e-9 * max(val, 1.0)
 
-    @pytest.mark.parametrize("failure", ["lanczos", "singular", "negative pivot"])
+    @pytest.mark.parametrize("failure", ["lanczos", "singular", "non-finite solve"])
     def test_failed_sparse_factorisation_raises(self, monkeypatch, failure):
-        # each way _sparse_bracket can fail leaves the upper bound infinite
+        # each way _sparse_vector can fail leaves the upper bound infinite
         import scipy.sparse.linalg as sla
-
-        spilu = sla.spilu
 
         def no_lanczos(*args, **kwargs):
             raise sla.ArpackNoConvergence("no convergence", [], [])
@@ -551,11 +566,12 @@ class TestNorms:
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        def negated(c, **kwargs):
-            return spilu(-c, **kwargs)
+        class NaNFactor:
+            def solve(self, rhs):
+                return np.full_like(rhs, np.nan)
 
         broken = {"lanczos": ("eigsh", no_lanczos), "singular": ("spilu", singular),
-                  "negative pivot": ("spilu", negated)}[failure]
+                  "non-finite solve": ("spilu", lambda c, **kwargs: NaNFactor())}[failure]
         monkeypatch.setattr(sla, *broken)
         graph = _load_context("square4")
         ball = enumerate_ball(graph, 7)
@@ -563,13 +579,23 @@ class TestNorms:
         with pytest.raises(NormNotCertified, match=r"\[0, inf\] is wider than"):
             norm_estimate(graph, weights, ball)
 
+    def test_failed_dense_solve_raises(self, monkeypatch, free2):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        ball = enumerate_ball(free2, 5)
+        weights = {x: 1.0 for x in free2.generator_words()}
+        with pytest.raises(NormNotCertified, match=r"\[0, inf\] is wider than"):
+            norm_estimate(free2, weights, ball)
+
     @pytest.mark.parametrize("scale", [1e141, 1e-150])
     @pytest.mark.parametrize("name,degree", [("free2", 9), ("square4", 7)])
     def test_extreme_weight_scales_certify(self, name, degree, scale):
-        # free2 takes the dense bracket, square4 at degree 7 the sparse one.
+        # free2 takes the dense vector, square4 at degree 7 the sparse one.
         # At 1e141 an inverse-iteration vector left unscaled overflows
         # v.(Bv) or underflows v.v; at 1e-150 B must be scaled up before
-        # either bracket, or v.v underflows and the norm reads 0.
+        # either vector is solved for, or v.v underflows and the norm reads 0.
         graph = _load_context(name)
         ball = enumerate_ball(graph, degree)
         weights = {x: scale * (1 + 0.1 * i) for i, x in enumerate(graph.generator_words())}
