@@ -17,21 +17,15 @@ reaches: such a z is x w with w positive of degree deg z - deg x, so w is
 in the ball and T_x e_w = e_z.  Range projections, covariance and defect
 are read off the table with no order test.  Norms are the exception: the
 compressed norm is a lower bound for the full one and is nondecreasing
-in the ball degree.  norm_estimate certifies it to a tolerance with a
-bracket on the top eigenvalue of the nonnegative matrix A^T A, read off
-one positive vector v: Rayleigh quotients below, the Collatz-Wielandt
-bound max_i (A^T A v)_i / v_i above.  v is one step of inverse iteration
-from just above the top eigenvalue, solved densely block by block when no
-connected block is large, else through one sparse factorisation of the
-whole matrix; nothing about the solve is trusted.  norm_curve
-assembles A once, on the largest ball, reads each smaller ball's A as a
-leading block, and reports the resulting lower bounds as a nondecreasing
-sequence.
+in the ball degree.  norm_estimate certifies it with a bracket on the
+top eigenvalue of each block of the nonnegative matrix A^T A, read off
+one positive vector whose solve is not trusted.  With generator weights
+A^T A links only elements of equal degree, so norm_curve brackets each
+degree layer of the largest ball once and reads every degree off them.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -428,10 +422,10 @@ class NormNotCertified(ValueError):
 
 
 #: Largest connected block of B = A^T A that _dense_vector solves; a larger
-#: one sends all of B to _sparse_vector.  Measured on the presets with unit
-#: weights (2-core x86, OpenBLAS, best of 7), dense against sparse: largest
-#: block 71 rows 2.7 and 2.9 ms, 80 rows 0.9 and 1.1 ms, 120 rows 5.8 and
-#: 4.4 ms, 127 rows 1.6 and 1.6 ms, 192 rows 2.4 and 1.4 ms.
+#: one sends its layer to _sparse_vector.  Unit weights on the presets, dense
+#: against sparse (2-core x86, OpenBLAS, best of 7): largest block 71 rows 2.7
+#: and 2.9 ms, 80 rows 0.9 and 1.1, 120 rows 5.8 and 4.4, 127 rows 1.6 and
+#: 1.6, 192 rows 2.4 and 1.4.
 _DENSE_BLOCK = 100
 
 
@@ -451,31 +445,32 @@ def _weighted_sum(graph, weights, ball):
 
 
 def _bracket(b, v, component):
-    """Lower and upper bounds on the largest eigenvalue of B = A^T A from v.
+    """Per-component bounds on the largest eigenvalue of B = A^T A from v.
 
-    B is entrywise nonnegative (the weights are, and each T_x is 0/1), so
-    any v with no zero entry gives a bracket; v only decides its width.
-    Take |v|, scaled on each connected component of B by a power of two
-    to a largest entry below 1, which changes no quotient below and keeps
-    v.v from underflowing.  Below: the largest Rayleigh quotient v.(Bv) /
-    v.v of a component, that is of a block of B; its sums are in the
-    caller's rounding allowance.  Above: the Collatz-Wielandt bound
-    max_i (Bv)_i / v_i (Horn and Johnson, Matrix Analysis, 8.1.26): with
-    D = diag(v), D^-1 B D is similar to B and nonnegative, so no
-    eigenvalue exceeds its largest row sum.  With k the largest row count
-    of B, u = 2^-53 and gamma_k = ku / (1 - ku), a computed (Bv)_i plus k
-    times the smallest subnormal float is at least 1 - gamma_k times the
-    exact sum of at most k nonnegative products (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 3.5); with the rounding of
-    that addition and of the division, the computed maximum times
-    1 + 2 gamma_{k+2}, rounded up, is an upper bound.  For v = (mI - B)^-1
-    (1, ..., 1), (Bv)_i / v_i = m - 1 / v_i, so with m just above the top
-    eigenvalue the bracket is tight.  A zero or non-finite entry in v
-    gives [0, inf].
+    Returns arrays of lower and upper ends, one per connected component c
+    of B, read off B and v on c alone: each pair bounds the block B_c by
+    itself, and maxima over components bound their direct sum, as
+    lambda_max(B) = max_c lambda_max(B_c).  B is entrywise nonnegative
+    (the weights are, and each T_x is 0/1), so any v with no zero entry on
+    c brackets B_c; v only decides the width.  v is taken as |v|, scaled on
+    each component by a power of two to a largest entry below 1, which
+    changes no quotient and keeps v.v from underflowing.  Below: the
+    Rayleigh quotient v.(Bv) / v.v on c, its sums in the caller's rounding
+    allowance.  Above: the Collatz-Wielandt bound max_{i in c} (Bv)_i / v_i
+    (Horn and Johnson, Matrix Analysis, 8.1.26: D^-1 B_c D, D = diag(v), is
+    similar to B_c).  With k the largest row count of B, u = 2^-53 and
+    gamma_k = ku / (1 - ku), a computed (Bv)_i plus k times the smallest
+    subnormal float is at least 1 - gamma_k times the exact sum of at most
+    k nonnegative products (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.5); with the rounding of that addition and of the
+    division, the computed maximum times 1 + 2 gamma_{k+2}, rounded up, is
+    an upper bound.  For v = (mI - B_c)^-1 (1, ..., 1), (Bv)_i / v_i =
+    m - 1 / v_i, so m just above the top eigenvalue of B_c makes the
+    bracket tight.  A component where v has a zero or non-finite entry
+    gets [0, inf].
     """
-    v = np.abs(v)
-    if not (np.isfinite(v).all() and (v > 0).all()):
-        return 0.0, np.inf
+    broken = np.bincount(component, ~(np.isfinite(v) & (v != 0))) > 0
+    v = np.where(broken[component], 1.0, np.abs(v))
     peak = np.zeros(component.max() + 1)
     np.maximum.at(peak, component, v)
     v = np.ldexp(v, -np.frexp(peak)[1][component])
@@ -483,22 +478,25 @@ def _bracket(b, v, component):
     k = int(np.diff(b.indptr).max())
     gamma = (k + 2) * u / (1 - (k + 2) * u)
     w = b @ v
-    rayleigh = np.bincount(component, v * w) / np.bincount(component, v * v)
-    upper = float(((w + k * np.finfo(float).smallest_subnormal) / v).max())
-    return float(rayleigh.max()), float(np.nextafter(upper * (1 + 2 * gamma), np.inf))
+    lower = np.bincount(component, v * w) / np.bincount(component, v * v)
+    upper = np.zeros(len(peak))
+    np.maximum.at(upper, component, (w + k * np.finfo(float).smallest_subnormal) / v)
+    upper = np.nextafter(upper * (1 + 2 * gamma), np.inf)
+    lower[broken], upper[broken] = 0.0, np.inf
+    return lower, upper
 
 
 def _dense_vector(b, component):
-    """(mI - B)^-1 (1, ..., 1), solved densely block by block.
+    """(M - B)^-1 (1, ..., 1), solved densely block by block.
 
-    The blocks of one size s are stacked into one call each of eigvalsh
-    and solve (a zero vector if it fails), with m the group's largest
-    computed eigenvalue times 1 + s(s+1)u.  (eigh would give the vectors
-    too, but its threaded divide-and-conquer takes tens of milliseconds
-    on some 31- and 63-row path3 blocks, a hundred times eigvalsh.)
+    M is m on a block of size s, m its own largest computed eigenvalue
+    times 1 + s(s+1)u, so every block's bracket is tight, not only the
+    top one's.  The blocks of one size are stacked into one call each of
+    eigvalsh and solve (a zero vector if it fails).  (eigh would give the
+    vectors too, but its threaded divide-and-conquer takes tens of ms on
+    some 31- and 63-row path3 blocks, a hundred times eigvalsh.)
     """
-    u = np.finfo(float).eps / 2
-    tiny = np.finfo(float).tiny
+    u, tiny = np.finfo(float).eps / 2, np.finfo(float).tiny
     sizes = np.bincount(component)
     order = np.argsort(component, kind="stable")
     local = np.empty(len(component), dtype=np.intp)
@@ -507,15 +505,15 @@ def _dense_vector(b, component):
     entry_size = sizes[component[row]]
     slot = np.empty(len(sizes), dtype=np.intp)
     v = np.empty(len(component))
-    for s in np.unique(sizes):
+    for s in np.unique(sizes[component]):
         ids = np.flatnonzero(sizes == s)
         slot[ids] = np.arange(len(ids))
         keep = entry_size == s
         blocks = np.zeros((len(ids), s, s))
         blocks[slot[component[row[keep]]], local[row[keep]], local[col[keep]]] = b.data[keep]
-        m = max(float(np.linalg.eigvalsh(blocks)[:, -1].max()) * (1 + s * (s + 1) * u), tiny)
+        m = np.maximum(np.linalg.eigvalsh(blocks)[:, -1] * (1 + s * (s + 1) * u), tiny)
         try:
-            x = np.linalg.solve(m * np.eye(s) - blocks, np.ones((len(ids), s, 1)))
+            x = np.linalg.solve(m[:, None, None] * np.eye(s) - blocks, np.ones((len(ids), s, 1)))
         except np.linalg.LinAlgError:
             return np.zeros(len(component))
         mine = sizes[component] == s
@@ -550,90 +548,95 @@ def _sparse_vector(b):
     return lu.solve(ones)
 
 
-def _certified_norm(a, terms, tol):
-    """Certified lower bound on the norm of the csr matrix a.
+def _certified_norms(a, layer, tops, terms, tol):
+    """Certified lower bounds on the norm of the csr matrix a cut to its
+    columns of layer below n, for each n in tops (see norm_estimate).
 
-    ``terms`` is the number of weighted isometries summed into a, which
-    bounds the float sums behind each entry of B = a^T a.  Returns the
-    lower end of a bracket at most tol * max(lower, 1) wide; see
-    norm_estimate.
+    ``layer`` numbers the columns, nondecreasing, and B = a^T a links no
+    two layers.  Each layer is bracketed once, from a vector solved by
+    _dense_vector if none of its blocks has over _DENSE_BLOCK rows (all in
+    one call), else by _sparse_vector; each n reads the running maximum of
+    the layer ends below it.  ``terms``, the number of weighted isometries
+    summed into a, bounds the float sums behind each entry of B.
     """
     import scipy.sparse as sp
-    if not np.isfinite(tol):
-        raise ValueError(f"the tolerance must be finite, not {tol}")
     b = a.T @ a
     if not np.isfinite(b.data).all():
         raise ValueError("A^T A overflows the float range: the weights are too "
                          "large to square")
-    # B is symmetric, so its compressed arrays read the same by rows or by
-    # columns, and dropping its empty rows and columns is a relabelling
+    # B is symmetric, so its empty rows are its empty columns, and dropping
+    # them relabels the rest in order: each layer's rows stay contiguous
     rows = np.flatnonzero(np.diff(b.indptr))
     if not rows.size:
-        return 0.0
-    position = np.empty(b.shape[0], dtype=np.intp)
-    position[rows] = np.arange(len(rows))
+        return [0.0] * len(tops)
+    group = layer[rows]
+    count = np.bincount(group, minlength=layer[-1] + 1)
+    below = np.cumsum(count)
+    position = np.cumsum(np.diff(b.indptr) > 0) - 1
     indptr = np.append(b.indptr[rows], b.indptr[-1])
-    # a power of two scales B exactly; scaling up a B whose entries are all
-    # below 1 keeps the brackets' pivots and solves clear of the subnormal
-    # range, and scaling the bounds back rounds each by less than the
-    # smallest subnormal float
+    # a power of two scales B exactly, up from entries below 1 to keep the
+    # solves clear of subnormals; scaling back rounds by under a subnormal
     shift = min(int(np.frexp(b.data.max())[1]), 0)
     b = sp.csr_matrix((np.ldexp(b.data, -shift), position[b.indices], indptr),
                       shape=(len(rows),) * 2)
     component = _component_labels(b)
-    dense = np.bincount(component).max() <= _DENSE_BLOCK
-    v = _dense_vector(b, component) if dense else _sparse_vector(b)
-    lower, upper = _bracket(b, v, component)
+    sparse = np.unique(group[np.bincount(component)[component] > _DENSE_BLOCK])
+    dense = ~np.isin(group, sparse)
+    v = np.empty(len(rows))
+    v[dense] = _dense_vector(b if dense.all() else b[dense][:, dense], component[dense])
+    for d in sparse:
+        span = slice(below[d] - count[d], below[d])
+        v[span] = _sparse_vector(b[span, span])
+    ends = np.zeros((len(count), 2))
+    np.maximum.at(ends, group, np.stack(_bracket(b, v, component), axis=1)[component])
+    lower, upper = np.ldexp(np.maximum.accumulate(ends), shift).T
     sub = np.finfo(float).smallest_subnormal
-    lower = max(float(np.ldexp(lower, shift)) - sub, 0.0)
-    upper = float(np.ldexp(upper, shift)) + sub
-    slack = (3 * len(rows) + terms + 8) * np.finfo(float).eps
-    lo = float(np.sqrt(lower)) * (1 - slack)
-    hi = float(np.sqrt(upper)) * (1 + slack)
-    if lo <= hi and hi - lo <= tol * max(lo, 1.0):
-        return lo
-    if tol * max(lo, 1.0) < 2 * slack * lo:
-        raise NormNotCertified(
-            f"the tolerance {tol:g} is below {2 * slack * lo / max(lo, 1.0):.3g}, "
-            f"the least the norm bracket [{lo:.15g}, {hi:.15g}] can close to")
-    raise NormNotCertified(
-        f"norm bracket [{lo:.15g}, {hi:.15g}] is wider than the tolerance {tol:g}")
+    slack = (3 * below + terms + 8) * np.finfo(float).eps
+    lower = np.sqrt(np.maximum(lower - sub, 0.0)) * (1 - slack)
+    upper = np.sqrt(upper + sub) * (1 + slack)
+    at = np.asarray(tops) - 1
+    for lo, hi, margin in zip(lower[at], upper[at], slack[at]):
+        if not (lo <= hi and hi - lo <= tol * max(lo, 1.0)):
+            least = 2 * margin * lo / max(lo, 1.0)
+            raise NormNotCertified(
+                f"the tolerance {tol:g} is below {least:.3g}, the least the norm bracket "
+                f"[{lo:.15g}, {hi:.15g}] can close to" if tol < least else
+                f"norm bracket [{lo:.15g}, {hi:.15g}] is wider than the tolerance {tol:g}")
+    return lower[at].tolist()
 
 
 def norm_estimate(graph, weights, ball, tol=1e-9):
     """Certified lower bound on the norm of the compressed sum lambda_x T_x.
 
-    The norm is the square root of the largest eigenvalue of B = A^T A,
-    restricted to its nonzero rows, which _bracket bounds from one vector:
-    a Rayleigh quotient below, the Collatz-Wielandt bound above.  The
-    vector is one step of inverse iteration, solved block by block
-    (_dense_vector) if no connected block of B has more than _DENSE_BLOCK
-    rows, else through one sparse factorisation (_sparse_vector).  Both ends of the bracket are widened by the rounding error of the
-    float sums behind them and behind B (Higham's gamma_k bound, with k
-    from the row and weight counts), so a bracket is always at least
-    2 * slack * lower wide.  Returns the lower end once the bracket is at
-    most tol * max(lower, 1) wide, so the exact norm lies in
-    [result, result + tol * max(result, 1)].  Raises ValueError if B
-    overflows the float range, and NormNotCertified if the bracket is
-    wider than the tolerance, saying so when the tolerance is below what
-    the rounding allowance lets any bracket reach.
+    The norm is the square root of the top eigenvalue of B = A^T A, which
+    _certified_norms brackets as one layer (_bracket), with both ends
+    widened by the rounding error of the float sums behind them and B
+    (Higham's gamma_k, k from the row and weight counts): a bracket is at
+    least 2 * slack * lower wide.  Returns its lower end once it is at
+    most tol * max(lower, 1) wide, so the exact norm lies in [result,
+    result + tol * max(result, 1)].  Raises ValueError if B overflows the
+    float range, and NormNotCertified if the bracket is wider than the
+    tolerance, saying so when no bracket can close to it.
     """
-    return _certified_norm(_weighted_sum(graph, weights, ball), len(weights), tol)
+    a = _weighted_sum(graph, weights, ball)
+    if not np.isfinite(tol):
+        raise ValueError(f"the tolerance must be finite, not {tol}")
+    return _certified_norms(a, np.zeros(len(ball), dtype=np.intp), [1], len(weights), tol)[0]
 
 
 def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
     """Rows (degree, ball size, certified norm) for generator weights.
 
     The ball is enumerated, and A = sum lambda_x T_x assembled, once, at
-    the largest degree.  The basis is sorted by degree and degree is
-    additive, so T_x e_y leaves the ball of degree n exactly when
-    deg xy > n: the ball of degree n is a prefix of k elements, and its A
-    is the leading block A[:k, :k].  Each value is the running maximum of
-    the certified lower bounds (norm_estimate) over the degrees so far.
-    That is still a lower bound within tol of the exact norm, because
-    A_{n-1} is the compression of A_n to the smaller ball; the values are
-    nondecreasing in the degree.  The degrees must therefore be given in
-    increasing order.
+    the largest degree.  The weights sit on generators, of degree 1, so A
+    maps degree layer d into layer d + 1 and B = A^T A links only equal
+    degrees.  The ball of degree n is a prefix, and its A a leading block
+    whose columns of degree n leave the ball, so its B is the direct sum
+    of B's layer blocks below n: each layer is certified once, and each n
+    reads the running maximum of the brackets below it (_certified_norms).
+    The values are nondecreasing, flat where no new layer beats the top,
+    and each is kept at least the one before, since the slack grows with n
+    and could dip a flat step by an ulp.  Degrees increase from 1.
     """
     degrees = list(degrees)
     if degrees != sorted(degrees):
@@ -644,19 +647,16 @@ def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
         raise ValueError(f"unknown generator labels {sorted(unknown)}")
     if not degrees:
         return []
-    if degrees[0] < 0:
-        raise ValueError(f"ball degrees must be >= 0, not {degrees[0]}")
+    if degrees[0] < 1:
+        raise ValueError(f"ball degrees must be >= 0, not {degrees[0]}" if degrees[0] < 0 else
+                         "weight support must lie inside the ball: generators have degree 1")
+    if not weights_by_label:
+        raise ValueError("norm_curve needs a nonempty weight function")
+    if not np.isfinite(tol):
+        raise ValueError(f"the tolerance must be finite, not {tol}")
     big = enumerate_ball(graph, degrees[-1], size_cap=size_cap)
-    weights = {gen_words[k]: w for k, w in weights_by_label.items()}
-    a = _weighted_sum(graph, weights, big)
-    ball_degrees = [x.degree for x in big.elements]
-    rows = []
-    best = 0.0
-    for n in degrees:
-        if n < 1:
-            # generator weights have degree 1, so the ball of degree 0 misses them
-            raise ValueError("weight support must lie inside the ball")
-        k = bisect.bisect_right(ball_degrees, n)
-        best = max(best, _certified_norm(a[:k, :k], len(weights), tol))
-        rows.append((n, k, best))
-    return rows
+    a = _weighted_sum(graph, {gen_words[k]: w for k, w in weights_by_label.items()}, big)
+    layer = np.array([x.degree for x in big.elements])
+    values = _certified_norms(a, layer, degrees, len(weights_by_label), tol)
+    sizes = np.searchsorted(layer, degrees, side="right").tolist()
+    return list(zip(degrees, sizes, itertools.accumulate(values, max)))

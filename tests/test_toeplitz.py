@@ -31,6 +31,7 @@ from qlattice.oracles import dense_norm, dense_operator
 from qlattice.toeplitz import (
     _DENSE_BLOCK,
     _bracket,
+    _certified_norms,
     _component_labels,
     _dense_vector,
     _sparse_vector,
@@ -78,6 +79,19 @@ TABLE_CASES = {
     "b3": (6, [(("v", "st"),), (("v", "sts"),), (("v", "tts"),)]),
     "b4": (5, [(("v", "su"),), (("v", "stu"),), (("v", "tsut"),)]),
 }
+
+
+def check_curve_rows(graph, by_label, degrees, tol=1e-9):
+    """norm_curve's rows against dense_norm on separately enumerated balls."""
+    words = dict(zip(graph.generator_labels(), graph.generator_words()))
+    weights = {words[label]: lam for label, lam in by_label.items()}
+    rows = norm_curve(graph, by_label, degrees, tol=tol)
+    assert [n for n, _, _ in rows] == list(degrees)
+    for n, size, val in rows:
+        ball = enumerate_ball(graph, n)
+        assert size == len(ball)
+        exact = dense_norm(graph, weights, ball)
+        assert val <= exact <= val + tol * max(val, 1.0), n
 
 
 class TestCayleyTable:
@@ -135,6 +149,31 @@ class TestCayleyTable:
             assert size == len(ball)
             exact = dense_norm(graph, weights, ball)
             assert val <= exact <= val + tol * max(val, 1.0)
+
+    @pytest.mark.parametrize(
+        "name,degree", [("free2", 6), ("path3", 5), ("square4", 4), ("b3", 7), ("b4", 5)]
+    )
+    def test_gram_matrix_splits_into_degree_layers(self, name, degree):
+        # norm_curve certifies each degree layer of B = A^T A once and reads
+        # the ball of degree n off the layers below n; checked here on a
+        # dense B from the oracle operators and on separately enumerated balls
+        graph = _load_context(name)
+        gens = graph.generator_words()
+        weights = {x: 1.0 / len(gens) for x in gens}
+        ball = enumerate_ball(graph, degree)
+        a = sum(lam * dense_operator(graph, x, ball) for x, lam in weights.items())
+        b = a.T @ a
+        layer = np.array([x.degree for x in ball.elements])
+        rows, cols = np.nonzero(b)
+        assert np.array_equal(layer[rows], layer[cols])
+        tops = [np.linalg.eigvalsh(b[np.ix_(layer == d, layer == d)])[-1]
+                for d in range(degree)]
+        for n in range(1, degree + 1):
+            exact = dense_norm(graph, weights, enumerate_ball(graph, n))
+            assert exact == pytest.approx(math.sqrt(max(tops[:n])), abs=1e-12), n
+
+    def test_curve_over_non_contiguous_degrees(self, b3):
+        check_curve_rows(b3, {"s": 0.5, "t": 0.5}, [2, 5, 9])
 
     def test_size_cap_still_applies(self, path3):
         with pytest.raises(BallSizeExceeded):
@@ -501,34 +540,52 @@ class TestNorms:
         b = nonzero_gram(graph, ball, weights)
         return b, _component_labels(b), np.linalg.eigvalsh(b.toarray())[-1]
 
-    def check_bracket(self, source, name, degree):
+    @staticmethod
+    def block_tops(b, component):
+        """The top eigenvalue of each block of b, by dense eigvalsh."""
+        dense = b.toarray()
+        blocks = (np.flatnonzero(component == c) for c in range(component.max() + 1))
+        return np.array([np.linalg.eigvalsh(dense[np.ix_(r, r)])[-1] for r in blocks])
+
+    def check_bracket(self, source, name, degree, each_tight):
+        # _bracket bounds every block by itself; the top block's bracket
+        # is tight, and with the dense vector every block's is
         b, component, exact = self.bracket_case(name, degree)
+        tops = self.block_tops(b, component)
         lower, upper = _bracket(b, source(b, component), component)
-        assert lower <= exact * (1 + 1e-13) and exact <= upper
-        assert upper - lower <= 1e-10 * exact
+        assert (lower <= tops * (1 + 1e-13)).all() and (tops <= upper).all()
+        assert upper.max() - lower.max() <= 1e-10 * exact
+        if each_tight:
+            assert (upper - lower <= 1e-10 * tops).all()
 
     @pytest.mark.parametrize("name,degree", BRACKET_CASES)
     def test_dense_bracket_contains_the_top_eigenvalue(self, name, degree):
-        self.check_bracket(_dense_vector, name, degree)
+        self.check_bracket(_dense_vector, name, degree, each_tight=True)
 
     @pytest.mark.parametrize("name,degree", [*BRACKET_CASES, ("square4", 7)])
     def test_sparse_bracket_contains_the_top_eigenvalue(self, name, degree):
         # the sparse vector serves blocks past _DENSE_BLOCK (square4 at
         # degree 7 is one block of 769 rows here) but serves any B
-        self.check_bracket(lambda b, component: _sparse_vector(b), name, degree)
+        self.check_bracket(lambda b, component: _sparse_vector(b), name, degree,
+                           each_tight=False)
 
     @pytest.mark.parametrize("name,degree", BRACKET_CASES)
     def test_any_positive_vector_gives_a_bracket(self, name, degree):
         # nothing about the vector is trusted: a poor one only widens the
         # bracket, and one that is not positive gives none
-        b, component, exact = self.bracket_case(name, degree)
+        b, component, _ = self.bracket_case(name, degree)
+        tops = self.block_tops(b, component)
         rng = np.random.default_rng(0)
         for v in (np.ones(b.shape[0]), rng.uniform(0.5, 1.0, b.shape[0])):
             lower, upper = _bracket(b, v, component)
-            assert lower <= exact * (1 + 1e-13) and exact <= upper
+            assert (lower <= tops * (1 + 1e-13)).all() and (tops <= upper).all()
+        # a zero entry voids the bracket of its own block only
         v = np.ones(b.shape[0])
         v[b.shape[0] // 2] = 0.0
-        assert _bracket(b, v, component) == (0.0, np.inf)
+        lower, upper = _bracket(b, v, component)
+        void = np.arange(len(tops)) == component[b.shape[0] // 2]
+        assert (lower[void] == 0.0).all() and (upper[void] == np.inf).all()
+        assert (lower <= tops * (1 + 1e-13)).all() and np.isfinite(upper[~void]).all()
 
     @pytest.mark.parametrize(
         "name,degree", [("free2", 6), ("path3", 8), ("square4", 6), ("b3", 10), ("b4", 6)]
@@ -637,6 +694,57 @@ class TestNorms:
         for degrees in ([0], [0, 1, 2]):
             with pytest.raises(ValueError, match="inside the ball"):
                 norm_curve(free2, {"a": 1.0}, degrees)
+
+    @pytest.mark.parametrize("weights,degrees,tol,match", [
+        ({"a": 1.0}, [0, 30], 1e-9, "inside the ball"),
+        ({"a": 1.0}, [1, 30], math.nan, "must be finite"),
+        ({}, [1, 30], 1e-9, "norm_curve needs a nonempty weight function"),
+    ], ids=["degree-0", "nan-tolerance", "no-weights"])
+    def test_curve_validates_before_enumerating(self, path3, weights, degrees, tol, match):
+        # the ball of degree 30 is far past the size cap, so each of these
+        # must be rejected before the ball is enumerated
+        with pytest.raises(ValueError, match=match):
+            norm_curve(path3, weights, degrees, tol=tol, size_cap=1000)
+
+    def test_curve_solves_each_block_size_once(self, b3, monkeypatch):
+        # one stacked eigvalsh per block size of the largest ball's B,
+        # however many degrees the curve reads off it
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        norm_curve(b3, {"s": 0.5, "t": 0.5}, range(1, 9))
+        b = nonzero_gram(b3, enumerate_ball(b3, 8), {x: 0.5 for x in b3.generator_words()})
+        sizes = np.unique(np.bincount(_component_labels(b)))
+        assert len(calls) <= len(sizes) == 5
+
+    def test_curve_mixes_dense_and_sparse_layers(self, path3, monkeypatch):
+        # with unit weights the layers of path3 below degree 8 have blocks
+        # of 2^(d+1) - 1 rows: layers 6 and 7 (127 and 255) take the sparse
+        # vector, one factorisation each, and the lower ones the dense one
+        big = enumerate_ball(path3, 8)
+        b = nonzero_gram(path3, big, {x: 1.0 for x in path3.generator_words()})
+        assert np.unique(np.bincount(_component_labels(b))).tolist() == [
+            1, 3, 7, 15, 31, 63, 127, 255]
+        layer_rows = np.bincount([x.degree for x in big.elements])[6:8].tolist()
+        sizes = []
+        sparse_vector = toeplitz._sparse_vector
+        monkeypatch.setattr(toeplitz, "_sparse_vector",
+                            lambda b: sizes.append(b.shape[0]) or sparse_vector(b))
+        check_curve_rows(path3, {"a": 1.0, "b": 1.0, "c": 1.0}, range(1, 9))
+        assert sizes == layer_rows
+
+    def test_each_layer_certifies_under_its_own_shift(self):
+        # blocks of one size recur in several layers with different top
+        # eigenvalues; shifted by the largest of them, a lower layer's
+        # block gets an upper end above its own top, and its degree fails
+        check_curve_rows(_load_context("b4"), {"s": 0.8, "t": 0.5, "u": 0.6}, range(1, 7))
+
+    def test_each_degree_reads_every_layer_below_it(self):
+        # a layer below the newest one may hold the top eigenvalue
+        import scipy.sparse as sp
+        a = sp.csr_matrix(np.diag([2.0, 1.0]))
+        got = _certified_norms(a, np.array([0, 1]), [1, 2], 1, 1e-9)
+        assert got == pytest.approx([2.0, 2.0], rel=1e-12)
 
     def test_b3_closed_form(self, b3):
         # the dense-SVD norms of (T_s + T_t)/2 follow
