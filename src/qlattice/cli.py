@@ -175,6 +175,7 @@ def cmd_defect(graph, args):
 def cmd_relcheck(graph, args):
     from .toeplitz import IsometryFamily, check_graph_relations, enumerate_ball
     from .toeplitz import check_toeplitz_relations
+    ball = enumerate_ball(graph, args.max_degree, size_cap=args.max_ball)
     if args.rep:
         with open(args.rep) as fh:
             matrices = json.load(fh)
@@ -184,12 +185,10 @@ def cmd_relcheck(graph, args):
             family = IsometryFamily(graph, matrices)
         except ValueError as exc:
             raise InputError("parse", str(exc)) from exc
-        ball = enumerate_ball(graph, args.max_degree, size_cap=args.max_ball)
         report = check_graph_relations(
             family, tol=args.tolerance, ball=ball, seed=args.seed
         )
     else:
-        ball = enumerate_ball(graph, args.max_degree, size_cap=args.max_ball)
         report = check_toeplitz_relations(graph, ball)
     payload = {
         "ok": report.ok,
@@ -239,40 +238,43 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, words="*", **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    # the flag groups a subcommand takes when it reads them
+    words, ball, tolerance, seed = (argparse.ArgumentParser(add_help=False)
+                                    for _ in range(4))
+    words.add_argument("--in", dest="infile", help="JSON file with word literals")
+    words.add_argument("words", nargs="*", help="word literals (JSON)")
+    ball.add_argument("--max-degree", type=int, default=4)
+    ball.add_argument("--max-ball", type=int, default=200_000)
+    tolerance.add_argument("--tolerance", type=float, default=1e-9,
+                           help="relation residual bound for relcheck; for "
+                           "norm-curve, the width of the certified norm bracket")
+    seed.add_argument("--seed", type=int, default=0)
+
+    def add(name, fn, *parents, **kwargs):
+        p = sub.add_parser(name, parents=parents, **kwargs)
         p.add_argument("--ctx", required=True, help="context file or preset name")
-        p.add_argument("--in", dest="infile", help="JSON file with word literals")
         p.add_argument("--out", help="write the result to a file")
-        p.add_argument("--max-degree", type=int, default=4)
-        p.add_argument("--max-ball", type=int, default=200_000)
-        p.add_argument("--tolerance", type=float, default=1e-9,
-                       help="relation residual bound for relcheck; for "
-                       "norm-curve, the width of the certified norm bracket")
-        p.add_argument("--seed", type=int, default=0)
-        if words is not None:
-            p.add_argument("words", nargs=words, help="word literals (JSON)")
         p.set_defaults(fn=fn)
         return p
 
-    add("nf", cmd_nf, help="canonical normal form of a word")
-    add("eq", cmd_eq, help="whether two words represent the same element")
-    add("len", cmd_len, help="syllable length of the represented element")
-    add("lub", cmd_lub, help="least upper bound, or infinity")
-    add("rgcd", cmd_rgcd, help="greatest common right divisor of positives")
-    add("fraction", cmd_fraction, help="canonical fraction a b^-1")
-    add("phi", cmd_phi, help="image in the direct product of the factors")
-    add("ball", cmd_ball, words=None, help="enumerate the positive cone ball")
-    add("cov-check", cmd_cov_check, help="covariance identity over a ball")
-    add("defect", cmd_defect, help="defect projection support over a ball")
-    p = add("relcheck", cmd_relcheck, words=None,
+    add("nf", cmd_nf, words, help="canonical normal form of a word")
+    add("eq", cmd_eq, words, help="whether two words represent the same element")
+    add("len", cmd_len, words, help="syllable length of the represented element")
+    add("lub", cmd_lub, words, help="least upper bound, or infinity")
+    add("rgcd", cmd_rgcd, words, help="greatest common right divisor of positives")
+    add("fraction", cmd_fraction, words, help="canonical fraction a b^-1")
+    add("phi", cmd_phi, words, help="image in the direct product of the factors")
+    add("ball", cmd_ball, ball, help="enumerate the positive cone ball")
+    add("cov-check", cmd_cov_check, words, ball, help="covariance identity over a ball")
+    add("defect", cmd_defect, words, ball, help="defect projection support over a ball")
+    p = add("relcheck", cmd_relcheck, ball, tolerance, seed,
             help="check the graph-product relations of a representation")
     p.add_argument("--rep", help="JSON file mapping generator labels to matrices")
-    p = add("norm-curve", cmd_norm_curve, words=None,
+    p = add("norm-curve", cmd_norm_curve, ball, tolerance,
             help="CSV of truncated convolution norms by ball degree")
     p.add_argument("--weights", required=True,
                    help='JSON weights by generator label, e.g. {"s":0.5,"t":0.5}')
-    p = add("verify", cmd_verify, words=None,
+    p = add("verify", cmd_verify, ball, seed,
             help="run the sampled oracle/property suite")
     p.add_argument("--samples", type=int, default=50)
 
@@ -297,7 +299,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not math.isfinite(args.tolerance):
+        if "tolerance" in args and not math.isfinite(args.tolerance):
             raise InputError("parse", f"--tolerance {args.tolerance} is not finite")
         graph = _load_context(args.ctx)
         result = args.fn(graph, args)

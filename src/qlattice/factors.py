@@ -1,6 +1,7 @@
-"""Factor groups pluggable into a graph product.
+"""The factor groups of a graph product, built from their specs by
+factor_from_spec.
 
-Two kinds of factor are supported: the integers with positive cone the
+Two kinds of factor exist: the integers with positive cone the
 naturals, and finite-type Artin groups with the Artin monoid as positive
 cone.  Artin monoid arithmetic (equality, least common multiples, greatest
 common right divisors) is done by subword reversing: the generator rule
@@ -24,9 +25,9 @@ from itertools import permutations
 
 INFINITE = math.inf
 
-#: Sentinel returned by lub_or_infinity when no common upper bound exists.
-#: (Never returned by the Z or finite-type Artin factors, where every pair
-#: of elements is bounded; graph products produce it.)
+#: Sentinel that order.lub returns when two elements of a graph product
+#: have no common upper bound.  (Factor lub_or_infinity never returns it:
+#: in Z and in a finite-type Artin group every pair is bounded.)
 class _Infinity:
     __slots__ = ()
 

@@ -70,16 +70,15 @@ class CommutationGraph:
     """
 
     def __init__(self, vertices, edges):
-        """vertices: iterable of (name, factor_ops_or_spec); edges: pairs of names."""
+        """vertices: iterable of (name, factor spec), a spec as in
+        factor_from_spec; edges: pairs of names."""
         self.vertices = []
         self.ops = {}
         for name, factor in vertices:
             if name in self.ops:
                 raise ValueError(f"duplicate vertex {name!r}")
             self.vertices.append(name)
-            self.ops[name] = (
-                factor if hasattr(factor, "is_positive") else factor_from_spec(factor)
-            )
+            self.ops[name] = factor_from_spec(factor)
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
         adjacent = {v: set() for v in self.vertices}
         for a, b in edges:
@@ -180,13 +179,12 @@ class CommutationGraph:
         return out
 
     def reduce(self, w):
-        """Canonical reduced word for the element represented by w.
+        """Canonical reduced word for the element spelled by the syllables w.
 
-        Vertices are checked and identities dropped, a NormalWord's too (only
-        ``as_normal`` trusts one); the degree is the input's sum.
+        The one way from syllables to a NormalWord: vertices are checked and
+        identities dropped; the degree is the input's sum.  Every other word
+        operation takes NormalWords and trusts their syllables.
         """
-        if isinstance(w, NormalWord):
-            w = w.syllables
         sylls, degree = [], 0
         for s in w:
             self.check_vertex(s.vertex)
@@ -196,29 +194,23 @@ class CommutationGraph:
                 degree += ops.degree(s.element)
         return NormalWord(tuple(self._insert([], sylls)), degree)
 
-    def as_normal(self, x):
-        """x itself when it is a NormalWord, else the reduction of its syllables."""
-        return x if isinstance(x, NormalWord) else self.reduce(x)
-
     def normal(self, literal):
         """Convenience: build a NormalWord from (vertex, element) pairs."""
         return self.reduce([self.syllable(v, e) for v, e in literal])
 
     def equal(self, x, y):
-        return self.as_normal(x).syllables == self.as_normal(y).syllables
+        return x.syllables == y.syllables
 
     # -- group operations ---------------------------------------------------
 
     def multiply(self, x, y):
         """xy: a canonical x is its own reduction, so only y is inserted."""
-        x, y = self.as_normal(x), self.as_normal(y)
         out = self._insert(list(x.syllables), y.syllables)
         return NormalWord(tuple(out), x.degree + y.degree)
 
     def invert(self, x):
         """x^-1: x's inverse syllables, reversed, are already reduced, so
         inserting them only re-sorts them."""
-        x = self.as_normal(x)
         inverses = (Syllable(s.vertex, self.ops[s.vertex].invert(s.element))
                     for s in reversed(x.syllables))
         return NormalWord(tuple(self._insert([], inverses)), -x.degree)
@@ -226,14 +218,12 @@ class CommutationGraph:
     # -- initial structure --------------------------------------------------
 
     def initial_vertices(self, x):
-        sylls = list(self.as_normal(x).syllables)
-        return {sylls[p].vertex for p in self._initial_positions(sylls)}
+        return {x.syllables[p].vertex for p in self._initial_positions(x.syllables)}
 
     def initial_split(self, x, vertex):
         """(x_I, x') with x = x_I x'; x_I is the factor identity when I is
         not an initial vertex."""
         self.check_vertex(vertex)
-        x = self.as_normal(x)
         sylls = list(x.syllables)
         for p in self._initial_positions(sylls):
             if sylls[p].vertex == vertex:
@@ -249,7 +239,6 @@ class CommutationGraph:
         )
 
     def sort_key(self, x):
-        x = self.as_normal(x)
         return (
             x.degree,
             len(x.syllables),

@@ -92,7 +92,7 @@ def element_to_json(graph, vertex, element):
 def word_to_json(graph, x):
     return [
         [s.vertex, element_to_json(graph, s.vertex, s.element)]
-        for s in graph.as_normal(x).syllables
+        for s in x.syllables
     ]
 
 

@@ -23,7 +23,6 @@ class NotInPPInvError(ValueError):
 
 
 def is_positive(graph, x):
-    x = graph.as_normal(x)
     return all(graph.ops[s.vertex].is_positive(s.element) for s in x.syllables)
 
 
@@ -44,7 +43,6 @@ def lub(graph, x, y):
     a-part of the canonical fraction of x^-1 y, which exists exactly when
     x and y have a common upper bound.
     """
-    x, y = graph.as_normal(x), graph.as_normal(y)
     try:
         a, _ = canonical_fraction(graph, graph.multiply(graph.invert(x), y))
     except NotInPPInvError:
@@ -81,7 +79,6 @@ def canonical_fraction(graph, x):
     from x's trusted word, so like ``invert`` it only inserts them, and
     its degree is the sum of theirs.
     """
-    x = graph.as_normal(x)
     parts_a, parts_b, b_degree = [], [], 0
     negative = set()  # the vertices of the syllables so far with b_i != 1
     for s in x.syllables:
@@ -106,7 +103,6 @@ def lub_general(graph, x, y):
 
 def rgcd(graph, u, v):
     """Greatest common lower bound of two positives for the right order."""
-    u, v = graph.as_normal(u), graph.as_normal(v)
     if not (is_positive(graph, u) and is_positive(graph, v)):
         raise ValueError("rgcd is defined on positive elements")
     a, _ = canonical_fraction(graph, graph.multiply(u, graph.invert(v)))
@@ -151,7 +147,6 @@ def phi(graph, x):
     The component at I is the ordered product of the syllables of x
     belonging to I; this is a group homomorphism onto the direct product.
     """
-    x = graph.as_normal(x)
     acc = {}
     for s in x.syllables:
         ops = graph.ops[s.vertex]
@@ -160,14 +155,9 @@ def phi(graph, x):
 
 
 def phi_lub(graph, xi, eta):
-    """Componentwise lub in the direct product, INFINITY if any component
-    has no bound."""
-    out = {}
-    for v in graph.vertices:
-        a = xi.component(graph, v)
-        b = eta.component(graph, v)
-        z = graph.ops[v].lub_or_infinity(a, b)
-        if z is INFINITY:
-            return INFINITY
-        out[v] = z
-    return direct_product_element(graph, out)
+    """Componentwise lub in the direct product: every Z or finite-type
+    Artin factor bounds any two of its elements, so it is always finite."""
+    return direct_product_element(graph, {
+        v: graph.ops[v].lub_or_infinity(xi.component(graph, v), eta.component(graph, v))
+        for v in graph.vertices
+    })

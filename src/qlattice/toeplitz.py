@@ -125,10 +125,8 @@ def _letters(graph, x):
 
 
 def _positive(graph, x, message):
-    x = graph.as_normal(x)
     if not is_positive(graph, x):
         raise ValueError(message)
-    return x
 
 
 def _walk(graph, x, ball):
@@ -149,7 +147,7 @@ def _walk(graph, x, ball):
 def toeplitz_op(graph, x, ball):
     """The compression of T_x to the ball: e_y -> e_{xy} while xy stays in."""
     import scipy.sparse as sp
-    x = _positive(graph, x, "Toeplitz isometries are indexed by positive elements")
+    _positive(graph, x, "Toeplitz isometries are indexed by positive elements")
     rows, cols = _walk(graph, x, ball)
     n = len(ball)
     mat = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
@@ -159,7 +157,7 @@ def toeplitz_op(graph, x, ball):
 def range_projection_diag(graph, x, ball):
     """Diagonal of T_x T_x^*: 1 at z iff x <= z, that is (the ball being
     divisor closed) iff T_x reaches row z.  Exact on the ball."""
-    x = _positive(graph, x, "range projections are indexed by positive elements")
+    _positive(graph, x, "range projections are indexed by positive elements")
     diag = np.zeros(len(ball), dtype=int)
     diag[_walk(graph, x, ball)[0]] = 1
     return diag
@@ -240,7 +238,7 @@ class IsometryFamily:
 
     def of(self, x):
         """V(x) for positive x, multiplied along the canonical expression."""
-        x = _positive(self.graph, x, "the extension is defined on positive elements")
+        _positive(self.graph, x, "the extension is defined on positive elements")
         letters = [(label, False) for label in _letters(self.graph, x)]
         return _product(letters, self.matrices, np.eye(self.dimension, dtype=complex))
 
@@ -429,14 +427,23 @@ class NormNotCertified(ValueError):
 _DENSE_BLOCK = 100
 
 
-def _weighted_sum(graph, weights, ball):
-    """A = sum lambda_x T_x over the ball, as a csr matrix."""
+def _check_norm_inputs(caller, weights, tol):
+    """Reject, before any enumeration or assembly, what no norm can be
+    certified for: no weights, a weight that is negative or not finite,
+    or a tolerance that is not finite."""
     if not weights:
-        raise ValueError("norm_estimate needs a nonempty weight function")
+        raise ValueError(f"{caller} needs a nonempty weight function")
+    if not all(0 <= lam < np.inf for lam in weights.values()):  # NaN fails too
+        raise ValueError("weights must be finite and nonnegative")
+    if not np.isfinite(tol):
+        raise ValueError(f"the tolerance must be finite, not {tol}")
+
+
+def _weighted_sum(graph, weights, ball):
+    """A = sum lambda_x T_x over the ball, as a csr matrix; the weights
+    are checked (_check_norm_inputs)."""
     acc = None
     for x, lam in sorted(weights.items(), key=lambda kv: graph.sort_key(kv[0])):
-        if lam < 0:
-            raise ValueError("weights must be nonnegative")
         if x not in ball:
             raise ValueError("weight support must lie inside the ball")
         term = lam * toeplitz_op(graph, x, ball).matrix
@@ -614,13 +621,13 @@ def norm_estimate(graph, weights, ball, tol=1e-9):
     (Higham's gamma_k, k from the row and weight counts): a bracket is at
     least 2 * slack * lower wide.  Returns its lower end once it is at
     most tol * max(lower, 1) wide, so the exact norm lies in [result,
-    result + tol * max(result, 1)].  Raises ValueError if B overflows the
-    float range, and NormNotCertified if the bracket is wider than the
-    tolerance, saying so when no bracket can close to it.
+    result + tol * max(result, 1)].  Raises ValueError on inputs that
+    _check_norm_inputs rejects or if B overflows the float range, and
+    NormNotCertified if the bracket is wider than the tolerance, saying
+    so when no bracket can close to it.
     """
+    _check_norm_inputs("norm_estimate", weights, tol)
     a = _weighted_sum(graph, weights, ball)
-    if not np.isfinite(tol):
-        raise ValueError(f"the tolerance must be finite, not {tol}")
     return _certified_norms(a, np.zeros(len(ball), dtype=np.intp), [1], len(weights), tol)[0]
 
 
@@ -638,6 +645,7 @@ def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
     and each is kept at least the one before, since the slack grows with n
     and could dip a flat step by an ulp.  Degrees increase from 1.
     """
+    _check_norm_inputs("norm_curve", weights_by_label, tol)
     degrees = list(degrees)
     if degrees != sorted(degrees):
         raise ValueError("norm_curve needs the degrees in increasing order")
@@ -650,10 +658,6 @@ def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
     if degrees[0] < 1:
         raise ValueError(f"ball degrees must be >= 0, not {degrees[0]}" if degrees[0] < 0 else
                          "weight support must lie inside the ball: generators have degree 1")
-    if not weights_by_label:
-        raise ValueError("norm_curve needs a nonempty weight function")
-    if not np.isfinite(tol):
-        raise ValueError(f"the tolerance must be finite, not {tol}")
     big = enumerate_ball(graph, degrees[-1], size_cap=size_cap)
     a = _weighted_sum(graph, {gen_words[k]: w for k, w in weights_by_label.items()}, big)
     layer = np.array([x.degree for x in big.elements])

@@ -160,5 +160,5 @@ def run_verification(graph, seed=0, samples=50, degree=3, cap=6, size_cap=200_00
         if detail:
             entry["detail"] = detail
         report[name] = entry
-    report["ok"] = all(entry["ok"] for entry in report.values() if isinstance(entry, dict))
+    report["ok"] = all(entry["ok"] for entry in report.values())
     return report

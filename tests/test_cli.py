@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 import qlattice
-from qlattice.cli import main
+from qlattice.cli import build_parser, main
 from qlattice.oracles import dense_norm
 from qlattice.toeplitz import enumerate_ball
 
@@ -123,6 +124,11 @@ class TestLatticeCommands:
         )
         assert code == 0
         assert doc["result"] == {"a": [["v", "s"]], "b": [["v", "t"]]}
+
+    def test_nf_prints_a_fraction_syllable(self, run):
+        code, out = run("nf", "--ctx", "b3", json.dumps([["v", {"num": "s", "den": "t"}]]))
+        assert code == 0
+        assert out == '{"ok": true, "result": [["v", {"den": "t", "num": "s"}]]}\n'
 
     def test_fraction_outside_ppinv(self, run):
         code, doc = run_json(
@@ -256,6 +262,12 @@ class TestAnalysisCommands:
                 continue
             assert code == 1 and doc["error"]["kind"] == "BallSizeExceeded"
 
+    def test_verify_reports_a_failed_check(self, run, monkeypatch):
+        monkeypatch.setattr("qlattice.verify.lub", lambda graph, x, y: x)
+        code, doc = run_json(run, "verify", "--ctx", "free2", "--samples", "20")
+        assert code == 1 and doc["error"]["kind"] == "verification-failure"
+        assert doc["error"]["detail"]["ok"] is False
+
 
 class TestErrorHandling:
     def test_unknown_context(self, run):
@@ -374,6 +386,36 @@ def commands(*argvs):
 
 
 B3_ST, B3_TS = json.dumps([["v", "st"]]), json.dumps([["v", "ts"]])
+
+
+#: The flags each subcommand reads, besides --ctx and --out, which all take.
+WORDS, BALL = {"--in", "words"}, {"--max-degree", "--max-ball"}
+FLAGS = {
+    **dict.fromkeys(["nf", "eq", "len", "lub", "rgcd", "fraction", "phi"], WORDS),
+    "ball": BALL,
+    "cov-check": WORDS | BALL,
+    "defect": WORDS | BALL,
+    "relcheck": BALL | {"--tolerance", "--seed", "--rep"},
+    "norm-curve": BALL | {"--tolerance", "--weights"},
+    "verify": BALL | {"--seed", "--samples"},
+}
+
+
+class TestParser:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self, capsys):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {a.option_strings[0] if a.option_strings else a.dest
+                   for a in p._actions if not isinstance(a, argparse._HelpAction)}
+            for name, p in sub.choices.items()
+        }
+        assert got == {name: flags | {"--ctx", "--out"} for name, flags in FLAGS.items()}
+        assert sum(map(len, got.values())) == 63
+        # a flag the subcommand does not read is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["nf", "--ctx", "b3", "--max-ball", "1", "--seed", "4", B3_ST])
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestStartup:

@@ -64,6 +64,10 @@ class TestConeBall:
         with pytest.raises(BallSizeExceeded):
             enumerate_ball(path3, 30, size_cap=100)
 
+    def test_negative_degree_rejected(self, path3):
+        with pytest.raises(ValueError, match=">= 0"):
+            enumerate_ball(path3, -1)
+
     def test_position_roundtrip(self, b3):
         ball = enumerate_ball(b3, 3)
         for i, x in enumerate(ball.elements):
@@ -674,6 +678,9 @@ class TestNorms:
             norm_estimate(free2, {}, ball)
         with pytest.raises(ValueError):
             norm_estimate(free2, {nw(free2, ("a", 1)): -1.0}, ball)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                norm_estimate(free2, {nw(free2, ("a", 1)): bad}, ball)
         with pytest.raises(ValueError):
             norm_estimate(free2, {nw(free2, ("a", 9)): 1.0}, ball)
         for tol in (math.nan, math.inf):
@@ -699,7 +706,9 @@ class TestNorms:
         ({"a": 1.0}, [0, 30], 1e-9, "inside the ball"),
         ({"a": 1.0}, [1, 30], math.nan, "must be finite"),
         ({}, [1, 30], 1e-9, "norm_curve needs a nonempty weight function"),
-    ], ids=["degree-0", "nan-tolerance", "no-weights"])
+        ({"a": -1.0}, [1, 30], 1e-9, "finite and nonnegative"),
+        ({"a": math.nan}, [1, 30], 1e-9, "finite and nonnegative"),
+    ], ids=["degree-0", "nan-tolerance", "no-weights", "negative-weight", "nan-weight"])
     def test_curve_validates_before_enumerating(self, path3, weights, degrees, tol, match):
         # the ball of degree 30 is far past the size cap, so each of these
         # must be rejected before the ball is enumerated
