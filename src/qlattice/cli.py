@@ -223,7 +223,7 @@ def cmd_verify(graph, args):
     from .verify import run_verification
     report = run_verification(
         graph, seed=args.seed, samples=args.samples, degree=args.max_degree,
-        cap=min(2 * args.max_degree, args.max_degree + 3), size_cap=args.max_ball,
+        size_cap=args.max_ball,
     )
     if not report["ok"]:
         raise DomainError("verification-failure", report)

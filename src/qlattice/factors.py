@@ -15,6 +15,14 @@ tail, since shortlex-least words are closed under taking suffixes.
 
 General Artin group elements are carried around as canonical fractions
 a b^-1 with a, b positive and without a common nontrivial right divisor.
+
+The graph product (graph, order, toeplitz) reaches a factor only through
+the interface that ZOps and ArtinOps implement, with no base class; a new
+kind implements it too: identity, is_identity, multiply, invert,
+is_positive, degree, factorize (a = p q^-1 as the canonical pair (p, q)),
+lub, sort_key, generators(vertex) ({label: element} for the cone's
+generators) and letters(vertex, a) (the labels that spell a positive a).
+Only io (the wire format) and verify (its sampler) read ``kind``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from itertools import permutations
 INFINITE = math.inf
 
 #: Sentinel that order.lub returns when two elements of a graph product
-#: have no common upper bound.  (Factor lub_or_infinity never returns it:
+#: have no common upper bound.  (Factor lub never returns it:
 #: in Z and in a finite-type Artin group every pair is bounded.)
 class _Infinity:
     __slots__ = ()
@@ -368,14 +376,17 @@ class ZOps:
     def factorize(self, a):
         return (a, 0) if a >= 0 else (0, -a)
 
-    def lub_or_infinity(self, a, b):
+    def lub(self, a, b):
         return max(a, b)
 
     def sort_key(self, a):
         return (a,)
 
-    def generator_elements(self):
-        return [1]
+    def generators(self, vertex):
+        return {vertex: 1}
+
+    def letters(self, vertex, a):
+        return (vertex,) * a
 
 
 class ArtinOps:
@@ -419,19 +430,17 @@ class ArtinOps:
     def factorize(self, f):
         return ArtinFraction(f.num, ()), ArtinFraction(f.den, ())
 
-    def lub_or_infinity(self, x, y):
+    def lub(self, x, y):
         a, _ = self.factorize(self.multiply(self.invert(x), y))
         return self.multiply(x, a)
 
     def sort_key(self, f):
         return self.monoid.word_key(f.num) + self.monoid.word_key(f.den)
 
-    def generator_elements(self):
-        return [ArtinFraction((s,), ()) for s in self.monoid.generators]
+    def generators(self, vertex):
+        return {s: ArtinFraction((s,), ()) for s in self.monoid.generators}
 
-    def positive_word(self, f):
-        if f.den:
-            raise ValueError(f"{f!r} is not positive")
+    def letters(self, vertex, f):
         return f.num
 
 

@@ -90,21 +90,12 @@ class CommutationGraph:
             adjacent[b].add(a)
         #: The vertices adjacent to each vertex (never the vertex itself).
         self.neighbours = {v: frozenset(ns) for v, ns in adjacent.items()}
-        self._labels = self._build_generator_labels()
-
-    def _build_generator_labels(self):
-        labels = {}
+        self._labels = {}
         for v in self.vertices:
-            ops = self.ops[v]
-            if ops.kind == "Z":
-                names = [v]
-            else:
-                names = list(ops.monoid.generators)
-            for name, elem in zip(names, ops.generator_elements()):
-                if name in labels:
+            for name, elem in self.ops[v].generators(v).items():
+                if name in self._labels:
                     raise ValueError(f"generator label {name!r} is not unique")
-                labels[name] = (v, elem)
-        return labels
+                self._labels[name] = (v, elem)
 
     # -- basic structure ----------------------------------------------------
 

@@ -53,13 +53,15 @@ def parse_element(graph, vertex, raw):
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise LiteralError(f"vertex {vertex!r} takes an integer, got {raw!r}")
         return raw
-    if isinstance(raw, str):
-        return ops.element(ops.monoid.parse_word(raw))
-    if isinstance(raw, dict) and set(raw) <= {"num", "den"}:
-        return ops.element(
-            ops.monoid.parse_word(raw.get("num", "")),
-            ops.monoid.parse_word(raw.get("den", "")),
-        )
+    try:
+        if isinstance(raw, str):
+            return ops.element(ops.monoid.parse_word(raw))
+        if isinstance(raw, dict) and set(raw) <= {"num", "den"}:
+            num, den = raw.get("num", ""), raw.get("den", "")
+            if isinstance(num, str) and isinstance(den, str):
+                return ops.element(ops.monoid.parse_word(num), ops.monoid.parse_word(den))
+    except ValueError as exc:  # an unknown generator name
+        raise LiteralError(str(exc)) from exc
     raise LiteralError(f"bad Artin element literal {raw!r}")
 
 

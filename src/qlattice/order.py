@@ -158,6 +158,6 @@ def phi_lub(graph, xi, eta):
     """Componentwise lub in the direct product: every Z or finite-type
     Artin factor bounds any two of its elements, so it is always finite."""
     return direct_product_element(graph, {
-        v: graph.ops[v].lub_or_infinity(xi.component(graph, v), eta.component(graph, v))
+        v: graph.ops[v].lub(xi.component(graph, v), eta.component(graph, v))
         for v in graph.vertices
     })

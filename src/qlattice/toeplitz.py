@@ -47,7 +47,6 @@ class ConeBall:
     the order of ``graph.generator_labels()``: entry [g, j] is the
     position of g y_j, or -1 when g y_j is not in the ball.
     """
-    graph: object
     max_degree: int
     elements: tuple
     table: np.ndarray = field(compare=False, repr=False)
@@ -105,7 +104,7 @@ def enumerate_ball(graph, max_degree, size_cap=200_000):
     if edges:
         row, src, dst = np.array(edges, dtype=np.intp).T
         table[row, position[src]] = position[dst]
-    return ConeBall(graph, max_degree, tuple(found[i] for i in order), table)
+    return ConeBall(max_degree, tuple(found[i] for i in order), table)
 
 
 @dataclass(frozen=True)
@@ -117,11 +116,7 @@ class SparseOperator:
 def _letters(graph, x):
     """The positive x spelled in generator labels, left to right."""
     for s in x.syllables:
-        ops = graph.ops[s.vertex]
-        if ops.kind == "Z":
-            yield from [s.vertex] * s.element
-        else:
-            yield from ops.positive_word(s.element)
+        yield from graph.ops[s.vertex].letters(s.vertex, s.element)
 
 
 def _positive(graph, x, message):
@@ -230,6 +225,8 @@ class IsometryFamily:
                 m = None
             if m is None or m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"matrix for {label!r} must be square 2-D numbers")
+            if not np.isfinite(m).all():
+                raise ValueError(f"matrix for {label!r} has a non-finite entry")
             arrays[label] = m
         if len({m.shape for m in arrays.values()}) != 1:
             raise ValueError("generator matrices must be square and same-size")
@@ -260,9 +257,10 @@ def _generator_relations(graph):
     isometries, or of their adjoints, from left to right; an rhs of None
     means zero.  The list: each generator is an isometry; generators at
     adjacent vertices commute and *-commute, those at non-adjacent
-    vertices have orthogonal ranges; inside an Artin vertex the braid
-    relations and the generator covariance
-    V_s V_s^* V_t V_t^* = V_{s v t} V_{s v t}^* hold.
+    vertices have orthogonal ranges.  Inside a vertex each pair of
+    generators s, t gives two relations read off its lub j = s v t: the
+    spellings s (s^-1 j) = t (t^-1 j) agree (the braid relation <st>^m in
+    an Artin vertex), and V_s V_s^* V_t V_t^* = V_j V_j^*.
     """
     def up(word):
         return tuple((label, False) for label in word)
@@ -280,19 +278,16 @@ def _generator_relations(graph):
                 else:
                     rels.append((f"orthogonal ranges {s},{t}", s_star_t, None))
     for v in graph.vertices:
-        if graph.ops[v].kind != "artin":
-            continue
-        monoid = graph.ops[v].monoid
-        for ti, t in enumerate(monoid.generators):
-            for s in monoid.generators[:ti]:
-                m = monoid.coxeter(s, t)
-                rels.append((f"braid relation <{s}{t}>^{m}",
-                             up(monoid._alt(s, t, m)), up(monoid._alt(t, s, m))))
-                join = up(monoid.lub_words((s,), (t,)))
-                star = tuple((label, True) for label, _ in reversed(join))
-                rels.append((f"generator covariance {s},{t}",
-                             ((s, False), (s, True), (t, False), (t, True)),
-                             join + star))
+        ops = graph.ops[v]
+        for (s, x), (t, y) in itertools.combinations(ops.generators(v).items(), 2):
+            j = ops.lub(x, y)
+            lhs = ops.letters(v, x) + ops.letters(v, ops.multiply(ops.invert(x), j))
+            rhs = ops.letters(v, y) + ops.letters(v, ops.multiply(ops.invert(y), j))
+            rels.append((f"braid relation <{s}{t}>^{len(lhs)}", up(lhs), up(rhs)))
+            star = tuple((label, True) for label in reversed(lhs))
+            rels.append((f"generator covariance {s},{t}",
+                         ((s, False), (s, True), (t, False), (t, True)),
+                         up(lhs) + star))
     return rels
 
 
@@ -316,8 +311,8 @@ def check_graph_relations(family, tol=1e-9, ball=None, samples=25, seed=0):
 
     Evaluates the relation list that check_toeplitz_relations also reads
     (isometries, commute and *-commute or orthogonal ranges across
-    vertices, braid relations and generator covariance inside Artin
-    vertices) and reports each residual norm above the tolerance.
+    vertices, and the relations each vertex's lub gives inside it) and
+    reports each residual norm above the tolerance.
     If a ball is supplied, additionally samples pairs from it and tests
     the full covariance identity with the computed lub (zero when the lub
     is infinite).

@@ -137,10 +137,12 @@ def check_defect(graph, ball):
     return True, None
 
 
-def run_verification(graph, seed=0, samples=50, degree=3, cap=6, size_cap=200_000):
-    """Run every check; each ball is enumerated under ``size_cap``."""
+def run_verification(graph, seed=0, samples=50, degree=3, size_cap=200_000):
+    """Run every check; each ball is enumerated under ``size_cap``.  The
+    lub oracle scans the ball of degree min(2 degree, degree + 3)."""
     rng = random.Random(seed)
     ball = enumerate_ball(graph, degree, size_cap=size_cap)
+    cap = min(2 * degree, degree + 3)
     checks = {
         "normal_forms": lambda: check_normal_forms(graph, rng, samples),
         "lub_oracle": lambda: check_lub_oracle(

@@ -327,6 +327,11 @@ class TestErrorHandling:
           "--weights", json.dumps({"a": 1e308, "b": 1e308})], 1, "ValueError"),
         (["norm-curve", "--ctx", "path3", "--weights", '{"a": 1' + "0" * 400 + "}"],
          2, "parse"),
+        (["nf", "--ctx", "b3", json.dumps([["v", "sx"]])], 2, "parse"),
+        (["nf", "--ctx", "b3", json.dumps([["v", {"num": "s", "den": "q"}]])], 2, "parse"),
+        (["nf", "--ctx", "b3", json.dumps([["v", {"num": 3}]])], 2, "parse"),
+        (["relcheck", "--ctx", "free2", "--rep", "REP_NAN"], 2, "parse"),
+        (["relcheck", "--ctx", "free2", "--rep", "REP_INF"], 2, "parse"),
     ])
     def test_error_envelope(self, run, tmp_path, argv, code, kind):
         # one case per error class: unknown context, LiteralError,
@@ -337,7 +342,8 @@ class TestErrorHandling:
         # a matrix for a label that is not a generator; a NaN tolerance
         # (which every residual comparison would pass); weights that are
         # NaN, infinite or a boolean; weights whose squares overflow; an
-        # integer weight too large for a float
+        # integer weight too large for a float; Artin literals with an
+        # unknown letter or a non-string word; --rep entries NaN or infinite
         inf = tmp_path / "inf.json"
         inf.write_text(json.dumps({"vertices": [{"name": "v", "factor": {
             "artin": {"generators": ["s", "t"], "m": [[1, "inf"], ["inf", 1]]},
@@ -352,6 +358,8 @@ class TestErrorHandling:
             "REP_RAGGED": {"a": [[1, 0], [1]], "b": [[1, 0], [0, 1]]},
             "REP_EXTRA": {"a": [[1.0]], "b": [[1.0]], "c": [[1.0]]},
             "REP_SCALED": {"a": [[2, 0], [0, 2]], "b": [[1, 0], [0, 1]]},
+            "REP_NAN": {"a": [[float("nan")]], "b": [[1.0]]},
+            "REP_INF": {"a": [[float("inf")]], "b": [[1.0]]},
         }
         for name, content in bad_reps.items():
             paths[name] = tmp_path / f"{name}.json"

@@ -330,7 +330,7 @@ class TestZOps:
     ops = ZOps()
 
     def test_total_order_lattice(self):
-        assert self.ops.lub_or_infinity(3, 5) == 5
+        assert self.ops.lub(3, 5) == 5
 
     def test_factorize(self):
         assert self.ops.factorize(-3) == (0, 3)

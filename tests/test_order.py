@@ -283,3 +283,23 @@ def test_oracles_do_not_import_the_checked_code():
     checked = {".order", ".toeplitz", ".verify"}
     checked |= {"qlattice" + m for m in checked}
     assert not imported & checked, sorted(imported & checked)
+
+
+def test_graph_products_reach_factors_only_through_the_interface():
+    """graph, order and toeplitz read no factor internals and name no kind."""
+    import ast
+    from pathlib import Path
+
+    import qlattice.graph
+    import qlattice.order
+    import qlattice.toeplitz
+
+    internals = {"kind", "monoid", "num", "den"}
+    kinds = {"ArtinOps", "ZOps", "ArtinFraction", "ArtinMonoid"}
+    for module in (qlattice.graph, qlattice.order, qlattice.toeplitz):
+        tree = ast.parse(Path(module.__file__).read_text())
+        attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names = attrs | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
+        assert not attrs & internals, (module.__name__, sorted(attrs & internals))
+        assert not names & kinds, (module.__name__, sorted(names & kinds))

@@ -1,5 +1,6 @@
 """Cone balls, truncated isometries, covariance/defect checks, norms."""
 
+import itertools
 import math
 import random
 import warnings
@@ -349,6 +350,11 @@ class TestIsometryFamily:
         with pytest.raises(ValueError, match=r"unknown generator labels \['c', 'd'\]"):
             IsometryFamily(free2, mats)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, free2, bad):
+        with pytest.raises(ValueError, match="matrix for 'a' has a non-finite entry"):
+            IsometryFamily(free2, {"a": [[bad]], "b": [[1.0]]})
+
     def test_extension_along_reduced_expressions(self, path3):
         _, mats = left_regular_family(path3, 4)
         fam = IsometryFamily(path3, mats)
@@ -430,6 +436,57 @@ class TestToeplitzRelations:
         with pytest.raises(ValueError, match=f"compared from degree {need}$"):
             check_toeplitz_relations(graph, enumerate_ball(graph, need - 1))
         assert check_toeplitz_relations(graph, enumerate_ball(graph, need)).ok
+
+
+B3_TYPE = {"artin": {"generators": ["p", "q", "r"],
+                     "m": [[1, 4, 2], [4, 1, 3], [2, 3, 1]]}}
+I2_5 = {"artin": {"generators": ["x", "y"], "m": [[1, 5], [5, 1]]}}
+H3 = {"artin": {"generators": ["h", "i", "j"], "m": [[1, 5, 2], [5, 1, 3], [2, 3, 1]]}}
+
+#: Graphs with Artin vertices of every edge label 2, 3, 4 and 5.
+VERTEX_GRAPHS = {
+    "b3": lambda: _load_context("b3"),
+    "b4": lambda: _load_context("b4"),
+    "b3type_z": lambda: CommutationGraph([("w", B3_TYPE), ("z", "Z")], [("w", "z")]),
+    "i2_5_h3": lambda: CommutationGraph([("u", I2_5), ("h3", H3)], []),
+}
+
+
+class TestVertexRelations:
+    @pytest.mark.parametrize("name", sorted(VERTEX_GRAPHS))
+    def test_braid_relations_from_the_coxeter_matrix(self, name):
+        # the relations inside a vertex, against the Coxeter matrix: the
+        # braid relation <st>^m and the covariance with join <st>^m
+        graph = VERTEX_GRAPHS[name]()
+        rels = {desc: (lhs, rhs) for desc, lhs, rhs in toeplitz._generator_relations(graph)}
+
+        def up(word):
+            return tuple((c, False) for c in word)
+
+        pairs = 0
+        for ops in graph.ops.values():
+            if ops.kind != "artin":
+                continue
+            mon = ops.monoid
+            for s, t in itertools.combinations(mon.generators, 2):
+                m = mon.coxeter(s, t)
+                join = mon._alt(s, t, m)
+                assert rels[f"braid relation <{s}{t}>^{m}"] == (up(join), up(mon._alt(t, s, m)))
+                assert rels[f"generator covariance {s},{t}"] == (
+                    ((s, False), (s, True), (t, False), (t, True)),
+                    up(join) + tuple((c, True) for c in reversed(join)),
+                )
+                pairs += 1
+        inside = [d for d in rels if d.startswith(("braid", "generator covariance"))]
+        assert len(inside) == 2 * pairs
+
+    def test_covariant_unitaries_that_do_not_braid(self, b3):
+        # unitaries satisfy every isometry and covariance relation, but
+        # s t s = diag(-1, 1) differs from t s t = -s
+        s = np.array([[0, 1], [1, 0]])
+        t = np.diag([1, -1])
+        report = check_graph_relations(IsometryFamily(b3, {"s": s, "t": t}))
+        assert [desc for desc, _ in report.violations] == ["braid relation <st>^3"]
 
 
 def nonzero_gram(graph, ball, weights):
