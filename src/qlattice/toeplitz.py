@@ -2,10 +2,10 @@
 
 A cone ball is the finite, divisor-closed set of positive elements of
 degree at most n, with a deterministic basis order (degree first).  It is
-enumerated once, by a breadth-first search that multiplies by the
-generators on the left, and it keeps the resulting Cayley graph as a
-left-multiplication table: entry [g, j] is the position of g y_j, or -1
-when g y_j leaves the ball.  The truncated isometries are compressions
+enumerated once, as its Cayley graph for left multiplication by the
+generators: entry [g, j] of its table is the position of g y_j, or -1
+when g y_j leaves the ball.  The table is read off the generator
+relations, the spellings of each lub s v g, before any element is formed.  The truncated isometries are compressions
 P_n T P_n of the left-regular isometries T_x e_y = e_{xy}; they are read
 off the table by spelling x in the generators, with no further
 multiplication, and the balls of smaller degree are prefixes of the
@@ -64,46 +64,62 @@ class ConeBall:
 
 
 def enumerate_ball(graph, max_degree, size_cap=200_000):
-    """BFS from the identity by left multiplication with the generators.
+    """The cone ball of degree max_degree: the table first, then one
+    product per element.
 
-    Records every edge y -> g y inside the ball in the ball's table.
-    Degree is additive on positives, so a product that would leave the
-    ball is never formed: the top layer costs no multiplication.
+    Pass 1 numbers the elements layer by layer (each generator has degree
+    1) with no multiplication.  g y = s z exactly when y = (g\\j) w and
+    z = (s\\j) w for some w, where j = g (g\\j) = s (s\\j) is the lub of s
+    and g: g y lies above j, and g cancels on the left.  Each row, in label
+    order, copies those entries from the earlier rows s, found by walking
+    the layers built so far along _generator_lubs, and numbers the rest as
+    new elements; the size cap is checked per layer, before any product.
+    Pass 2 forms each element once, as g y at its first entry, and sorts
+    the ball by graph.sort_key.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     gens = graph.generator_words()
-    identity = graph.identity()
-    seen = {identity.syllables: 0}
-    found = [identity]
-    edges = []  # (generator row, source id, target id), ids in BFS order
-    frontier = [0]
-    while frontier:
-        new = []
-        for i in frontier:
-            x = found[i]
-            for row, g in enumerate(gens):
-                if x.degree + g.degree > max_degree:
-                    continue
-                y = graph.multiply(g, x)
-                j = seen.get(y.syllables)
-                if j is None:
-                    j = seen[y.syllables] = len(found)
-                    found.append(y)
-                    new.append(j)
-                    if len(found) > size_cap:
-                        raise BallSizeExceeded(
-                            f"cone ball exceeds the size cap of {size_cap}"
-                        )
-                edges.append((row, i, j))
-        frontier = new
+    row = {label: i for i, label in enumerate(graph.generator_labels())}
+    later = [[] for _ in gens]  # row g: (row s, s\\j, g\\j) for s before g
+    for s, g, lhs, rhs in _generator_lubs(graph):
+        if lhs is not None:
+            tails = ([row[c] for c in side[1:]] for side in (lhs, rhs))
+            later[row[g]].append((row[s], *tails))
+    table = np.full((len(gens), 1), -1, dtype=np.intp)  # over ids in layer order
+    start, made = [0, 1], []  # the ids of degree d run from start[d] to start[d + 1]
+
+    def walk(letters, e):  # the ids of the letters times each w of degree e
+        ids = np.arange(start[e], start[e + 1])
+        for c in reversed(letters):
+            ids = table[c, ids]
+        return ids
+
+    for d in range(1, max_degree + 1):  # fill the columns of degree d - 1
+        layer = np.arange(start[d - 1], start[d])
+        start.append(start[d])
+        for g, pairs in enumerate(later):
+            for s, s_tail, g_tail in pairs:
+                e = d - 1 - len(g_tail)  # the degree of w, d - deg j
+                if e >= 0:
+                    table[g, walk(g_tail, e)] = table[s, walk(s_tail, e)]
+            new = layer[table[g, layer] < 0]
+            table[g, new] = start[d + 1] + np.arange(len(new))
+            start[d + 1] += len(new)
+            made.append((g, new.tolist()))
+        if start[d + 1] > size_cap:
+            raise BallSizeExceeded(
+                f"the cone ball of degree {d} has {start[d + 1]} elements, over the "
+                f"size cap of {size_cap}; the ball of degree {d - 1} has {start[d]}")
+        fresh = np.full((len(gens), start[d + 1] - start[d]), -1, dtype=np.intp)
+        table = np.concatenate([table, fresh], axis=1)  # the columns of degree d
+    found = [graph.identity()]
+    for g, src in made:
+        found += [graph.multiply(gens[g], found[y]) for y in src]
     order = sorted(range(len(found)), key=lambda i: graph.sort_key(found[i]))
     position = np.empty(len(found), dtype=np.intp)
     position[order] = np.arange(len(found))
-    table = np.full((len(gens), len(found)), -1, dtype=np.intp)
-    if edges:
-        row, src, dst = np.array(edges, dtype=np.intp).T
-        table[row, position[src]] = position[dst]
+    table = np.where(table < 0, -1, position[table])[:, order]
     return ConeBall(max_degree, tuple(found[i] for i in order), table)
 
 
@@ -249,40 +265,52 @@ class RelationReport:
         return self.ok
 
 
+def _generator_lubs(graph):
+    """(s, t, lhs, rhs) for each pair of generator labels, s before t:
+    lhs = s (s^-1 j) and rhs = t (t^-1 j) spell their lub j, or are None
+    when there is none.  Pairs across vertices come first (s t = t s when
+    adjacent, no upper bound when not), then those inside each vertex,
+    whose lub is its factor's (the braid relation <st>^m in an Artin one).
+    """
+    labels = graph.generator_labels()
+    by_vertex = {v: [s for s in labels if labels[s][0] == v] for v in graph.vertices}
+    for i, v in enumerate(graph.vertices):
+        for w in graph.vertices[i + 1:]:
+            for s, t in itertools.product(by_vertex[v], by_vertex[w]):
+                yield (s, t, (s, t), (t, s)) if graph.adjacent(v, w) else (s, t, None, None)
+    for v in graph.vertices:
+        ops = graph.ops[v]
+        for (s, x), (t, y) in itertools.combinations(ops.generators(v).items(), 2):
+            j = ops.lub(x, y)
+            yield (s, t, *(ops.letters(v, z) + ops.letters(v, ops.multiply(ops.invert(z), j))
+                           for z in (x, y)))
+
+
 def _generator_relations(graph):
     """The generator-level relations of the graph product, in check order.
 
     Each entry is (description, lhs, rhs).  A side is a tuple of
     (label, adjoint) letters, standing for the product of the generator
     isometries, or of their adjoints, from left to right; an rhs of None
-    means zero.  The list: each generator is an isometry; generators at
-    adjacent vertices commute and *-commute, those at non-adjacent
-    vertices have orthogonal ranges.  Inside a vertex each pair of
-    generators s, t gives two relations read off its lub j = s v t: the
-    spellings s (s^-1 j) = t (t^-1 j) agree (the braid relation <st>^m in
-    an Artin vertex), and V_s V_s^* V_t V_t^* = V_j V_j^*.
+    means zero.  Each generator is an isometry; each pair s, t of
+    _generator_lubs commutes and *-commutes at adjacent vertices, has
+    orthogonal ranges at non-adjacent ones, and inside a vertex has equal
+    spellings s (s^-1 j) = t (t^-1 j) of its lub j (the braid relation in
+    an Artin vertex) and V_s V_s^* V_t V_t^* = V_j V_j^*.
     """
     def up(word):
         return tuple((label, False) for label in word)
 
     labels = graph.generator_labels()
-    by_vertex = {v: [s for s in labels if labels[s][0] == v] for v in graph.vertices}
     rels = [(f"isometry {s}", ((s, True), (s, False)), ()) for s in labels]
-    for i, v in enumerate(graph.vertices):
-        for w in graph.vertices[i + 1:]:
-            for s, t in itertools.product(by_vertex[v], by_vertex[w]):
-                s_star_t = ((s, True), (t, False))
-                if graph.adjacent(v, w):
-                    rels.append((f"commute {s},{t}", up((s, t)), up((t, s))))
-                    rels.append((f"*-commute {s},{t}", s_star_t, s_star_t[::-1]))
-                else:
-                    rels.append((f"orthogonal ranges {s},{t}", s_star_t, None))
-    for v in graph.vertices:
-        ops = graph.ops[v]
-        for (s, x), (t, y) in itertools.combinations(ops.generators(v).items(), 2):
-            j = ops.lub(x, y)
-            lhs = ops.letters(v, x) + ops.letters(v, ops.multiply(ops.invert(x), j))
-            rhs = ops.letters(v, y) + ops.letters(v, ops.multiply(ops.invert(y), j))
+    for s, t, lhs, rhs in _generator_lubs(graph):
+        s_star_t = ((s, True), (t, False))
+        if lhs is None:
+            rels.append((f"orthogonal ranges {s},{t}", s_star_t, None))
+        elif labels[s][0] != labels[t][0]:
+            rels.append((f"commute {s},{t}", up(lhs), up(rhs)))
+            rels.append((f"*-commute {s},{t}", s_star_t, s_star_t[::-1]))
+        else:
             rels.append((f"braid relation <{s}{t}>^{len(lhs)}", up(lhs), up(rhs)))
             star = tuple((label, True) for label in reversed(lhs))
             rels.append((f"generator covariance {s},{t}",

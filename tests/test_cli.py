@@ -152,6 +152,13 @@ class TestAnalysisCommands:
         assert doc["result"]["size"] == 7
         assert doc["result"]["elements"][0] == []
 
+    def test_ball_reports_its_layer_sizes(self, run):
+        # degree 3 of b3 holds sts = tst once, so 8 - 1 elements
+        code, doc = run_json(run, "ball", "--ctx", "b3", "--max-degree", "3")
+        assert code == 0 and doc["result"]["layer_sizes"] == [1, 2, 4, 7]
+        code, doc = run_json(run, "ball", "--ctx", "square4", "--max-degree", "0")
+        assert code == 0 and doc["result"]["layer_sizes"] == [1]
+
     def test_cov_check(self, run):
         code, doc = run_json(
             run, "cov-check", "--ctx", "path3",

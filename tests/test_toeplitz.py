@@ -1,12 +1,16 @@
 """Cone balls, truncated isometries, covariance/defect checks, norms."""
 
 import itertools
+import json
 import math
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlattice import (
     BallSizeExceeded,
@@ -26,9 +30,10 @@ from qlattice import (
     range_projection_diag,
     toeplitz_op,
 )
+from qlattice import graph as graph_module
 from qlattice import toeplitz
-from qlattice.cli import _load_context
-from qlattice.oracles import dense_norm, dense_operator
+from qlattice.cli import _load_context, main
+from qlattice.oracles import dense_norm, dense_operator, product_ball
 from qlattice.toeplitz import (
     _DENSE_BLOCK,
     _bracket,
@@ -73,6 +78,100 @@ class TestConeBall:
         ball = enumerate_ball(b3, 3)
         for i, x in enumerate(ball.elements):
             assert ball.index[x.syllables] == i
+
+
+CONTEXTS = Path(__file__).resolve().parent.parent / "perfbench" / "contexts"
+
+
+def artin(*names, m):
+    """An Artin factor spec on two generators with m(s, t) = m."""
+    return {"artin": {"generators": list(names), "m": [[1, m], [m, 1]]}}
+
+
+#: Vertex factors for random graph products: Z, A2, B2, I2(7) and A1 x A1
+VERTEX_KINDS = {
+    "Z": lambda v: "Z",
+    "A2": lambda v: artin(v + "s", v + "t", m=3),
+    "B2": lambda v: artin(v + "s", v + "t", m=4),
+    "I2(7)": lambda v: artin(v + "s", v + "t", m=7),
+    "A1xA1": lambda v: artin(v + "s", v + "t", m=2),
+}
+
+
+@st.composite
+def graph_products(draw):
+    n = draw(st.integers(1, 4))
+    names = [f"v{i}" for i in range(n)]
+    kinds = [draw(st.sampled_from(sorted(VERTEX_KINDS))) for _ in names]
+    edges = [e for e in itertools.combinations(names, 2) if draw(st.booleans())]
+    return CommutationGraph([(v, VERTEX_KINDS[k](v)) for v, k in zip(names, kinds)], edges)
+
+
+def count_multiplies(monkeypatch):
+    """A list whose length counts the calls of CommutationGraph.multiply."""
+    calls, multiply = [], graph_module.CommutationGraph.multiply
+
+    def counted(self, x, y):
+        calls.append(None)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(graph_module.CommutationGraph, "multiply", counted)
+    return calls
+
+
+class TestBallFromRelations:
+    """enumerate_ball builds its table from the generator relations; the
+    oracle product_ball hashes every product g y."""
+
+    @pytest.mark.parametrize("name,degree", [
+        ("free2", 7), ("path3", 6), ("square4", 5), ("b3", 8), ("b4", 6),
+        (str(CONTEXTS / "b3zz.json"), 5), (str(CONTEXTS / "hex6.json"), 4),
+    ])
+    def test_matches_the_product_oracle(self, name, degree):
+        graph = _load_context(name)
+        for d in range(degree + 1):
+            ball = enumerate_ball(graph, d)
+            elements, table = product_ball(graph, d, size_cap=10**6)
+            assert ball.elements == elements
+            assert np.array_equal(ball.table, table), d
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(graph_products(), st.integers(0, 6))
+    def test_random_graph_products_match_the_product_oracle(self, graph, degree):
+        try:
+            elements, table = product_ball(graph, degree, size_cap=400)
+        except BallSizeExceeded:
+            with pytest.raises(BallSizeExceeded):
+                enumerate_ball(graph, degree, size_cap=400)
+            return
+        ball = enumerate_ball(graph, degree, size_cap=400)
+        assert ball.elements == elements
+        assert np.array_equal(ball.table, table)
+
+    @pytest.mark.parametrize("name,degree", [
+        ("free2", 6), ("square4", 5), ("b4", 6), (str(CONTEXTS / "b3zz.json"), 4),
+    ])
+    def test_one_product_per_element(self, name, degree, monkeypatch):
+        # a fallback to one product per table entry would make about
+        # len(generators) times as many
+        graph = _load_context(name)
+        calls = count_multiplies(monkeypatch)
+        ball = enumerate_ball(graph, degree)
+        assert len(calls) == len(ball) - 1
+
+    @pytest.mark.parametrize("name,degree,message", [
+        ("square4", 14, "degree 13 has 212993 elements, over the size cap of 200000; "
+                        "the ball of degree 12 has 98305"),
+        (str(CONTEXTS / "hex6.json"), 9, "degree 8 has 290809 elements, over the size "
+                                         "cap of 200000; the ball of degree 7 has 65856"),
+    ])
+    def test_size_cap_fires_before_any_product(self, name, degree, message, monkeypatch,
+                                               capsys):
+        calls = count_multiplies(monkeypatch)
+        assert main(["ball", "--ctx", name, "--max-degree", str(degree)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "BallSizeExceeded" and message in error["detail"]
+        assert not calls
 
 
 # generators plus longer positives, several with multi-letter Artin syllables
