@@ -137,10 +137,9 @@ def cmd_phi(graph, args):
 def cmd_ball(graph, args):
     from .toeplitz import enumerate_ball
     ball = enumerate_ball(graph, args.max_degree, size_cap=args.max_ball)
-    degrees = [x.degree for x in ball.elements]
     return {
         "size": len(ball),
-        "layer_sizes": [degrees.count(d) for d in range(args.max_degree + 1)],
+        "layer_sizes": [b - a for a, b in zip(ball.start, ball.start[1:])],
         "elements": [qio.word_to_json(graph, x) for x in ball.elements],
     }
 

@@ -228,10 +228,3 @@ class CommutationGraph:
         return (self.vertex_index[s.vertex],) + tuple(
             self.ops[s.vertex].sort_key(s.element)
         )
-
-    def sort_key(self, x):
-        return (
-            x.degree,
-            len(x.syllables),
-            tuple(self.syllable_key(s) for s in x.syllables),
-        )

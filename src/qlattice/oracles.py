@@ -257,21 +257,21 @@ def check_lub_against_ball(graph, x, y, computed, bitsets, ball_elements,
 
 def product_ball(graph, max_degree, size_cap):
     """The cone ball by breadth-first search, hashing every product g y and
-    using no relation between generators: (elements in sort_key order,
-    table[g, i] the position of g y_i or -1), as a ConeBall holds them."""
+    using no relation between generators: (elements, each layer in order
+    of first appearance over g, then y, table[g, i] the position of g y_i
+    or -1), as a ConeBall holds them."""
     import numpy as np
     gens = graph.generator_words()
-    layer = ball = {graph.identity().syllables: graph.identity()}
+    layer, elements = [graph.identity()], [graph.identity()]
     for _ in range(max_degree):
-        layer = {z.syllables: z for y in layer.values()
-                 for z in (graph.multiply(g, y) for g in gens)}
-        ball.update(layer)
-        if len(ball) > size_cap:
+        layer = list({z.syllables: z for g in gens
+                      for z in (graph.multiply(g, y) for y in layer)}.values())
+        elements += layer
+        if len(elements) > size_cap:
             raise BallSizeExceeded(f"cone ball exceeds the size cap of {size_cap}")
-    elements = tuple(sorted(ball.values(), key=graph.sort_key))
     index = {x.syllables: i for i, x in enumerate(elements)}
     table = [[index.get(graph.multiply(g, y).syllables, -1) for y in elements] for g in gens]
-    return elements, np.array(table, dtype=np.intp).reshape(len(gens), len(elements))
+    return tuple(elements), np.array(table, dtype=np.intp).reshape(len(gens), len(elements))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Truncated left-regular (Toeplitz) representations on finite cone balls.
 
 A cone ball is the finite, divisor-closed set of positive elements of
-degree at most n, with a deterministic basis order (degree first).  It is
-enumerated once, as its Cayley graph for left multiplication by the
-generators: entry [g, j] of its table is the position of g y_j, or -1
-when g y_j leaves the ball.  The table is read off the generator
-relations, the spellings of each lub s v g, before any element is formed.  The truncated isometries are compressions
+degree at most n.  It is enumerated once, as its Cayley graph for left
+multiplication by the generators: entry [g, j] of its table is the
+position of g y_j, or -1 when g y_j leaves the ball.  The table is read
+off the generator relations, the spellings of each lub s v g; its
+numbering, degree first, is the basis, and elements are formed only when
+read.  The truncated isometries are compressions
 P_n T P_n of the left-regular isometries T_x e_y = e_{xy}; they are read
 off the table by spelling x in the generators, with no further
 multiplication, and the balls of smaller degree are prefixes of the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 # scipy.sparse is imported only inside the functions that build sparse
 # matrices, so balls, covariance and defect load numpy alone, and
@@ -41,31 +43,43 @@ from .order import is_positive, lub
 
 @dataclass(frozen=True)
 class ConeBall:
-    """Positive elements of degree <= max_degree, with index lookup.
+    """Positive elements of degree <= max_degree, numbered by the table.
 
     ``table`` is the left-multiplication table, one row per generator in
     the order of ``graph.generator_labels()``: entry [g, j] is the
-    position of g y_j, or -1 when g y_j is not in the ball.
+    position of g y_j, or -1 when g y_j is not in the ball.  Degree d runs
+    from start[d] to start[d + 1]; elements and index form on first read.
     """
+    graph: object = field(repr=False)
     max_degree: int
-    elements: tuple
+    start: tuple = field(repr=False)
     table: np.ndarray = field(compare=False, repr=False)
-    index: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        index = {x.syllables: i for i, x in enumerate(self.elements)}
-        object.__setattr__(self, "index", index)
 
     def __len__(self):
-        return len(self.elements)
+        return self.table.shape[1]
 
     def __contains__(self, x):
         return x.syllables in self.index
 
+    @cached_property
+    def elements(self):
+        """Each z formed once, as g (g\\z) with g the least generator that
+        divides it: the first entry of z in the table, read row by row."""
+        ids, first = np.unique(self.table, return_index=True)
+        rows, cols = np.divmod(first[ids >= 0], len(self))
+        gens, found = self.graph.generator_words(), [self.graph.identity()]
+        for g, y in zip(rows.tolist(), cols.tolist()):
+            found.append(self.graph.multiply(gens[g], found[y]))
+        return tuple(found)
+
+    @cached_property
+    def index(self):
+        return {x.syllables: i for i, x in enumerate(self.elements)}
+
 
 def enumerate_ball(graph, max_degree, size_cap=200_000):
-    """The cone ball of degree max_degree: the table first, then one
-    product per element.
+    """The cone ball of degree max_degree, as its table: no element is
+    formed until one is read (ConeBall.elements).
 
     Pass 1 numbers the elements layer by layer (each generator has degree
     1) with no multiplication.  g y = s z exactly when y = (g\\j) w and
@@ -74,8 +88,9 @@ def enumerate_ball(graph, max_degree, size_cap=200_000):
     order, copies those entries from the earlier rows s, found by walking
     the layers built so far along _generator_lubs, and numbers the rest as
     new elements; the size cap is checked per layer, before any product.
-    Pass 2 forms each element once, as g y at its first entry, and sorts
-    the ball by graph.sort_key.
+    That numbering is the basis order: z is numbered at (g, g\\z), g the
+    least label dividing z, so by induction on the degree each layer is in
+    the lexicographic order of least spellings.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -87,7 +102,7 @@ def enumerate_ball(graph, max_degree, size_cap=200_000):
             tails = ([row[c] for c in side[1:]] for side in (lhs, rhs))
             later[row[g]].append((row[s], *tails))
     table = np.full((len(gens), 1), -1, dtype=np.intp)  # over ids in layer order
-    start, made = [0, 1], []  # the ids of degree d run from start[d] to start[d + 1]
+    start = [0, 1]  # the ids of degree d run from start[d] to start[d + 1]
 
     def walk(letters, e):  # the ids of the letters times each w of degree e
         ids = np.arange(start[e], start[e + 1])
@@ -106,21 +121,13 @@ def enumerate_ball(graph, max_degree, size_cap=200_000):
             new = layer[table[g, layer] < 0]
             table[g, new] = start[d + 1] + np.arange(len(new))
             start[d + 1] += len(new)
-            made.append((g, new.tolist()))
         if start[d + 1] > size_cap:
             raise BallSizeExceeded(
                 f"the cone ball of degree {d} has {start[d + 1]} elements, over the "
                 f"size cap of {size_cap}; the ball of degree {d - 1} has {start[d]}")
         fresh = np.full((len(gens), start[d + 1] - start[d]), -1, dtype=np.intp)
         table = np.concatenate([table, fresh], axis=1)  # the columns of degree d
-    found = [graph.identity()]
-    for g, src in made:
-        found += [graph.multiply(gens[g], found[y]) for y in src]
-    order = sorted(range(len(found)), key=lambda i: graph.sort_key(found[i]))
-    position = np.empty(len(found), dtype=np.intp)
-    position[order] = np.arange(len(found))
-    table = np.where(table < 0, -1, position[table])[:, order]
-    return ConeBall(max_degree, tuple(found[i] for i in order), table)
+    return ConeBall(graph, max_degree, tuple(start), table)
 
 
 @dataclass(frozen=True)
@@ -406,10 +413,9 @@ def check_toeplitz_relations(graph, ball):
         for label, x in zip(graph.generator_labels(), graph.generator_words())
     }
     eye = sp.identity(len(ball), format="csr")
-    degrees = np.array([y.degree for y in ball.elements])
     bad = []
     for desc, lhs, rhs, k in rels:
-        keep = np.flatnonzero(degrees + k <= ball.max_degree)
+        keep = slice(ball.start[ball.max_degree - k + 1])  # the columns of degree <= n - k
         a = _product(lhs, mats, eye)[:, keep]
         b = (0 * eye if rhs is None else _product(rhs, mats, eye))[:, keep]
         if (a != b).nnz:
@@ -464,10 +470,11 @@ def _check_norm_inputs(caller, weights, tol):
 
 def _weighted_sum(graph, weights, ball):
     """A = sum lambda_x T_x over the ball, as a csr matrix; the weights
-    are checked (_check_norm_inputs)."""
+    are checked (_check_norm_inputs).  T_x and T_x' share no entry (xy =
+    x'y forces x = x'), so the order of the sum is free."""
     acc = None
-    for x, lam in sorted(weights.items(), key=lambda kv: graph.sort_key(kv[0])):
-        if x not in ball:
+    for x, lam in weights.items():
+        if not (is_positive(graph, x) and x.degree <= ball.max_degree):
             raise ValueError("weight support must lie inside the ball")
         term = lam * toeplitz_op(graph, x, ball).matrix
         acc = term if acc is None else acc + term
@@ -683,7 +690,7 @@ def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
                          "weight support must lie inside the ball: generators have degree 1")
     big = enumerate_ball(graph, degrees[-1], size_cap=size_cap)
     a = _weighted_sum(graph, {gen_words[k]: w for k, w in weights_by_label.items()}, big)
-    layer = np.array([x.degree for x in big.elements])
+    layer = np.repeat(np.arange(len(big.start) - 1), np.diff(big.start))
     values = _certified_norms(a, layer, degrees, len(weights_by_label), tol)
-    sizes = np.searchsorted(layer, degrees, side="right").tolist()
+    sizes = [big.start[n + 1] for n in degrees]
     return list(zip(degrees, sizes, itertools.accumulate(values, max)))

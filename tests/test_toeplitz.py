@@ -79,6 +79,26 @@ class TestConeBall:
         for i, x in enumerate(ball.elements):
             assert ball.index[x.syllables] == i
 
+    @pytest.mark.parametrize("name,words", [
+        ("free2", ["", "a", "b", "aa", "ab", "ba", "bb"]),
+        # ba = ab and cb = bc are numbered in rows a and b; ca is new in row c
+        ("path3", ["", "a", "b", "c", "aa", "ab", "ac", "bb", "bc", "ca", "cc"]),
+        ("b3", ["", "s", "t", "ss", "st", "ts", "tt"]),
+    ])
+    def test_basis_order_is_the_table_numbering(self, name, words):
+        # degree first, then the least spellings in label order
+        graph = _load_context(name)
+        gens = dict(zip(graph.generator_labels(), graph.generator_words()))
+        spelled = [graph.identity()]
+        for word in words[1:]:
+            x = graph.identity()
+            for letter in word:
+                x = graph.multiply(x, gens[letter])
+            spelled.append(x)
+        ball = enumerate_ball(graph, 2)
+        assert ball.elements == tuple(spelled)
+        assert ball.start == (0, 1, 1 + len(gens), len(words))
+
 
 CONTEXTS = Path(__file__).resolve().parent.parent / "perfbench" / "contexts"
 
@@ -157,7 +177,24 @@ class TestBallFromRelations:
         graph = _load_context(name)
         calls = count_multiplies(monkeypatch)
         ball = enumerate_ball(graph, degree)
+        assert not calls
+        ball.elements
         assert len(calls) == len(ball) - 1
+
+    @pytest.mark.parametrize("name", [
+        "free2", "square4", "b4", str(CONTEXTS / "b3zz.json"),
+    ])
+    def test_norms_form_no_element(self, name, monkeypatch):
+        # norms read the table alone: no element is formed
+        graph = _load_context(name)
+        calls = count_multiplies(monkeypatch)
+        labels = graph.generator_labels()
+        rows = norm_curve(graph, dict.fromkeys(labels, 1 / len(labels)), [1, 2, 3, 4])
+        ball = enumerate_ball(graph, 4)
+        assert len(ball) == rows[-1][1]
+        norm_estimate(graph, dict.fromkeys(graph.generator_words(), 1 / len(labels)), ball)
+        assert not calls
+        assert "elements" not in vars(ball)
 
     @pytest.mark.parametrize("name,degree,message", [
         ("square4", 14, "degree 13 has 212993 elements, over the size cap of 200000; "
@@ -827,6 +864,16 @@ class TestNorms:
         # a zero tolerance is below the bracket's rounding allowance
         with pytest.raises(NormNotCertified, match="the least the norm bracket"):
             norm_estimate(b3, weights, ball, tol=0.0)
+
+    def test_weight_support_outside_the_ball(self, free2, b3, monkeypatch):
+        # too high a degree, or not positive (s t^-1 has degree 0)
+        calls = count_multiplies(monkeypatch)
+        s_over_t = b3.reduce([b3.syllable("v", b3.ops["v"].element("s", "t"))])
+        for graph, x in ((free2, nw(free2, ("a", 4))), (free2, nw(free2, ("a", -1))),
+                         (b3, s_over_t)):
+            with pytest.raises(ValueError, match="weight support must lie inside the ball"):
+                norm_estimate(graph, {x: 1.0}, enumerate_ball(graph, 3))
+        assert not calls
 
     def test_input_validation(self, free2):
         ball = enumerate_ball(free2, 3)
