@@ -18,11 +18,12 @@ reaches: such a z is x w with w positive of degree deg z - deg x, so w is
 in the ball and T_x e_w = e_z.  Range projections, covariance and defect
 are read off the table with no order test.  Norms are the exception: the
 compressed norm is a lower bound for the full one and is nondecreasing
-in the ball degree.  norm_estimate certifies it with a bracket on the
-top eigenvalue of each block of the nonnegative matrix A^T A, read off
-one positive vector whose solve is not trusted.  With generator weights
-A^T A links only elements of equal degree, so norm_curve brackets each
-degree layer of the largest ball once and reads every degree off them.
+in the ball degree.  Each T_x is a partial permutation of the ball, so
+A^T A is gathered off the table's index maps with no matrix product, and
+norm_estimate certifies the norm with a bracket on the top eigenvalue of
+each block of A^T A, read off positive vectors whose solves are not
+trusted.  With generator weights A^T A links only elements of equal
+degree, so norm_curve brackets each degree layer of the largest ball once.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
-# scipy.sparse is imported only inside the functions that build sparse
-# matrices, so balls, covariance and defect load numpy alone, and
-# scipy.sparse.linalg only inside _sparse_vector, which small blocks skip.
+# scipy.sparse is imported only in toeplitz_op, check_toeplitz_relations and
+# _sparse_vector, so the rest, norms with small blocks too, loads numpy alone.
 import numpy as np
 
 from .factors import INFINITY
@@ -57,9 +58,6 @@ class ConeBall:
 
     def __len__(self):
         return self.table.shape[1]
-
-    def __contains__(self, x):
-        return x.syllables in self.index
 
     @cached_property
     def elements(self):
@@ -469,16 +467,58 @@ def _check_norm_inputs(caller, weights, tol):
 
 
 def _weighted_sum(graph, weights, ball):
-    """A = sum lambda_x T_x over the ball, as a csr matrix; the weights
-    are checked (_check_norm_inputs).  T_x and T_x' share no entry (xy =
-    x'y forces x = x'), so the order of the sum is free."""
-    acc = None
-    for x, lam in weights.items():
-        if not (is_positive(graph, x) and x.degree <= ball.max_degree):
-            raise ValueError("weight support must lie inside the ball")
-        term = lam * toeplitz_op(graph, x, ball).matrix
-        acc = term if acc is None else acc + term
-    return acc.tocsr()
+    """A = sum lambda_x T_x over the ball, as the terms (rows, cols, lambda_x)
+    with (rows, cols) = _walk(x); the callers check the weights."""
+    if not all(is_positive(graph, x) and x.degree <= ball.max_degree for x in weights):
+        raise ValueError("weight support must lie inside the ball")
+    return [(*_walk(graph, x, ball), lam) for x, lam in weights.items()]
+
+
+class _Csr(NamedTuple):
+    """A square matrix as csr arrays; b @ v is one bincount."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape = property(lambda self: (len(self.indptr) - 1,) * 2)
+
+    def __matmul__(self, v):
+        row = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.bincount(row, self.data * v[self.indices], minlength=self.shape[0])
+
+
+def _gram(terms, n):
+    """B = A^T A on its nonempty rows, and those rows, for A the sum of
+    the terms (rows, cols, lambda) over a basis of n.
+
+    Each T_x is a partial permutation (xy = xy' forces y = y'), so B[y, y']
+    sums lambda_x lambda_x' over the z = xy = x'y': each pair of terms
+    gathers its entries through the inverse map of T_x', and one sort sums
+    those that several pairs give (on square4, a (b) = b (a) and ab (a) =
+    aa (b) both land on B[a, b]) into csr order."""
+    inverse = np.full((len(terms), n), -1, dtype=np.intp)
+    for inv, (rows, cols, _) in zip(inverse, terms):
+        inv[rows] = cols
+    keys, values = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for (rows, cols, lam), (inv, (*_, mu)) in itertools.product(terms, zip(inverse, terms)):
+        other = inv[rows]
+        if lam * mu:  # B keeps no zero entry
+            keys.append((cols * n + other)[other >= 0])
+            values.append(np.full(len(keys[-1]), lam * mu))
+    key, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    y, y_other = np.divmod(key, n)
+    rows, count = np.unique(y, return_counts=True)
+    position = np.cumsum(np.bincount(rows, minlength=n)) - 1
+    data = np.bincount(slot, np.concatenate(values))
+    return _Csr(np.append(0, np.cumsum(count)), position[y_other], data), rows
+
+
+def _restrict(b, keep):
+    """b on the rows and columns where keep holds, linked to no others."""
+    counts = np.diff(b.indptr)
+    entries = np.repeat(keep, counts)
+    position = np.cumsum(keep) - 1
+    indptr = np.append(0, np.cumsum(counts[keep]))
+    return _Csr(indptr, position[b.indices[entries]], b.data[entries])
 
 
 def _bracket(b, v, component):
@@ -504,8 +544,12 @@ def _bracket(b, v, component):
     an upper bound.  For v = (mI - B_c)^-1 (1, ..., 1), (Bv)_i / v_i =
     m - 1 / v_i, so m just above the top eigenvalue of B_c makes the
     bracket tight.  A component where v has a zero or non-finite entry
-    gets [0, inf].
+    gets [0, inf].  Given several vectors as the rows of v, each component
+    takes its highest lower and lowest upper end.
     """
+    if v.ndim == 2:
+        lower, upper = zip(*(_bracket(b, each, component) for each in v))
+        return np.max(lower, axis=0), np.min(upper, axis=0)
     broken = np.bincount(component, ~(np.isfinite(v) & (v != 0))) > 0
     v = np.where(broken[component], 1.0, np.abs(v))
     peak = np.zeros(component.max() + 1)
@@ -559,76 +603,72 @@ def _dense_vector(b, component):
 
 
 def _sparse_vector(b):
-    """(mI - B)^-1 (1, ..., 1), through one sparse factorisation.
+    """Two vectors for _bracket: (mI - B)^-1 (1, ..., 1), through one
+    sparse factorisation, and the Ritz vector r of the top eigenvalue t.
 
-    Lanczos (eigsh from the all-ones vector) estimates the top eigenvalue
-    t, m = t (1 + 10^-12), and spilu factorises C = fl(mI - B) with one
-    symmetric fill-reducing permutation, no pivoting and no dropping
-    under the fill cap.  The cap keeps the factors within 40 times the
-    memory of C (square4 at degree 12, the largest preset ball under the
-    default size cap, fills 31 times with generator weights); past it
-    spilu drops entries, and the bracket from the inexact v does not
-    close.  A zero vector if Lanczos or the factorisation fails.
+    Lanczos (eigsh from the all-ones vector, to machine precision) gives
+    (t, r), m = t (1 + 10^-12), and spilu factorises C = fl(mI - B) with
+    one symmetric fill-reducing permutation, no pivoting and no dropping
+    under the fill cap of 40 times the memory of C.  Past it the first
+    bracket does not close, but r's may: with generator weights, layer 11
+    of square4 at degree 12 fills 42 times (the whole B, 31).  Zero vectors
+    if Lanczos or spilu fails or the solve is not finite.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh, spilu
     n = b.shape[0]
+    b = sp.csr_matrix((b.data, b.indices, b.indptr), shape=(n, n))
     ones = np.ones(n)
     try:
-        top = float(eigsh(b, k=1, which="LA", v0=ones, return_eigenvectors=False)[0])
-        m = max(top * (1 + 1e-12), np.finfo(float).tiny)
+        top, ritz = eigsh(b, k=1, which="LA", v0=ones, tol=0)
+        m = max(float(top[0]) * (1 + 1e-12), np.finfo(float).tiny)
         c = (m * sp.identity(n, format="csc") - b).tocsc()
         lu = spilu(c, drop_tol=0, fill_factor=40, permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0, options={"SymmetricMode": True})
     except RuntimeError:  # eigsh did not converge, or spilu met a singular pivot
-        return np.zeros(n)
-    return lu.solve(ones)
+        return np.zeros((2, n))
+    v = lu.solve(ones)
+    return np.stack([v, ritz[:, 0]]) if np.isfinite(v).all() else np.zeros((2, n))
 
 
-def _certified_norms(a, layer, tops, terms, tol):
-    """Certified lower bounds on the norm of the csr matrix a cut to its
-    columns of layer below n, for each n in tops (see norm_estimate).
+def _certified_norms(terms, layer, tops, tol):
+    """Certified lower bounds on the norm of A, the sum of the terms
+    (rows, cols, lambda) of _weighted_sum, cut to its columns of layer
+    below n, for each n in tops (see norm_estimate).
 
-    ``layer`` numbers the columns, nondecreasing, and B = a^T a links no
+    ``layer`` numbers the columns, nondecreasing, and B = A^T A links no
     two layers.  Each layer is bracketed once, from a vector solved by
     _dense_vector if none of its blocks has over _DENSE_BLOCK rows (all in
-    one call), else by _sparse_vector; each n reads the running maximum of
-    the layer ends below it.  ``terms``, the number of weighted isometries
-    summed into a, bounds the float sums behind each entry of B.
+    one call), else from the two of _sparse_vector; each n reads the
+    running maximum of the layer ends below it.  _gram sums each entry of B
+    from the products lambda_x lambda_x' that A^T A sums, one per z = xy =
+    x'y', if in another order: so the slack and _bracket's gamma_k stand.
     """
-    import scipy.sparse as sp
-    b = a.T @ a
+    b, rows = _gram(terms, len(layer))
     if not np.isfinite(b.data).all():
         raise ValueError("A^T A overflows the float range: the weights are too "
                          "large to square")
-    # B is symmetric, so its empty rows are its empty columns, and dropping
-    # them relabels the rest in order: each layer's rows stay contiguous
-    rows = np.flatnonzero(np.diff(b.indptr))
     if not rows.size:
         return [0.0] * len(tops)
     group = layer[rows]
     count = np.bincount(group, minlength=layer[-1] + 1)
     below = np.cumsum(count)
-    position = np.cumsum(np.diff(b.indptr) > 0) - 1
-    indptr = np.append(b.indptr[rows], b.indptr[-1])
     # a power of two scales B exactly, up from entries below 1 to keep the
     # solves clear of subnormals; scaling back rounds by under a subnormal
     shift = min(int(np.frexp(b.data.max())[1]), 0)
-    b = sp.csr_matrix((np.ldexp(b.data, -shift), position[b.indices], indptr),
-                      shape=(len(rows),) * 2)
+    b = b._replace(data=np.ldexp(b.data, -shift))
     component = _component_labels(b)
     sparse = np.unique(group[np.bincount(component)[component] > _DENSE_BLOCK])
     dense = ~np.isin(group, sparse)
-    v = np.empty(len(rows))
-    v[dense] = _dense_vector(b if dense.all() else b[dense][:, dense], component[dense])
+    v = np.empty((1 + bool(sparse.size), len(rows)))
+    v[:, dense] = _dense_vector(b if dense.all() else _restrict(b, dense), component[dense])
     for d in sparse:
-        span = slice(below[d] - count[d], below[d])
-        v[span] = _sparse_vector(b[span, span])
+        v[:, group == d] = _sparse_vector(_restrict(b, group == d))
     ends = np.zeros((len(count), 2))
     np.maximum.at(ends, group, np.stack(_bracket(b, v, component), axis=1)[component])
     lower, upper = np.ldexp(np.maximum.accumulate(ends), shift).T
     sub = np.finfo(float).smallest_subnormal
-    slack = (3 * below + terms + 8) * np.finfo(float).eps
+    slack = (3 * below + len(terms) + 8) * np.finfo(float).eps
     lower = np.sqrt(np.maximum(lower - sub, 0.0)) * (1 - slack)
     upper = np.sqrt(upper + sub) * (1 + slack)
     at = np.asarray(tops) - 1
@@ -657,8 +697,8 @@ def norm_estimate(graph, weights, ball, tol=1e-9):
     so when no bracket can close to it.
     """
     _check_norm_inputs("norm_estimate", weights, tol)
-    a = _weighted_sum(graph, weights, ball)
-    return _certified_norms(a, np.zeros(len(ball), dtype=np.intp), [1], len(weights), tol)[0]
+    terms = _weighted_sum(graph, weights, ball)
+    return _certified_norms(terms, np.zeros(len(ball), dtype=np.intp), [1], tol)[0]
 
 
 def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
@@ -689,8 +729,8 @@ def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
         raise ValueError(f"ball degrees must be >= 0, not {degrees[0]}" if degrees[0] < 0 else
                          "weight support must lie inside the ball: generators have degree 1")
     big = enumerate_ball(graph, degrees[-1], size_cap=size_cap)
-    a = _weighted_sum(graph, {gen_words[k]: w for k, w in weights_by_label.items()}, big)
+    terms = _weighted_sum(graph, {gen_words[k]: w for k, w in weights_by_label.items()}, big)
     layer = np.repeat(np.arange(len(big.start) - 1), np.diff(big.start))
-    values = _certified_norms(a, layer, degrees, len(weights_by_label), tol)
+    values = _certified_norms(terms, layer, degrees, tol)
     sizes = [big.start[n + 1] for n in degrees]
     return list(zip(degrees, sizes, itertools.accumulate(values, max)))

@@ -454,11 +454,11 @@ class TestStartup:
         assert numeric_modules_after(commands(argv)) == [True, False]
 
     def test_small_norm_curves_load_no_sparse_solver(self):
-        # every block of this curve is small enough for the dense bracket
+        # every block of this curve is small enough for the dense bracket,
+        # and B is gathered from the ball's table: no scipy module loads
         argv = ["norm-curve", "--ctx", "b3", "--max-degree", "8",
                 "--weights", json.dumps({"s": 0.5, "t": 0.5})]
-        modules = ("scipy.sparse", "scipy.sparse.linalg")
-        assert numeric_modules_after(commands(argv), modules) == [True, False]
+        assert numeric_modules_after(commands(argv)) == [True, False]
 
     def test_public_names(self):
         assert sorted(qlattice.__all__) == [

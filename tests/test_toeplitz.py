@@ -40,7 +40,9 @@ from qlattice.toeplitz import (
     _certified_norms,
     _component_labels,
     _dense_vector,
+    _gram,
     _sparse_vector,
+    _weighted_sum,
 )
 
 from conftest import nw
@@ -58,7 +60,7 @@ class TestConeBall:
         for z in ball.elements:
             for x in ball.elements:
                 if leq(mixed, x, z):
-                    assert x in ball
+                    assert x.syllables in ball.index
 
     def test_order_is_by_degree_then_key(self, path3):
         ball = enumerate_ball(path3, 3)
@@ -726,16 +728,69 @@ class TestNorms:
         assert len(set(zip(got.tolist(), want.tolist()))) == count
 
     @staticmethod
-    def bracket_case(name, degree):
+    def bracket_weights(graph):
         # with generator weights alone B has a constant diagonal; the
         # square of a generator makes it vary
-        graph = _load_context(name)
-        ball = enumerate_ball(graph, degree)
         gens = graph.generator_words()
         weights = {x: lam for x, lam in zip(gens, (1.0, 1e-3, 0.3, 0.7))}
         weights[graph.multiply(gens[0], gens[0])] = 0.5
-        b = nonzero_gram(graph, ball, weights)
+        return weights
+
+    def bracket_case(self, name, degree):
+        graph = _load_context(name)
+        b = nonzero_gram(graph, enumerate_ball(graph, degree), self.bracket_weights(graph))
         return b, _component_labels(b), np.linalg.eigvalsh(b.toarray())[-1]
+
+    @staticmethod
+    def gathered_gram(graph, ball, weights):
+        """_gram's B as a scipy matrix, and its rows, checked against the
+        scipy product nonzero_gram."""
+        terms = _weighted_sum(graph, weights, ball)
+        b, rows = _gram(terms, len(ball))
+        # B's nonempty rows are the columns y that some T_x with a nonzero
+        # weight keeps inside the ball
+        assert rows.tolist() == sorted({y for _, cols, lam in terms if lam for y in cols})
+        want = nonzero_gram(graph, ball, weights)
+        got = type(want)((b.data, b.indices, b.indptr), shape=b.shape)
+        assert got.shape == want.shape and ((got != 0) != (want != 0)).nnz == 0
+        # the same products lambda_x lambda_x', summed in a possibly other order
+        rtol = len(terms) ** 2 * np.finfo(float).eps
+        assert abs(got - want).max() <= rtol * abs(want).max()
+        v = np.random.default_rng(len(ball)).uniform(0.5, 1.0, b.shape[0])
+        np.testing.assert_allclose(b @ v, want @ v, rtol=rtol, atol=0)
+        return got, rows
+
+    @pytest.mark.parametrize("name,degree", BRACKET_CASES)
+    def test_gathered_gram_equals_the_product(self, name, degree):
+        graph = _load_context(name)
+        self.gathered_gram(graph, enumerate_ball(graph, degree), self.bracket_weights(graph))
+
+    def test_gathered_gram_sums_coinciding_pairs(self):
+        # a (b) = b (a) and ab (a) = aa (b): two pairs of terms meet at
+        # B[a, b], which _gram must add
+        graph = _load_context("square4")
+        ball = enumerate_ball(graph, 6)
+        a, b = nw(graph, ("a", 1)), nw(graph, ("b", 1))
+        weights = {a: 0.3, b: 0.7, graph.multiply(a, b): 0.2, graph.multiply(a, a): 0.5}
+        gram, rows = self.gathered_gram(graph, ball, weights)
+        i, j = np.searchsorted(rows, [ball.index[x.syllables] for x in (a, b)])
+        assert gram[i, j] == 0.3 * 0.7 + 0.2 * 0.5
+        tol = 1e-9
+        val = norm_estimate(graph, weights, ball, tol=tol)
+        assert val <= dense_norm(graph, weights, ball) <= val + tol * max(val, 1.0)
+
+    def test_candidate_vectors_combine_per_component(self):
+        # (1, 1) is the top eigenvector of both blocks; each candidate has
+        # it on one block only, so only the two together close both
+        import scipy.sparse as sp
+        b = sp.csr_matrix(np.kron(np.eye(2), np.ones((2, 2))) + np.diag([1.0, 1, 0, 0]))
+        component = _component_labels(b)
+        first, second = np.array([1.0, 1, 1, 2]), np.array([1.0, 2, 1, 1])
+        for v, closed in ((first, [True, False]), (second, [False, True])):
+            lower, upper = _bracket(b, v, component)
+            assert (upper - lower <= 1e-12 * upper).tolist() == closed
+        lower, upper = _bracket(b, np.stack([first, second]), component)
+        assert lower.tolist() == pytest.approx([3.0, 2.0]) and (upper - lower <= 1e-12 * upper).all()
 
     @staticmethod
     def block_tops(b, component):
@@ -952,11 +1007,21 @@ class TestNorms:
         check_curve_rows(_load_context("b4"), {"s": 0.8, "t": 0.5, "u": 0.6}, range(1, 7))
 
     def test_each_degree_reads_every_layer_below_it(self):
-        # a layer below the newest one may hold the top eigenvalue
-        import scipy.sparse as sp
-        a = sp.csr_matrix(np.diag([2.0, 1.0]))
-        got = _certified_norms(a, np.array([0, 1]), [1, 2], 1, 1e-9)
+        # a layer below the newest one may hold the top eigenvalue: A is
+        # diag(2, 1), as two one-entry terms of weights 2 and 1
+        one, two = np.array([0]), np.array([1])
+        terms = [(one, one, 2.0), (two, two, 1.0)]
+        got = _certified_norms(terms, np.array([0, 1]), [1, 2], 1e-9)
         assert got == pytest.approx([2.0, 2.0], rel=1e-12)
+
+    def test_square4_curve_certifies_up_to_the_size_cap(self):
+        # square4 at degree 12 (98,305 elements, under the default cap) has
+        # a layer that spilu fills past its cap; the Ritz vector closes it.
+        # 0.7019511765976546 was certified on the whole B, not by layers.
+        graph = _load_context("square4")
+        rows = norm_curve(graph, {k: 0.25 for k in graph.generator_labels()}, range(1, 13))
+        assert rows[-1][:2] == (12, 98305)
+        assert rows[-1][2] == pytest.approx(0.7019511765976546, abs=1e-9)
 
     def test_b3_closed_form(self, b3):
         # the dense-SVD norms of (T_s + T_t)/2 follow
