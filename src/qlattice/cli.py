@@ -5,9 +5,11 @@ Results go to standard output as one JSON object per invocation,
 "infinity".  Exit codes: 0 success, 1 domain error (no fraction of
 positives, relation violation, a norm that cannot be certified), 2
 input/parse error.  The norm-curve subcommand emits CSV instead (columns
-degree, ball_size, norm_estimate).  Each norm_estimate is a certified
-lower bound: the exact compressed norm lies at most --tolerance (relative
-above 1) above it, and the column is nondecreasing.
+degree, ball_size, norm_estimate, norm_hi).  Each row is a bracket on
+the exact compressed norm, and both columns are nondecreasing.  The
+computed bracket is at most --tolerance (relative above 1) wide; its ends
+are printed rounded outward to 12 decimals, so a printed row is at most
+--tolerance plus 2e-12 wide.
 """
 
 from __future__ import annotations
@@ -201,17 +203,17 @@ def cmd_relcheck(graph, args):
 
 
 def cmd_norm_curve(graph, args):
-    from .toeplitz import norm_curve
-    rows = norm_curve(
-        graph,
-        qio.parse_weights(graph, args.weights),
-        range(1, args.max_degree + 1),
-        tol=args.tolerance,
-        size_cap=args.max_ball,
-    )
-    lines = ["degree,ball_size,norm_estimate"]
-    lines += [f"{d},{n},{val:.12f}" for d, n, val in rows]
-    text = "\n".join(lines) + "\n"
+    from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+    from .toeplitz import _norm_brackets
+    rows = _norm_brackets(graph, qio.parse_weights(graph, args.weights),
+                          range(1, args.max_degree + 1), tol=args.tolerance,
+                          size_cap=args.max_ball)
+    # each end exactly to 12 decimals, outward: a float has at most 309 integer digits
+    down, up = (Context(prec=400, rounding=r) for r in (ROUND_FLOOR, ROUND_CEILING))
+    step = Decimal("1e-12")
+    text = "".join(["degree,ball_size,norm_estimate,norm_hi\n"] + [
+        f"{d},{n},{down.quantize(Decimal(lo), step):.12f},{up.quantize(Decimal(hi), step):.12f}\n"
+        for d, n, lo, hi in rows])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

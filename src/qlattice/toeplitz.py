@@ -18,12 +18,13 @@ reaches: such a z is x w with w positive of degree deg z - deg x, so w is
 in the ball and T_x e_w = e_z.  Range projections, covariance and defect
 are read off the table with no order test.  Norms are the exception: the
 compressed norm is a lower bound for the full one and is nondecreasing
-in the ball degree.  Each T_x is a partial permutation of the ball, so
-A^T A is gathered off the table's index maps with no matrix product, and
-norm_estimate certifies the norm with a bracket on the top eigenvalue of
-each block of A^T A, read off positive vectors whose solves are not
-trusted.  With generator weights A^T A links only elements of equal
-degree, so norm_curve brackets each degree layer of the largest ball once.
+in the ball degree.  Each T_x is a partial permutation of the ball,
+walked from its domain, the basis prefix of degree n - deg x; relations
+compose such index maps, A^T A is gathered off them, and norm_estimate
+certifies the norm with a bracket on the top eigenvalue of each block of
+A^T A, read off positive vectors whose solves are not trusted.  With
+generator weights A^T A links only elements of equal degree, so
+norm_curve brackets each degree layer of the largest ball once.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-# scipy.sparse is imported only in toeplitz_op, check_toeplitz_relations and
-# _sparse_vector, so the rest, norms with small blocks too, loads numpy alone.
+# scipy.sparse is imported only in toeplitz_op and _sparse_vector, so the rest,
+# relation checks and norms with small blocks too, loads numpy alone.
 import numpy as np
 
 from .factors import INFINITY
@@ -48,13 +49,15 @@ class ConeBall:
 
     ``table`` is the left-multiplication table, one row per generator in
     the order of ``graph.generator_labels()``: entry [g, j] is the
-    position of g y_j, or -1 when g y_j is not in the ball.  Degree d runs
-    from start[d] to start[d + 1]; elements and index form on first read.
+    position of g y_j, or -1 when g y_j is not in the ball, and ``row_of``
+    maps each label to its row.  Degree d runs from start[d] to
+    start[d + 1]; elements and index form on first read.
     """
     graph: object = field(repr=False)
     max_degree: int
     start: tuple = field(repr=False)
     table: np.ndarray = field(compare=False, repr=False)
+    row_of: dict = field(compare=False, repr=False)
 
     def __len__(self):
         return self.table.shape[1]
@@ -125,7 +128,7 @@ def enumerate_ball(graph, max_degree, size_cap=200_000):
                 f"size cap of {size_cap}; the ball of degree {d - 1} has {start[d]}")
         fresh = np.full((len(gens), start[d + 1] - start[d]), -1, dtype=np.intp)
         table = np.concatenate([table, fresh], axis=1)  # the columns of degree d
-    return ConeBall(graph, max_degree, tuple(start), table)
+    return ConeBall(graph, max_degree, tuple(start), table, row)
 
 
 @dataclass(frozen=True)
@@ -148,15 +151,13 @@ def _positive(graph, x, message):
 def _walk(graph, x, ball):
     """The pairs (xy, y) with xy in the ball, as row and column arrays.
 
-    Walks the ball's table along the letters of x from the right.  Exact:
-    each intermediate product has degree at most deg xy, so is in the ball.
+    xy is in the ball iff deg y <= n - deg x: the columns are that basis
+    prefix, each letter of x from the right maps them on by one gather from
+    the table, and no entry is -1, as each partial product has degree <= n.
     """
-    row_of = {label: i for i, label in enumerate(graph.generator_labels())}
-    cols = rows = np.arange(len(ball))
+    cols = rows = np.arange(ball.start[max(ball.max_degree - x.degree + 1, 0)])
     for letter in reversed(list(_letters(graph, x))):
-        rows = ball.table[row_of[letter], rows]
-        inside = rows >= 0
-        rows, cols = rows[inside], cols[inside]
+        rows = ball.table[ball.row_of[letter], rows]
     return rows, cols
 
 
@@ -392,32 +393,34 @@ def check_toeplitz_relations(graph, ball):
 
     Reads the same relation list as check_graph_relations.  A relation
     whose sides have at most k non-adjoint letters is compared on the
-    columns e_y with deg y + k <= max_degree.  Along either side each
-    letter raises the degree by one and each adjoint lowers it (or
-    kills the vector), so no product leaves the ball; and adjoints are
-    exact on a divisor-closed ball.  Every comparison is therefore exact
-    0/1 arithmetic.  A ball too small to compare every relation is a
-    ValueError that names the least degree that compares them all.
+    basis prefix of degree n - k.  Along either side each letter raises
+    the degree by one and each adjoint lowers it (or kills the vector), so
+    no product leaves the ball, and adjoints are exact on a divisor-closed
+    ball.  So each side is a map from the prefix to the ball, -1 where it
+    kills the vector, composed from table row g for T_g and its inverse
+    for T_g^*: no 0/1 matrix product.  Sides differ iff their maps do, and
+    then by a 0/1 entry, the residual 1.0.  A ball too small to compare
+    every relation is a ValueError naming the least degree that does.
     """
-    import scipy.sparse as sp
     rels = [(*rel, max(sum(not a for _, a in side) for side in rel[1:] if side))
             for rel in _generator_relations(graph)]
     need = max(k for *_, k in rels)
     if need > ball.max_degree:
         raise ValueError(f"a ball of degree {ball.max_degree} leaves relations "
                          f"uncompared; every relation is compared from degree {need}")
-    mats = {
-        label: toeplitz_op(graph, x, ball).matrix
-        for label, x in zip(graph.generator_labels(), graph.generator_words())
-    }
-    eye = sp.identity(len(ball), format="csr")
-    bad = []
-    for desc, lhs, rhs, k in rels:
-        keep = slice(ball.start[ball.max_degree - k + 1])  # the columns of degree <= n - k
-        a = _product(lhs, mats, eye)[:, keep]
-        b = (0 * eye if rhs is None else _product(rhs, mats, eye))[:, keep]
-        if (a != b).nnz:
-            bad.append((desc, float(abs(a - b).max())))
+    inverse = np.full_like(ball.table, -1)
+    for inv, row in zip(inverse, ball.table):
+        inv[row[row >= 0]] = np.flatnonzero(row >= 0)
+
+    def image(side, k):  # the map of a side on the columns of degree <= n - k
+        ids = np.arange(ball.start[ball.max_degree - k + 1])
+        for label, adjoint in reversed(side or ()):
+            live = ids >= 0  # masked first: a -1 must not read the last entry
+            ids[live] = (inverse if adjoint else ball.table)[ball.row_of[label], ids[live]]
+        return ids if side is not None else np.full_like(ids, -1)
+
+    bad = [(desc, 1.0) for desc, lhs, rhs, k in rels
+           if not np.array_equal(image(lhs, k), image(rhs, k))]
     return RelationReport(not bad, tuple(bad))
 
 
@@ -632,9 +635,9 @@ def _sparse_vector(b):
 
 
 def _certified_norms(terms, layer, tops, tol):
-    """Certified lower bounds on the norm of A, the sum of the terms
-    (rows, cols, lambda) of _weighted_sum, cut to its columns of layer
-    below n, for each n in tops (see norm_estimate).
+    """Certified lower and upper bounds, as two lists, on the norm of A,
+    the sum of the terms (rows, cols, lambda) of _weighted_sum, cut to its
+    columns of layer below n, for each n in tops (see norm_estimate).
 
     ``layer`` numbers the columns, nondecreasing, and B = A^T A links no
     two layers.  Each layer is bracketed once, from a vector solved by
@@ -649,7 +652,7 @@ def _certified_norms(terms, layer, tops, tol):
         raise ValueError("A^T A overflows the float range: the weights are too "
                          "large to square")
     if not rows.size:
-        return [0.0] * len(tops)
+        return ([0.0] * len(tops),) * 2
     group = layer[rows]
     count = np.bincount(group, minlength=layer[-1] + 1)
     below = np.cumsum(count)
@@ -679,7 +682,7 @@ def _certified_norms(terms, layer, tops, tol):
                 f"the tolerance {tol:g} is below {least:.3g}, the least the norm bracket "
                 f"[{lo:.15g}, {hi:.15g}] can close to" if tol < least else
                 f"norm bracket [{lo:.15g}, {hi:.15g}] is wider than the tolerance {tol:g}")
-    return lower[at].tolist()
+    return lower[at].tolist(), upper[at].tolist()
 
 
 def norm_estimate(graph, weights, ball, tol=1e-9):
@@ -698,7 +701,7 @@ def norm_estimate(graph, weights, ball, tol=1e-9):
     """
     _check_norm_inputs("norm_estimate", weights, tol)
     terms = _weighted_sum(graph, weights, ball)
-    return _certified_norms(terms, np.zeros(len(ball), dtype=np.intp), [1], tol)[0]
+    return _certified_norms(terms, np.zeros(len(ball), dtype=np.intp), [1], tol)[0][0]
 
 
 def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
@@ -715,6 +718,12 @@ def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
     and each is kept at least the one before, since the slack grows with n
     and could dip a flat step by an ulp.  Degrees increase from 1.
     """
+    return [row[:3] for row in _norm_brackets(graph, weights_by_label, degrees, tol, size_cap)]
+
+
+def _norm_brackets(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
+    """norm_curve's rows with the upper end of each bracket appended, also
+    kept at least the one before (the exact norm is nondecreasing in n)."""
     _check_norm_inputs("norm_curve", weights_by_label, tol)
     degrees = list(degrees)
     if degrees != sorted(degrees):
@@ -731,6 +740,6 @@ def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
     big = enumerate_ball(graph, degrees[-1], size_cap=size_cap)
     terms = _weighted_sum(graph, {gen_words[k]: w for k, w in weights_by_label.items()}, big)
     layer = np.repeat(np.arange(len(big.start) - 1), np.diff(big.start))
-    values = _certified_norms(terms, layer, degrees, tol)
-    sizes = [big.start[n + 1] for n in degrees]
-    return list(zip(degrees, sizes, itertools.accumulate(values, max)))
+    lower, upper = (itertools.accumulate(ends, max)
+                    for ends in _certified_norms(terms, layer, degrees, tol))
+    return list(zip(degrees, [big.start[n + 1] for n in degrees], lower, upper))

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -197,11 +198,44 @@ class TestAnalysisCommands:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "degree,ball_size,norm_estimate"
+        assert lines[0] == "degree,ball_size,norm_estimate,norm_hi"
         assert len(lines) == 4
-        degree, size, val = lines[-1].split(",")
+        degree, size, val, hi = lines[-1].split(",")
         assert (degree, size) == ("3", "15")
         assert abs(float(val) - 0.7071067811865476) < 1e-6
+        assert abs(float(hi) - 0.7071067811865476) < 1e-6
+
+    @pytest.mark.parametrize("ctx,max_degree,weights,tol", [
+        ("free2", 6, {"a": 0.5, "b": 0.5}, "1e-9"),
+        ("path3", 6, {"a": 0.3, "b": 0.3, "c": 0.4}, "1e-6"),
+        ("square4", 5, {"a": 1, "b": 2, "c": 3, "d": 4}, "1e-9"),
+        ("b3", 9, {"s": 0.5, "t": 0.5}, "1e-11"),
+        ("b4", 6, {"s": 0.8, "t": 0.5, "u": 0.6}, "1e-9"),
+        ("b3", 5, {"s": 0.5, "t": 0.5}, "1e-13"),
+    ])
+    def test_norm_curve_csv_carries_the_bracket(self, run, ctx, max_degree, weights, tol):
+        code, out = run("norm-curve", "--ctx", ctx, "--max-degree", str(max_degree),
+                        "--weights", json.dumps(weights), "--tolerance", tol)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "degree,ball_size,norm_estimate,norm_hi"
+        lo, hi = zip(*((float(v) for v in line.split(",")[2:]) for line in lines[1:]))
+        # each end is rounded outward to 12 decimals, which widens the
+        # computed bracket by less than 2e-12: below 1e-12 that dominates
+        for a, b in zip(lo, hi):
+            assert a <= b and b - a <= float(tol) * max(a, 1.0) + 2e-12
+        assert list(lo) == sorted(lo) and list(hi) == sorted(hi)
+
+    def test_norm_curve_csv_brackets_the_b3_closed_form(self, run):
+        # the exact norms of (T_s + T_t)/2 are cos(pi / (2 (n - floor((n - 2) / 3)))):
+        # rounded to nearest, the printed ends missed them at 9 of 11 degrees
+        code, out = run("norm-curve", "--ctx", "b3", "--max-degree", "12", "--tolerance",
+                        "1e-10", "--weights", json.dumps({"s": 0.5, "t": 0.5}))
+        assert code == 0
+        for line in out.strip().splitlines()[2:]:
+            n, _, lo, hi = line.split(",")
+            exact = math.cos(math.pi / (2 * (int(n) - (int(n) - 2) // 3)))
+            assert float(lo) <= exact <= float(hi), line
 
     def test_norm_curve_unequal_weights(self, run):
         # the power iterate is normalised per component, so the weakest
@@ -211,7 +245,8 @@ class TestAnalysisCommands:
             "--weights", json.dumps({"a": 0.3, "b": 0.3, "c": 0.4}),
         )
         assert code == 0
-        assert out.strip().splitlines()[-1] == "6,247,0.781211021665"
+        # the ends are rounded outward: 0.78121102166(5) to nearest
+        assert out.strip().splitlines()[-1] == "6,247,0.781211021664,0.781211021666"
 
     def test_norm_curve_near_degenerate_weights(self, run, path3):
         # one dominant weight: power iteration used to run out of steps at
@@ -230,7 +265,7 @@ class TestAnalysisCommands:
             by_word = {path3.reduce([path3.syllable(label, 1)]): lam
                        for label, lam in weights.items()}
             for line in lines[1:]:
-                degree, size, val = line.split(",")
+                degree, size, val, hi = line.split(",")
                 key = (json.dumps(weights), int(degree))
                 if key not in exact:
                     ball = enumerate_ball(path3, int(degree))
@@ -241,6 +276,7 @@ class TestAnalysisCommands:
                 assert int(size) == want_size
                 # the value is printed to 12 decimals
                 assert float(val) - 1e-12 <= norm <= float(val) + 1e-9 * max(norm, 1.0)
+                assert norm <= float(hi) + 1e-12
 
     def test_norm_curve_rejects_an_unreachable_tolerance(self, run):
         code, doc = run_json(
@@ -449,6 +485,8 @@ class TestStartup:
         ["ball", "--ctx", "b3", "--max-degree", "3"],
         ["cov-check", "--ctx", "b3", B3_ST, B3_TS],
         ["defect", "--ctx", "b3"],
+        ["relcheck", "--ctx", "b3"],
+        ["relcheck", "--ctx", "b4"],
     ])
     def test_table_commands_load_numpy_but_not_scipy(self, argv):
         assert numeric_modules_after(commands(argv)) == [True, False]

@@ -42,6 +42,7 @@ from qlattice.toeplitz import (
     _dense_vector,
     _gram,
     _sparse_vector,
+    _walk,
     _weighted_sum,
 )
 
@@ -240,13 +241,20 @@ def check_curve_rows(graph, by_label, degrees, tol=1e-9):
 class TestCayleyTable:
     @pytest.mark.parametrize("name", sorted(TABLE_CASES))
     def test_operators_match_the_dense_oracle(self, name):
+        # T_x is walked from the basis prefix of degree n - deg x, its
+        # domain: on small balls every x of degree 0..n + 2 is checked, the
+        # identity and the x that reach no column included
         graph = _load_context(name)
         degree, longer = TABLE_CASES[name]
-        ball = enumerate_ball(graph, degree)
-        symbols = graph.generator_words() + [nw(graph, *pairs) for pairs in longer]
-        for x in symbols:
-            got = toeplitz_op(graph, x, ball).matrix.toarray()
-            assert np.array_equal(got, dense_operator(graph, x, ball)), x
+        cases = [(n, enumerate_ball(graph, n + 2).elements) for n in (0, 1, 3)]
+        cases.append((degree, graph.generator_words() + [nw(graph, *p) for p in longer]))
+        for n, symbols in cases:
+            ball = enumerate_ball(graph, n)
+            for x in symbols:
+                cols = _walk(graph, x, ball)[1]
+                assert np.array_equal(cols, np.arange(len(cols))), (n, x)
+                got = toeplitz_op(graph, x, ball).matrix.toarray()
+                assert np.array_equal(got, dense_operator(graph, x, ball)), (n, x)
 
     def test_mixed_syllables_match_the_dense_oracle(self, mixed):
         ball = enumerate_ball(mixed, 4)
@@ -562,6 +570,33 @@ class TestToeplitzRelations:
         edge = CommutationGraph(vertices, [("a", "b")])
         report = check_toeplitz_relations(edge, ball)
         assert [desc for desc, _ in report.violations] == ["orthogonal ranges b,c"]
+
+    @pytest.mark.parametrize("ctx", ["path3", "b3", "mixed"])
+    def test_a_dropped_adjoint_letter_is_caught(self, ctx, request, monkeypatch):
+        # each relation with an adjoint letter, with one of them dropped, is
+        # checked alone: the composed index maps must tell the sides apart.
+        # (At degree 4 the b3 ball compares the generator covariance only
+        # on columns of degree <= 1, where some bent sides still agree.)
+        graph = request.getfixturevalue(ctx)
+        ball = enumerate_ball(graph, 6)
+        relations = toeplitz._generator_relations(graph)
+        bent = [(desc, side[:i] + side[i + 1:], other)
+                for desc, lhs, rhs in relations
+                for side, other in ((lhs, rhs), (rhs, lhs)) if side
+                for i, (_, adjoint) in enumerate(side) if adjoint]
+        assert len(bent) >= len(graph.generator_labels())
+        for relation in bent:
+            monkeypatch.setattr(toeplitz, "_generator_relations", lambda g: [relation])
+            report = check_toeplitz_relations(graph, ball)
+            assert [desc for desc, _ in report.violations] == [relation[0]], relation
+
+    def test_a_killed_vector_stays_killed(self, free2, monkeypatch):
+        # T_b^* T_a^* T_b = 0 as T_a^* T_b = 0.  T_a^* kills every column;
+        # T_b^* then must not read the killed -1 as an index, where the
+        # last element, b^n, has the preimage b^(n-1)
+        zero = ("zero after a kill", (("b", True), ("a", True), ("b", False)), None)
+        monkeypatch.setattr(toeplitz, "_generator_relations", lambda g: [zero])
+        assert check_toeplitz_relations(free2, enumerate_ball(free2, 3)).ok
 
     @pytest.mark.parametrize(
         "ctx,need", [("free2", 1), ("path3", 2), ("b3", 3), ("mixed", 3)]
@@ -1011,8 +1046,9 @@ class TestNorms:
         # diag(2, 1), as two one-entry terms of weights 2 and 1
         one, two = np.array([0]), np.array([1])
         terms = [(one, one, 2.0), (two, two, 1.0)]
-        got = _certified_norms(terms, np.array([0, 1]), [1, 2], 1e-9)
-        assert got == pytest.approx([2.0, 2.0], rel=1e-12)
+        lower, upper = _certified_norms(terms, np.array([0, 1]), [1, 2], 1e-9)
+        assert lower == pytest.approx([2.0, 2.0], rel=1e-12)
+        assert upper == pytest.approx([2.0, 2.0], rel=1e-12)
 
     def test_square4_curve_certifies_up_to_the_size_cap(self):
         # square4 at degree 12 (98,305 elements, under the default cap) has

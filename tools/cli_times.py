@@ -1,0 +1,60 @@
+"""Time whole qlattice CLI processes, best of 9.
+
+    python3 tools/cli_times.py [--src path/to/src]
+
+Each command runs in a fresh interpreter, so a time holds start-up,
+imports and the work itself.  The commands are ``norm-curve`` on the five
+presets and ``relcheck`` on b3 and b4.  Every run has
+OPENBLAS_NUM_THREADS=1, and the runs of the commands are interleaved, so
+a slow spell on the machine spreads over all of them.  ``--src`` names
+the source directory put on PYTHONPATH (default: this checkout's
+``src``); point it at an exported older revision to compare two trees.
+A command that exits nonzero stops the script.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 9  # runs per command; the best one is reported
+
+
+def norm_curve(ctx, max_degree, labels):
+    weights = json.dumps({label: 1 / len(labels) for label in labels})
+    return ["norm-curve", "--ctx", ctx, "--max-degree", str(max_degree), "--weights", weights]
+
+
+COMMANDS = [
+    norm_curve("free2", 7, "ab"),
+    norm_curve("path3", 6, "abc"),
+    norm_curve("square4", 5, "abcd"),
+    norm_curve("b3", 8, "st"),
+    norm_curve("b4", 7, "stu"),
+    ["relcheck", "--ctx", "b3"],
+    ["relcheck", "--ctx", "b4"],
+]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory on PYTHONPATH")
+    args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()), OPENBLAS_NUM_THREADS="1")
+    times = [[] for _ in COMMANDS]
+    for _ in range(REPEAT):
+        for argv_, seen in zip(COMMANDS, times):
+            began = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "qlattice.cli", *argv_], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            seen.append(time.perf_counter() - began)
+    for argv_, seen in zip(COMMANDS, times):
+        print(f"{min(seen):.3f} s  {' '.join(argv_[:5])}")
+
+
+if __name__ == "__main__":
+    main()
