@@ -20,8 +20,8 @@ The graph product (graph, order, toeplitz) reaches a factor only through
 the interface that ZOps and ArtinOps implement, with no base class; a new
 kind implements it too: identity, is_identity, multiply, invert,
 is_positive, degree, factorize (a = p q^-1 as the canonical pair (p, q)),
-lub, sort_key, generators(vertex) ({label: element} for the cone's
-generators) and letters(vertex, a) (the labels that spell a positive a).
+lub, generators(vertex) ({label: element} for the cone's generators) and
+letters(vertex, a) (the labels that spell a positive a).
 Only io (the wire format) and verify (its sampler) read ``kind``.
 """
 
@@ -290,9 +290,6 @@ class ArtinMonoid:
     def rgcd_words(self, u, v):
         return self._strip(tuple(u)[::-1], tuple(v)[::-1])[0][::-1]
 
-    def word_key(self, w):
-        return (len(w),) + tuple(self.index[c] for c in w)
-
     def canonical_word(self, w, tail=()):
         """Shortlex-least word equal to w + tail, for a shortlex-least tail.
 
@@ -379,9 +376,6 @@ class ZOps:
     def lub(self, a, b):
         return max(a, b)
 
-    def sort_key(self, a):
-        return (a,)
-
     def generators(self, vertex):
         return {vertex: 1}
 
@@ -416,6 +410,10 @@ class ArtinOps:
             return ArtinFraction(self.monoid.canonical_word(f.num, g.num), ())
         # f.den^-1 g.num reverses to x y^-1
         x, y = self.monoid.reverse_fraction(f.den, g.num)
+        if not f.num and not g.den:
+            # u x = v y = lcm(u, v), so no gcd to strip: x = x' d, y = y' d
+            # would make u x' = v y' a shorter common multiple
+            return ArtinFraction(self.monoid.canonical_word(x), self.monoid.canonical_word(y))
         return self.element(f.num + x, g.den + y)
 
     def invert(self, f):
@@ -433,9 +431,6 @@ class ArtinOps:
     def lub(self, x, y):
         a, _ = self.factorize(self.multiply(self.invert(x), y))
         return self.multiply(x, a)
-
-    def sort_key(self, f):
-        return self.monoid.word_key(f.num) + self.monoid.word_key(f.den)
 
     def generators(self, vertex):
         return {s: ArtinFraction((s,), ()) for s in self.monoid.generators}

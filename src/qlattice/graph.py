@@ -138,15 +138,23 @@ class CommutationGraph:
         return positions
 
     def _insert(self, out, sylls):
-        """Insert nontrivial syllables into out, a canonical reduced list.
+        """Insert nontrivial syllables into out, a reduced list.
 
         A new syllable scans left past syllables at adjacent vertices.  At
         one of its own vertex it amalgamates; a deletion removes a syllable
         that no later one depends on, which keeps out reduced and canonical.
         Otherwise it depends on nothing further right, so the greedy
         extraction takes it just before the first later syllable of larger
-        vertex, and it is inserted there.  So after each syllable out is the
-        canonical reduced word of the product so far.
+        vertex, and it is inserted there.  So after each syllable a canonical
+        out is the canonical reduced word of the product so far.
+
+        Any reduced out stays a reduced word of the product (Green: no two
+        syllables at one vertex with only adjacent ones between): a placed
+        syllable has a non-adjacent one or none before each at its vertex,
+        and a deleted one had only adjacent ones after it.  Which reduced
+        word out is does not change what amalgamates: all order each pair at
+        equal or non-adjacent vertices alike, and the scan reaches the last
+        syllable z at the new one's vertex iff no syllable depends on z.
         """
         index = self.vertex_index
         for s in sylls:
@@ -199,12 +207,14 @@ class CommutationGraph:
         out = self._insert(list(x.syllables), y.syllables)
         return NormalWord(tuple(out), x.degree + y.degree)
 
+    def _inverses(self, sylls):
+        """The inverse syllables of sylls, reversed: reduced if sylls is."""
+        return [Syllable(s.vertex, self.ops[s.vertex].invert(s.element))
+                for s in reversed(sylls)]
+
     def invert(self, x):
-        """x^-1: x's inverse syllables, reversed, are already reduced, so
-        inserting them only re-sorts them."""
-        inverses = (Syllable(s.vertex, self.ops[s.vertex].invert(s.element))
-                    for s in reversed(x.syllables))
-        return NormalWord(tuple(self._insert([], inverses)), -x.degree)
+        """x^-1: _inverses is reduced, so inserting it only sorts it."""
+        return NormalWord(tuple(self._insert([], self._inverses(x.syllables))), -x.degree)
 
     # -- initial structure --------------------------------------------------
 
@@ -221,10 +231,3 @@ class CommutationGraph:
                 rest = sylls[:p] + sylls[p + 1:]
                 return sylls[p].element, self.reduce(rest)
         return self.ops[vertex].identity, x
-
-    # -- deterministic ordering ---------------------------------------------
-
-    def syllable_key(self, s):
-        return (self.vertex_index[s.vertex],) + tuple(
-            self.ops[s.vertex].sort_key(s.element)
-        )

@@ -40,10 +40,8 @@ def shuffle_closure(graph, syllables):
 
 
 def _word_key(graph, state):
-    return (
-        len(state),
-        tuple(graph.syllable_key(Syllable(v, e)) for v, e in state),
-    )
+    # where two reduced spellings of one element first differ, their vertices do
+    return len(state), tuple(graph.vertex_index[v] for v, _ in state)
 
 
 def bfs_normal_form(graph, syllables):

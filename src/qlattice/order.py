@@ -4,7 +4,9 @@ The positive cone consists of the elements whose reduced expressions have
 all syllables in the factor cones.  Every order question reduces to it
 through canonical fractions x = a b^-1 with rgcd(a, b) = 1: the lub of 1
 and a b^-1 is a, so x v y = x (1 v x^-1 y), and x v y is Infinity when
-x^-1 y is not such a fraction.
+x^-1 y is not such a fraction.  The fraction test and positivity hold on
+any reduced word, so quotients such as x^-1 y stay unsorted reduced lists
+(x's inverse syllables, reversed, y's inserted); only results are canonical.
 """
 
 from __future__ import annotations
@@ -23,17 +25,21 @@ class NotInPPInvError(ValueError):
 
 
 def is_positive(graph, x):
-    return all(graph.ops[s.vertex].is_positive(s.element) for s in x.syllables)
+    return _positive(graph, x.syllables)
+
+
+def _positive(graph, sylls):
+    return all(graph.ops[s.vertex].is_positive(s.element) for s in sylls)
 
 
 def leq(graph, x, y):
     """x <= y for the left-invariant order: x^-1 y positive."""
-    return is_positive(graph, graph.multiply(graph.invert(x), y))
+    return _positive(graph, graph._insert(graph._inverses(x.syllables), y.syllables))
 
 
 def leq_r(graph, x, y):
     """x <=_r y for the right-invariant order: y x^-1 positive."""
-    return is_positive(graph, graph.multiply(y, graph.invert(x)))
+    return _positive(graph, graph._insert(list(y.syllables), graph._inverses(x.syllables)))
 
 
 def lub(graph, x, y):
@@ -41,13 +47,13 @@ def lub(graph, x, y):
 
     By left invariance x v y = x (1 v x^-1 y), and 1 v x^-1 y is the
     a-part of the canonical fraction of x^-1 y, which exists exactly when
-    x and y have a common upper bound.
+    x and y have a common upper bound.  Only x a is sorted.
     """
-    try:
-        a, _ = canonical_fraction(graph, graph.multiply(graph.invert(x), y))
-    except NotInPPInvError:
+    split = _split(graph, graph._insert(graph._inverses(x.syllables), y.syllables))
+    if split is None:
         return INFINITY
-    return graph.multiply(x, a)
+    a, _, b_degree = split  # deg a = deg y - deg x + deg b
+    return NormalWord(tuple(graph._insert(list(x.syllables), a)), y.degree + b_degree)
 
 
 def canonical_fraction(graph, x):
@@ -56,7 +62,9 @@ def canonical_fraction(graph, x):
     Factorize each syllable of the canonical reduced word of x in its own
     factor as a_i b_i^-1.  Then x is in PP^-1 iff every pair i < j with
     b_i != 1 and a_j != 1 sits at adjacent vertices, and a = a_1 ... a_k,
-    b = b_k ... b_1; otherwise NotInPPInvError is raised.
+    b = b_k ... b_1; otherwise NotInPPInvError is raised.  The test reads
+    only pairs at equal or non-adjacent vertices, so it holds on any
+    reduced word of x, which all order such pairs alike.
 
     If: each b_i^-1 commutes past every later a_j, so x = a b^-1.  Only
     if: for x = p q^-1 with p, q positive, add the syllables of q^-1 one
@@ -79,21 +87,33 @@ def canonical_fraction(graph, x):
     from x's trusted word, so like ``invert`` it only inserts them, and
     its degree is the sum of theirs.
     """
-    parts_a, parts_b, b_degree = [], [], 0
-    negative = set()  # the vertices of the syllables so far with b_i != 1
-    for s in x.syllables:
-        ops = graph.ops[s.vertex]
-        a_i, b_i = ops.factorize(s.element)
-        if not ops.is_identity(a_i):
-            if not negative <= graph.neighbours[s.vertex]:
-                raise NotInPPInvError(x)
-            parts_a.append(Syllable(s.vertex, a_i))
-        if not ops.is_identity(b_i):
-            negative.add(s.vertex)
-            parts_b.append(Syllable(s.vertex, b_i))
-            b_degree += ops.degree(b_i)
+    split = _split(graph, x.syllables)
+    if split is None:
+        raise NotInPPInvError(x)
+    parts_a, parts_b, b_degree = split
     b = NormalWord(tuple(graph._insert([], reversed(parts_b))), b_degree)
     return NormalWord(tuple(parts_a), x.degree + b_degree), b
+
+
+def _split(graph, sylls):
+    """(a_1 ... a_k, b_1 ... b_k, deg b) of a reduced list, or None if it
+    fails canonical_fraction's test."""
+    parts_a, parts_b, b_degree = [], [], 0
+    negative = set()  # the vertices of the syllables so far with b_i != 1
+    for s in sylls:
+        v = s.vertex
+        ops = graph.ops[v]
+        a_i, b_i = ops.factorize(s.element)
+        negative_i = not ops.is_identity(b_i)
+        if not (negative_i and ops.is_identity(a_i)):  # a_i = s if b_i = 1
+            if not negative <= graph.neighbours[v]:
+                return None
+            parts_a.append(Syllable(v, a_i) if negative_i else s)
+        if negative_i:
+            negative.add(v)
+            parts_b.append(Syllable(v, b_i))
+            b_degree += ops.degree(b_i)
+    return parts_a, parts_b, b_degree
 
 
 def lub_general(graph, x, y):
@@ -105,8 +125,10 @@ def rgcd(graph, u, v):
     """Greatest common lower bound of two positives for the right order."""
     if not (is_positive(graph, u) and is_positive(graph, v)):
         raise ValueError("rgcd is defined on positive elements")
-    a, _ = canonical_fraction(graph, graph.multiply(u, graph.invert(v)))
-    return graph.multiply(graph.invert(a), u)
+    a, _, b_degree = _split(graph, graph._insert(list(u.syllables),
+                                                 graph._inverses(v.syllables)))
+    gcd = graph._insert(graph._inverses(a), u.syllables)
+    return NormalWord(tuple(graph._insert([], gcd)), v.degree - b_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -391,18 +391,20 @@ def check_graph_relations(family, tol=1e-9, ball=None, samples=25, seed=0):
 def check_toeplitz_relations(graph, ball):
     """Exact check of the relation list on the truncated Toeplitz family.
 
-    Reads the same relation list as check_graph_relations.  A relation
-    whose sides have at most k non-adjoint letters is compared on the
-    basis prefix of degree n - k.  Along either side each letter raises
-    the degree by one and each adjoint lowers it (or kills the vector), so
-    no product leaves the ball, and adjoints are exact on a divisor-closed
-    ball.  So each side is a map from the prefix to the ball, -1 where it
-    kills the vector, composed from table row g for T_g and its inverse
-    for T_g^*: no 0/1 matrix product.  Sides differ iff their maps do, and
-    then by a 0/1 entry, the residual 1.0.  A ball too small to compare
-    every relation is a ValueError naming the least degree that does.
+    Reads the same relation list as check_graph_relations.  Along a side
+    each letter raises the degree by one and each adjoint lowers it (or
+    kills the vector); a side rises at most k, its peak over its suffixes
+    (the letters applied first) of letters minus adjoints.  On the basis
+    prefix of degree n - k no product leaves the ball, and adjoints are
+    exact on a divisor-closed ball.  There each side is a map to the ball,
+    -1 where it kills the vector, composed from table row g for T_g and its
+    inverse for T_g^*: no 0/1 matrix product.  Sides differ iff their maps
+    do, and then by a 0/1 entry, the residual 1.0.  A ball too small to
+    compare every relation is a ValueError naming the least degree that does.
     """
-    rels = [(*rel, max(sum(not a for _, a in side) for side in rel[1:] if side))
+    def peak(side):
+        return max(itertools.accumulate((-1 if a else 1 for _, a in reversed(side)), initial=0))
+    rels = [(*rel, max(peak(side) for side in rel[1:] if side))
             for rel in _generator_relations(graph)]
     need = max(k for *_, k in rels)
     if need > ball.max_degree:

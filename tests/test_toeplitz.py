@@ -574,9 +574,7 @@ class TestToeplitzRelations:
     @pytest.mark.parametrize("ctx", ["path3", "b3", "mixed"])
     def test_a_dropped_adjoint_letter_is_caught(self, ctx, request, monkeypatch):
         # each relation with an adjoint letter, with one of them dropped, is
-        # checked alone: the composed index maps must tell the sides apart.
-        # (At degree 4 the b3 ball compares the generator covariance only
-        # on columns of degree <= 1, where some bent sides still agree.)
+        # checked alone: the composed index maps must tell the sides apart
         graph = request.getfixturevalue(ctx)
         ball = enumerate_ball(graph, 6)
         relations = toeplitz._generator_relations(graph)
@@ -590,6 +588,18 @@ class TestToeplitzRelations:
             report = check_toeplitz_relations(graph, ball)
             assert [desc for desc, _ in report.violations] == [relation[0]], relation
 
+    def test_a_dropped_forward_letter_is_caught_at_degree_4(self, b3, monkeypatch):
+        # s^* t t^* against j j^*: neither side rises above the degree of its
+        # column, so every column is compared.  Compared on the columns of
+        # degree <= n - 3 (3 forward letters in j j^*), both sides vanish there
+        desc, lhs, rhs = next(r for r in toeplitz._generator_relations(b3)
+                              if r[0] == "generator covariance s,t")
+        assert lhs[0] == ("s", False)
+        bent = (desc, lhs[1:], rhs)
+        monkeypatch.setattr(toeplitz, "_generator_relations", lambda g: [bent])
+        report = check_toeplitz_relations(b3, enumerate_ball(b3, 4))
+        assert [d for d, _ in report.violations] == [desc]
+
     def test_a_killed_vector_stays_killed(self, free2, monkeypatch):
         # T_b^* T_a^* T_b = 0 as T_a^* T_b = 0.  T_a^* kills every column;
         # T_b^* then must not read the killed -1 as an index, where the
@@ -602,9 +612,9 @@ class TestToeplitzRelations:
         "ctx,need", [("free2", 1), ("path3", 2), ("b3", 3), ("mixed", 3)]
     )
     def test_ball_too_small_for_some_relation(self, ctx, need, request):
-        # a relation with k non-adjoint letters is compared only on
-        # columns e_y with deg y + k <= max_degree; a ball with none for
-        # some relation must not report ok
+        # a relation whose sides rise at most k above the degree of their
+        # column is compared only on columns e_y with deg y + k <= max_degree;
+        # a ball with none for some relation must not report ok
         graph = request.getfixturevalue(ctx)
         with pytest.raises(ValueError, match=f"compared from degree {need}$"):
             check_toeplitz_relations(graph, enumerate_ball(graph, need - 1))
