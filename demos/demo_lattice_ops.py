@@ -75,5 +75,5 @@ print()
 
 print("== the map into the direct product ==")
 x = path3.normal([("a", 1), ("c", 1), ("a", 2)])
-print("x = a c a^2, phi(x) =", phi(path3, x).as_dict())
+print("x = a c a^2, phi(x) =", phi(path3, x))
 print("phi forgets the interleaving but respects lubs of bounded pairs.")

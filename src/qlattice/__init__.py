@@ -20,7 +20,6 @@ from .factors import (
 )
 from .graph import BallSizeExceeded, CommutationGraph, NormalWord, Syllable
 from .order import (
-    DirectProductElement,
     NotInPPInvError,
     canonical_fraction,
     is_positive,
@@ -47,12 +46,12 @@ def __getattr__(name):
 
 __all__ = [
     "ArtinFraction", "ArtinOps", "BallSizeExceeded", "CommutationGraph", "ConeBall",
-    "DirectProductElement", "INFINITY", "IsometryFamily", "NoCommonMultipleError",
-    "NormNotCertified", "NormalWord", "NotFiniteTypeError", "NotInPPInvError",
-    "SparseOperator", "Syllable", "ZOps", "canonical_fraction", "check_graph_relations",
-    "check_toeplitz_relations", "covariance_check", "defect_product_diag",
-    "enumerate_ball", "factor_from_spec", "factors", "graph", "is_positive", "leq",
-    "leq_r", "lub", "lub_general", "norm_curve", "norm_estimate", "order", "phi",
-    "phi_lub", "range_projection_diag", "rgcd", "toeplitz", "toeplitz_op",
+    "INFINITY", "IsometryFamily", "NoCommonMultipleError", "NormNotCertified",
+    "NormalWord", "NotFiniteTypeError", "NotInPPInvError", "Syllable", "ZOps",
+    "canonical_fraction", "check_graph_relations", "check_toeplitz_relations",
+    "covariance_check", "defect_product_diag", "enumerate_ball", "factor_from_spec",
+    "factors", "graph", "is_positive", "leq", "leq_r", "lub", "lub_general",
+    "norm_curve", "norm_estimate", "order", "phi", "phi_lub",
+    "range_projection_diag", "rgcd", "toeplitz", "toeplitz_op",
 ]
 __version__ = "0.1.0"

@@ -130,10 +130,7 @@ def cmd_fraction(graph, args):
 
 def cmd_phi(graph, args):
     (x,) = _words(graph, args, 1)
-    image = phi(graph, x)
-    return {
-        v: qio.element_to_json(graph, v, e) for v, e in image.components
-    }
+    return {v: qio.element_to_json(graph, v, e) for v, e in phi(graph, x).items()}
 
 
 def cmd_ball(graph, args):

@@ -20,8 +20,9 @@ The graph product (graph, order, toeplitz) reaches a factor only through
 the interface that ZOps and ArtinOps implement, with no base class; a new
 kind implements it too: identity, is_identity, multiply, invert,
 is_positive, degree, factorize (a = p q^-1 as the canonical pair (p, q)),
-lub, generators(vertex) ({label: element} for the cone's generators) and
-letters(vertex, a) (the labels that spell a positive a).
+generators(vertex) ({label: element} for the cone's generators) and
+letters(vertex, a) (the labels that spell a positive a).  The lub of x and
+y is x p for the canonical pair (p, q) of x^-1 y, so no factor computes it.
 Only io (the wire format) and verify (its sampler) read ``kind``.
 """
 
@@ -34,8 +35,8 @@ from itertools import permutations
 INFINITE = math.inf
 
 #: Sentinel that order.lub returns when two elements of a graph product
-#: have no common upper bound.  (Factor lub never returns it:
-#: in Z and in a finite-type Artin group every pair is bounded.)
+#: have no common upper bound.  (No factor needs it: in Z and in a
+#: finite-type Artin group every pair is bounded.)
 class _Infinity:
     __slots__ = ()
 
@@ -373,9 +374,6 @@ class ZOps:
     def factorize(self, a):
         return (a, 0) if a >= 0 else (0, -a)
 
-    def lub(self, a, b):
-        return max(a, b)
-
     def generators(self, vertex):
         return {vertex: 1}
 
@@ -427,10 +425,6 @@ class ArtinOps:
 
     def factorize(self, f):
         return ArtinFraction(f.num, ()), ArtinFraction(f.den, ())
-
-    def lub(self, x, y):
-        a, _ = self.factorize(self.multiply(self.invert(x), y))
-        return self.multiply(x, a)
 
     def generators(self, vertex):
         return {s: ArtinFraction((s,), ()) for s in self.monoid.generators}

@@ -11,8 +11,6 @@ any reduced word, so quotients such as x^-1 y stay unsorted reduced lists
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .factors import INFINITY
 from .graph import NormalWord, Syllable
 
@@ -135,51 +133,33 @@ def rgcd(graph, u, v):
 # The homomorphism into the direct product of the factors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DirectProductElement:
-    """An element of the direct product, one component per vertex.
-
-    Components are stored sparsely as (vertex, element) pairs in vertex
-    order, identity components omitted.
-    """
-    components: tuple
-
-    def component(self, graph, vertex):
-        for v, e in self.components:
-            if v == vertex:
-                return e
-        return graph.ops[vertex].identity
-
-    def as_dict(self):
-        return dict(self.components)
-
-
-def direct_product_element(graph, mapping):
-    items = [
-        (v, mapping[v])
-        for v in graph.vertices
-        if v in mapping and not graph.ops[v].is_identity(mapping[v])
-    ]
-    return DirectProductElement(tuple(items))
-
-
 def phi(graph, x):
     """Collapse each vertex's syllables into one factor element.
 
     The component at I is the ordered product of the syllables of x
     belonging to I; this is a group homomorphism onto the direct product.
+    The image is a dict {vertex: element} in vertex order, identity
+    components left out.
     """
-    acc = {}
+    acc = {v: graph.ops[v].identity for v in graph.vertices}
     for s in x.syllables:
-        ops = graph.ops[s.vertex]
-        acc[s.vertex] = ops.multiply(acc.get(s.vertex, ops.identity), s.element)
-    return direct_product_element(graph, acc)
+        acc[s.vertex] = graph.ops[s.vertex].multiply(acc[s.vertex], s.element)
+    return {v: e for v, e in acc.items() if not graph.ops[v].is_identity(e)}
 
 
 def phi_lub(graph, xi, eta):
-    """Componentwise lub in the direct product: every Z or finite-type
-    Artin factor bounds any two of its elements, so it is always finite."""
-    return direct_product_element(graph, {
-        v: graph.ops[v].lub(xi.component(graph, v), eta.component(graph, v))
-        for v in graph.vertices
-    })
+    """Componentwise lub of two images of phi, in the same dict form.
+
+    Every Z or finite-type Artin factor bounds any two of its elements, so
+    it is always finite: x v y = x a for the canonical fraction a b^-1 of
+    x^-1 y, as in lub.
+    """
+    join = {}
+    for v in graph.vertices:
+        ops = graph.ops[v]
+        x, y = xi.get(v, ops.identity), eta.get(v, ops.identity)
+        a, _ = ops.factorize(ops.multiply(ops.invert(x), y))
+        j = ops.multiply(x, a)
+        if not ops.is_identity(j):
+            join[v] = j
+    return join

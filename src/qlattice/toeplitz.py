@@ -19,7 +19,8 @@ in the ball and T_x e_w = e_z.  Range projections, covariance and defect
 are read off the table with no order test.  Norms are the exception: the
 compressed norm is a lower bound for the full one and is nondecreasing
 in the ball degree.  Each T_x is a partial permutation of the ball,
-walked from its domain, the basis prefix of degree n - deg x; relations
+walked from its domain, the basis prefix of degree n - deg x, and
+toeplitz_op returns it as that index map (rows, cols); relations
 compose such index maps, A^T A is gathered off them, and norm_estimate
 certifies the norm with a bracket on the top eigenvalue of each block of
 A^T A, read off positive vectors whose solves are not trusted.  With
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-# scipy.sparse is imported only in toeplitz_op and _sparse_vector, so the rest,
+# scipy.sparse is imported only in _sparse_vector, so the rest, operators,
 # relation checks and norms with small blocks too, loads numpy alone.
 import numpy as np
 
@@ -131,12 +132,6 @@ def enumerate_ball(graph, max_degree, size_cap=200_000):
     return ConeBall(graph, max_degree, tuple(start), table, row)
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """A sparse matrix over the ball basis."""
-    matrix: object  # scipy csr_matrix
-
-
 def _letters(graph, x):
     """The positive x spelled in generator labels, left to right."""
     for s in x.syllables:
@@ -162,13 +157,10 @@ def _walk(graph, x, ball):
 
 
 def toeplitz_op(graph, x, ball):
-    """The compression of T_x to the ball: e_y -> e_{xy} while xy stays in."""
-    import scipy.sparse as sp
+    """The compression of T_x to the ball, e_y -> e_{xy} while xy stays in,
+    as its index map: T_x e_{cols[i]} = e_{rows[i]}, every other column 0."""
     _positive(graph, x, "Toeplitz isometries are indexed by positive elements")
-    rows, cols = _walk(graph, x, ball)
-    n = len(ball)
-    mat = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    return SparseOperator(mat)
+    return _walk(graph, x, ball)
 
 
 def range_projection_diag(graph, x, ball):
@@ -276,7 +268,8 @@ def _generator_lubs(graph):
     lhs = s (s^-1 j) and rhs = t (t^-1 j) spell their lub j, or are None
     when there is none.  Pairs across vertices come first (s t = t s when
     adjacent, no upper bound when not), then those inside each vertex,
-    whose lub is its factor's (the braid relation <st>^m in an Artin one).
+    whose lub is its factor's (the braid relation <st>^m in an Artin one):
+    with s^-1 t = a b^-1 the canonical fraction, j = s a = t b.
     """
     labels = graph.generator_labels()
     by_vertex = {v: [s for s in labels if labels[s][0] == v] for v in graph.vertices}
@@ -287,9 +280,9 @@ def _generator_lubs(graph):
     for v in graph.vertices:
         ops = graph.ops[v]
         for (s, x), (t, y) in itertools.combinations(ops.generators(v).items(), 2):
-            j = ops.lub(x, y)
-            yield (s, t, *(ops.letters(v, z) + ops.letters(v, ops.multiply(ops.invert(z), j))
-                           for z in (x, y)))
+            a, b = ops.factorize(ops.multiply(ops.invert(x), y))
+            yield (s, t, ops.letters(v, x) + ops.letters(v, a),
+                   ops.letters(v, y) + ops.letters(v, b))
 
 
 def _generator_relations(graph):

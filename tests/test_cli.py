@@ -173,6 +173,13 @@ class TestAnalysisCommands:
         assert code == 0
         assert doc["result"] == {"nonzero": True, "delta1": 1, "support_size": 1}
 
+    def test_defect_of_given_words(self, run):
+        # on path3's ball of degree 2, e, b and bb lie above neither a nor c
+        code, doc = run_json(run, "defect", "--ctx", "path3", "--max-degree", "2",
+                             json.dumps([["a", 1]]), json.dumps([["c", 1]]))
+        assert code == 0
+        assert doc["result"] == {"nonzero": True, "delta1": 1, "support_size": 3}
+
     def test_relcheck_toeplitz(self, run):
         code, doc = run_json(run, "relcheck", "--ctx", "b3")
         assert code == 0 and doc["result"]["ok"] is True
@@ -204,6 +211,14 @@ class TestAnalysisCommands:
         assert (degree, size) == ("3", "15")
         assert abs(float(val) - 0.7071067811865476) < 1e-6
         assert abs(float(hi) - 0.7071067811865476) < 1e-6
+
+    def test_norm_curve_csv_to_a_file(self, run, tmp_path):
+        argv = ["norm-curve", "--ctx", "free2", "--max-degree", "3",
+                "--weights", json.dumps({"a": 0.5, "b": 0.5})]
+        _, csv = run(*argv)
+        out = tmp_path / "curve.csv"
+        assert run(*argv, "--out", str(out)) == (0, "")
+        assert out.read_text() == csv
 
     @pytest.mark.parametrize("ctx,max_degree,weights,tol", [
         ("free2", 6, {"a": 0.5, "b": 0.5}, "1e-9"),
@@ -306,10 +321,18 @@ class TestAnalysisCommands:
             assert code == 1 and doc["error"]["kind"] == "BallSizeExceeded"
 
     def test_verify_reports_a_failed_check(self, run, monkeypatch):
-        monkeypatch.setattr("qlattice.verify.lub", lambda graph, x, y: x)
-        code, doc = run_json(run, "verify", "--ctx", "free2", "--samples", "20")
-        assert code == 1 and doc["error"]["kind"] == "verification-failure"
-        assert doc["error"]["detail"]["ok"] is False
+        # one broken function at a time, each caught by the check that reads it
+        for name, broken, check in [
+            ("lub", lambda graph, x, y: x, "lub_oracle"),
+            ("rgcd", lambda graph, u, v: u, "canonical_fractions"),
+            ("phi_lub", lambda graph, xi, eta: {}, "phi"),
+        ]:
+            with monkeypatch.context() as patch:
+                patch.setattr(f"qlattice.verify.{name}", broken)
+                code, doc = run_json(run, "verify", "--ctx", "free2", "--samples", "20")
+            assert code == 1 and doc["error"]["kind"] == "verification-failure"
+            assert doc["error"]["detail"]["ok"] is False
+            assert doc["error"]["detail"][check]["ok"] is False, name
 
 
 class TestErrorHandling:
@@ -375,6 +398,17 @@ class TestErrorHandling:
         (["nf", "--ctx", "b3", json.dumps([["v", {"num": 3}]])], 2, "parse"),
         (["relcheck", "--ctx", "free2", "--rep", "REP_NAN"], 2, "parse"),
         (["relcheck", "--ctx", "free2", "--rep", "REP_INF"], 2, "parse"),
+        (["nf", "--ctx", "CTX_ARRAY", "[]"], 2, "parse"),
+        (["nf", "--ctx", "CTX_NO_FACTOR", "[]"], 2, "parse"),
+        (["nf", "--ctx", "path3", json.dumps([["z", 1]])], 2, "parse"),
+        (["nf", "--ctx", "path3", json.dumps({"a": 1})], 2, "parse"),
+        (["nf", "--ctx", "path3", json.dumps([["a"]])], 2, "parse"),
+        (["nf", "--ctx", "path3", json.dumps([["a", 0]])], 2, "parse"),
+        (["norm-curve", "--ctx", "path3", "--weights", "{}"], 2, "parse"),
+        (["norm-curve", "--ctx", "path3", "--weights", json.dumps({"z": 1})], 2, "parse"),
+        (["nf", "--ctx", "path3", "--in", "IN_OBJECT"], 2, "parse"),
+        (["cov-check", "--ctx", "path3", json.dumps([["a", -1]]), json.dumps([["b", 1]])],
+         1, "not-positive"),
     ])
     def test_error_envelope(self, run, tmp_path, argv, code, kind):
         # one case per error class: unknown context, LiteralError,
@@ -386,7 +420,11 @@ class TestErrorHandling:
         # (which every residual comparison would pass); weights that are
         # NaN, infinite or a boolean; weights whose squares overflow; an
         # integer weight too large for a float; Artin literals with an
-        # unknown letter or a non-string word; --rep entries NaN or infinite
+        # unknown letter or a non-string word; --rep entries NaN or infinite;
+        # a context that is not an object, or has a vertex without a factor;
+        # a word at an unknown vertex, not an array, with a one-element or a
+        # trivial syllable; weights empty or at an unknown label; an --in
+        # file that is not an array; cov-check on a word that is not positive
         inf = tmp_path / "inf.json"
         inf.write_text(json.dumps({"vertices": [{"name": "v", "factor": {
             "artin": {"generators": ["s", "t"], "m": [[1, "inf"], ["inf", 1]]},
@@ -394,6 +432,11 @@ class TestErrorHandling:
         rep = tmp_path / "rep.json"
         rep.write_text(json.dumps({"a": [[1.0]], "b": [[1.0]]}))
         paths = {"INF": inf, "REP": rep, "MISSING": tmp_path / "missing.json"}
+        files = {
+            "CTX_ARRAY": [],
+            "CTX_NO_FACTOR": {"vertices": [{"name": "a"}]},
+            "IN_OBJECT": {"words": [[["a", 1]]]},
+        }
         bad_reps = {
             "REP_ARRAY": [[1]],
             "REP_1D": {"a": [1, 0], "b": [0, 1]},
@@ -404,7 +447,7 @@ class TestErrorHandling:
             "REP_NAN": {"a": [[float("nan")]], "b": [[1.0]]},
             "REP_INF": {"a": [[float("inf")]], "b": [[1.0]]},
         }
-        for name, content in bad_reps.items():
+        for name, content in {**bad_reps, **files}.items():
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps(content))
         argv = [str(paths.get(arg, arg)) for arg in argv]
@@ -491,6 +534,15 @@ class TestStartup:
     def test_table_commands_load_numpy_but_not_scipy(self, argv):
         assert numeric_modules_after(commands(argv)) == [True, False]
 
+    def test_operators_load_numpy_but_not_scipy(self):
+        # toeplitz_op is the index map the table walk gives: no sparse matrix
+        code = ("from qlattice import enumerate_ball, toeplitz_op\n"
+                "from qlattice.cli import _load_context\n"
+                "g = _load_context('b3')\n"
+                "rows, cols = toeplitz_op(g, g.generator_words()[0], enumerate_ball(g, 3))\n"
+                "assert len(rows) == len(cols) == 7\n")
+        assert numeric_modules_after(code) == [True, False]
+
     def test_small_norm_curves_load_no_sparse_solver(self):
         # every block of this curve is small enough for the dense bracket,
         # and B is gathered from the ball's table: no scipy module loads
@@ -501,9 +553,9 @@ class TestStartup:
     def test_public_names(self):
         assert sorted(qlattice.__all__) == [
             "ArtinFraction", "ArtinOps", "BallSizeExceeded", "CommutationGraph",
-            "ConeBall", "DirectProductElement", "INFINITY", "IsometryFamily",
+            "ConeBall", "INFINITY", "IsometryFamily",
             "NoCommonMultipleError", "NormNotCertified", "NormalWord",
-            "NotFiniteTypeError", "NotInPPInvError", "SparseOperator", "Syllable",
+            "NotFiniteTypeError", "NotInPPInvError", "Syllable",
             "ZOps", "canonical_fraction", "check_graph_relations",
             "check_toeplitz_relations", "covariance_check", "defect_product_diag",
             "enumerate_ball", "factor_from_spec", "factors", "graph", "is_positive",

@@ -54,6 +54,27 @@ def assert_rgcd_matches_oracle(monoid, u, v):
     assert any(rewrite_equal(monoid, got, d) for d in common if len(d) == len(got))
 
 
+def names(m):
+    return [f"g{i}" for i in range(len(m))]
+
+
+def simply_laced(n, edges):
+    """The Coxeter matrix of a diagram on n nodes whose edges are labelled 3."""
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        m[i][j] = m[j][i] = 3
+    return m
+
+
+def branched(*arms):
+    """A node 0 with a path of arms[k] edges hanging off it for each k."""
+    edges, n = [], 1
+    for length in arms:
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    return simply_laced(n, edges)
+
+
 class TestFiniteType:
     def test_classification_accepts_the_finite_families(self):
         a3 = [[1, 3, 2], [3, 1, 3], [2, 3, 1]]
@@ -66,16 +87,24 @@ class TestFiniteType:
             [2, 3, 1, 2],
             [2, 3, 2, 1],
         ]
-        for m in (a3, b3m, h3, f4, d4):
-            assert coxeter_is_finite_type(validate_coxeter(list("wxyz")[: len(m)], m))
+        # D5 and E6, E7, E8: a branch node with arms of 1, 1, 2 and 1, 2, k edges
+        d5, e6, e7, e8 = (branched(*arms)
+                          for arms in ((1, 1, 2), (1, 2, 2), (1, 2, 3), (1, 2, 4)))
+        for m in (a3, b3m, h3, f4, d4, d5, e6, e7, e8):
+            assert coxeter_is_finite_type(validate_coxeter(names(m), m)), m
 
     def test_classification_rejects_affine_and_infinite(self):
         tilde_a2 = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]  # a 3-cycle
         tilde_a1 = [[1, None], [None, 1]]  # m = infinity
         big_label = [[1, 6, 2], [6, 1, 3], [2, 3, 1]]
         two_fours = [[1, 4, 2], [4, 1, 4], [2, 4, 1]]
-        for m in (tilde_a2, tilde_a1, big_label, two_fours):
-            assert not coxeter_is_finite_type(validate_coxeter(list("xyz")[: len(m)], m))
+        # affine E6, E7, E8; affine D4 (a node of degree 4); affine D5 (two
+        # branch nodes)
+        tilde_e = [branched(*arms) for arms in ((2, 2, 2), (1, 3, 3), (1, 2, 5))]
+        tilde_d4 = simply_laced(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        tilde_d5 = simply_laced(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)])
+        for m in (tilde_a2, tilde_a1, big_label, two_fours, *tilde_e, tilde_d4, tilde_d5):
+            assert not coxeter_is_finite_type(validate_coxeter(names(m), m)), m
 
     def test_artin_ops_rejects_non_finite_type(self):
         with pytest.raises(NotFiniteTypeError):
@@ -344,9 +373,6 @@ class TestFractions:
 
 class TestZOps:
     ops = ZOps()
-
-    def test_total_order_lattice(self):
-        assert self.ops.lub(3, 5) == 5
 
     def test_factorize(self):
         assert self.ops.factorize(-3) == (0, 3)
