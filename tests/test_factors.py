@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from qlattice import ArtinOps, NotFiniteTypeError, ZOps, factor_from_spec
+from qlattice import ArtinOps, NotFiniteTypeError, ZOps, factor_from_spec, phi_lub
 from qlattice.cli import main
 from qlattice.factors import coxeter_is_finite_type, validate_coxeter
 from qlattice.oracles import (
@@ -373,6 +373,12 @@ class TestFractions:
 
 class TestZOps:
     ops = ZOps()
+
+    def test_total_order_lattice(self, free2):
+        # Z is totally ordered: the lub of two elements is the larger one
+        assert phi_lub(free2, {"a": 3}, {"a": 5}) == {"a": 5}
+        assert phi_lub(free2, {"a": 5, "b": -2}, {"a": 3, "b": -7}) == {"a": 5, "b": -2}
+        assert phi_lub(free2, {"a": -4}, {}) == {}
 
     def test_factorize(self):
         assert self.ops.factorize(-3) == (0, 3)
