@@ -2,9 +2,10 @@
 
 Results go to standard output as one JSON object per invocation,
 {"ok": true, "result": ...}; an infinite lub is rendered as the string
-"infinity".  Exit codes: 0 success, 1 domain error (no fraction of
-positives, relation violation, a norm that cannot be certified), 2
-input/parse error.  The norm-curve subcommand emits CSV instead (columns
+"infinity".  Exit codes: 0 success, 1 domain error (a word that is not
+positive or no fraction of positives, relation violation, a norm that
+cannot be certified, a reversal past its step budget), 2 input/parse
+error.  The norm-curve subcommand emits CSV instead (columns
 degree, ball_size, norm_estimate, norm_hi).  Each row is a bracket on
 the exact compressed norm, and both columns are nondecreasing.  The
 computed bracket is at most --tolerance (relative above 1) wide; its ends
@@ -21,15 +22,9 @@ import math
 import sys
 
 from . import io as qio
-from .factors import INFINITY
+from .factors import INFINITY, NoCommonMultipleError
 from .graph import BallSizeExceeded
-from .order import (
-    canonical_fraction,
-    lub,
-    phi,
-    rgcd,
-    is_positive,
-)
+from .order import NotPositiveError, canonical_fraction, lub, phi, rgcd
 
 # The numeric subcommands import toeplitz and verify themselves, so the
 # lattice ones load neither numpy nor scipy.
@@ -117,8 +112,6 @@ def cmd_lub(graph, args):
 
 def cmd_rgcd(graph, args):
     x, y = _words(graph, args, 2)
-    if not (is_positive(graph, x) and is_positive(graph, y)):
-        raise DomainError("not-positive", "rgcd takes positive words")
     return _result_word(graph, rgcd(graph, x, y))
 
 
@@ -146,8 +139,6 @@ def cmd_ball(graph, args):
 def cmd_cov_check(graph, args):
     from .toeplitz import covariance_check, enumerate_ball
     x, y = _words(graph, args, 2)
-    if not (is_positive(graph, x) and is_positive(graph, y)):
-        raise DomainError("not-positive", "cov-check takes positive words")
     ball = enumerate_ball(graph, args.max_degree, size_cap=args.max_ball)
     report = covariance_check(graph, x, y, ball)
     return {
@@ -291,6 +282,8 @@ _ERRORS = (
     (OSError, "parse", 2),
     (DomainError, None, 1),
     (BallSizeExceeded, None, 1),
+    (NotPositiveError, "not-positive", 1),
+    (NoCommonMultipleError, None, 1),
     (ValueError, None, 1),
 )
 
@@ -301,6 +294,10 @@ def main(argv=None):
     try:
         if "tolerance" in args and not math.isfinite(args.tolerance):
             raise InputError("parse", f"--tolerance {args.tolerance} is not finite")
+        for flag, least in (("max_degree", 0), ("samples", 0), ("max_ball", 1)):
+            if getattr(args, flag, least) < least:
+                raise InputError("parse", f"--{flag.replace('_', '-')} must be at "
+                                 f"least {least}, not {getattr(args, flag)}")
         graph = _load_context(args.ctx)
         result = args.fn(graph, args)
     except tuple(t for t, _, _ in _ERRORS) as exc:

@@ -3,15 +3,17 @@ factor_from_spec.
 
 Two kinds of factor exist: the integers with positive cone the
 naturals, and finite-type Artin groups with the Artin monoid as positive
-cone.  Artin monoid arithmetic (equality, least common multiples, greatest
-common right divisors) is done by subword reversing: the generator rule
-rewrites s^-1 t into (s\\t)(t\\s)^-1, where s\\t is the alternating word of
-length m(s,t)-1 starting with t, and s^-1 s into the empty word.  For a
-finite-type matrix this rewriting always terminates and computes the
-lattice operations of the monoid.  Most reversals test whether a letter
-left-divides a word; _letter_quotient settles most tests from the word's
-length and letters (proof there), and canonical_word stops at a canonical
-tail, since shortlex-least words are closed under taking suffixes.
+cone.  Artin monoid arithmetic is done by subword reversing: the generator
+rule rewrites s^-1 t into (s\\t)(t\\s)^-1, where s\\t is the alternating
+word of length m(s,t)-1 starting with t, and s^-1 s into the empty word.
+For a finite-type matrix this rewriting always terminates, turning u^-1 v
+into (u\\v)(v\\u)^-1 with u (u\\v) the least common multiple.  The monoid
+offers only that reversal, one-letter division and canonical words;
+equality, quotients, lubs and gcds of elements go through ArtinOps.  Most
+reversals test whether a letter left-divides a word; _letter_quotient
+settles most tests from the word's length and letters (proof there), and
+canonical_word stops at a canonical tail, since shortlex-least words are
+closed under taking suffixes.
 
 General Artin group elements are carried around as canonical fractions
 a b^-1 with a, b positive and without a common nontrivial right divisor.
@@ -52,10 +54,12 @@ class NotFiniteTypeError(ValueError):
 
 
 class NoCommonMultipleError(RuntimeError):
-    """Subword reversing diverged.
+    """Subword reversing ran past _REVERSING_STEP_CAP.
 
-    Impossible for a finite-type matrix; kept as a guard against a
-    non-finite-type matrix slipping past validation.
+    For a finite-type matrix reversing terminates, but its step count grows
+    quickly with word length (s^-800 t^800 in the 3-strand braid monoid
+    already passes the cap), so this is a work budget, not a proof of
+    divergence.
     """
 
 
@@ -79,6 +83,8 @@ def validate_coxeter(generators, m):
     n = len(generators)
     if n == 0:
         raise ValueError("Artin factor needs at least one generator")
+    if not all(isinstance(s, str) and s for s in generators):
+        raise ValueError("Artin generator names must be nonempty strings")
     if len(set(generators)) != n:
         raise ValueError("duplicate Artin generator names")
     if len(m) != n or any(len(row) != n for row in m):
@@ -178,17 +184,19 @@ def coxeter_is_finite_type(m):
 # Artin monoids via subword reversing
 # ---------------------------------------------------------------------------
 
+#: The work budget of one reversal, in rewriting steps; past it reversing
+#: raises NoCommonMultipleError.
 _REVERSING_STEP_CAP = 1_000_000
 
 
 class ArtinMonoid:
     """Positive words over a finite-type Artin presentation.
 
-    Words are tuples of generator names.  Monoid equality, complements,
-    least common multiples and right gcds all reduce to subword reversing.
-    The canonical spelling used for hashing is the shortlex-least word,
-    found by greedy left division with the same reversing; the monoid
-    keeps no state beyond its presentation.
+    Words are tuples of generator names.  reverse_fraction gives the
+    complements of two words, and so their least common multiple; _strip
+    cancels their common left divisor.  The canonical spelling used for
+    hashing is the shortlex-least word, found by greedy left division with
+    the same reversing; the monoid keeps no state beyond its presentation.
     """
 
     def __init__(self, generators, m):
@@ -240,23 +248,11 @@ class ArtinMonoid:
             i = i - 1 if i else 0
             steps += 1
             if steps > _REVERSING_STEP_CAP:
-                raise NoCommonMultipleError("reversing step cap exceeded")
+                raise NoCommonMultipleError(
+                    f"subword reversing passed its budget of {_REVERSING_STEP_CAP} steps")
         letter = self._letter
         return (tuple(letter[c] for c in word if c > 0),
                 tuple(letter[-c] for c in reversed(word) if c < 0))
-
-    def complement(self, u, v):
-        """u\\v, the word with u (u\\v) = u lcm v."""
-        return self.reverse_fraction(u, v)[0]
-
-    def equal_words(self, u, v):
-        if len(u) != len(v):  # letter count is invariant under the relations
-            return False
-        p, q = self.reverse_fraction(u, v)
-        return not p and not q
-
-    def lub_words(self, u, v):
-        return u + self.complement(u, v)
 
     def _letter_quotient(self, s, w):
         """The word w' with s w' = w, or None if s does not left-divide w.
@@ -273,9 +269,8 @@ class ArtinMonoid:
             return None if over else quotient
 
     def _strip(self, p, q):
-        """(g, g\\p, g\\q) for g the left gcd of p and q, one common letter
+        """(g\\p, g\\q) for g the left gcd of p and q, one common letter
         at a time: s <= p, q gives gcd(p, q) = s gcd(s\\p, s\\q)."""
-        g = []
         while p and q:
             for s in self.generators:
                 p1 = self._letter_quotient(s, p)
@@ -284,12 +279,8 @@ class ArtinMonoid:
                     break
             else:
                 break
-            g.append(s)
             p, q = p1, q1
-        return tuple(g), p, q
-
-    def rgcd_words(self, u, v):
-        return self._strip(tuple(u)[::-1], tuple(v)[::-1])[0][::-1]
+        return p, q
 
     def canonical_word(self, w, tail=()):
         """Shortlex-least word equal to w + tail, for a shortlex-least tail.
@@ -394,7 +385,7 @@ class ArtinOps:
         """Build the canonical fraction for num * den^-1."""
         num, den = tuple(num), tuple(den)
         if num and den:
-            _, p, q = self.monoid._strip(num[::-1], den[::-1])
+            p, q = self.monoid._strip(num[::-1], den[::-1])
             num, den = p[::-1], q[::-1]
         return ArtinFraction(
             self.monoid.canonical_word(num), self.monoid.canonical_word(den)

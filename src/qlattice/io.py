@@ -25,7 +25,7 @@ class LiteralError(ValueError):
 
 
 def graph_from_json(doc):
-    if not isinstance(doc, dict) or "vertices" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), list):
         raise LiteralError("context must be an object with a 'vertices' list")
     vertices = []
     for entry in doc["vertices"]:
@@ -38,6 +38,8 @@ def graph_from_json(doc):
         return CommutationGraph(vertices, edges)
     except (ValueError, KeyError) as exc:
         raise LiteralError(str(exc)) from exc
+    except TypeError as exc:  # a name, factor or edge list of the wrong JSON type
+        raise LiteralError(f"malformed context: {exc}") from exc
 
 
 def load_graph(path):

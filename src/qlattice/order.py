@@ -22,6 +22,10 @@ class NotInPPInvError(ValueError):
         return f"{self.args[0]} is not a fraction of positives"
 
 
+class NotPositiveError(ValueError):
+    """An element outside the positive cone where only positives are taken."""
+
+
 def is_positive(graph, x):
     return _positive(graph, x.syllables)
 
@@ -122,7 +126,7 @@ def lub_general(graph, x, y):
 def rgcd(graph, u, v):
     """Greatest common lower bound of two positives for the right order."""
     if not (is_positive(graph, u) and is_positive(graph, v)):
-        raise ValueError("rgcd is defined on positive elements")
+        raise NotPositiveError("rgcd is defined on positive elements")
     a, _, b_degree = _split(graph, graph._insert(list(u.syllables),
                                                  graph._inverses(v.syllables)))
     gcd = graph._insert(graph._inverses(a), u.syllables)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .factors import INFINITY
 from .graph import BallSizeExceeded
-from .order import is_positive, lub
+from .order import NotPositiveError, is_positive, lub
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def _letters(graph, x):
 
 def _positive(graph, x, message):
     if not is_positive(graph, x):
-        raise ValueError(message)
+        raise NotPositiveError(message)
 
 
 def _walk(graph, x, ball):
@@ -285,6 +285,12 @@ def _generator_lubs(graph):
                    ops.letters(v, y) + ops.letters(v, b))
 
 
+def _range_side(word):
+    """The side V_w V_w^* of a word of labels (see _generator_relations)."""
+    return (tuple((label, False) for label in word)
+            + tuple((label, True) for label in reversed(word)))
+
+
 def _generator_relations(graph):
     """The generator-level relations of the graph product, in check order.
 
@@ -311,10 +317,8 @@ def _generator_relations(graph):
             rels.append((f"*-commute {s},{t}", s_star_t, s_star_t[::-1]))
         else:
             rels.append((f"braid relation <{s}{t}>^{len(lhs)}", up(lhs), up(rhs)))
-            star = tuple((label, True) for label in reversed(lhs))
             rels.append((f"generator covariance {s},{t}",
-                         ((s, False), (s, True), (t, False), (t, True)),
-                         up(lhs) + star))
+                         _range_side((s,)) + _range_side((t,)), _range_side(lhs)))
     return rels
 
 
@@ -340,44 +344,33 @@ def check_graph_relations(family, tol=1e-9, ball=None, samples=25, seed=0):
     (isometries, commute and *-commute or orthogonal ranges across
     vertices, and the relations each vertex's lub gives inside it) and
     reports each residual norm above the tolerance.
-    If a ball is supplied, additionally samples pairs from it and tests
-    the full covariance identity with the computed lub (zero when the lub
-    is infinite).
+    If a ball is supplied, samples pairs x, y from it and appends to the
+    list the full covariance identity V_x V_x^* V_y V_y^* = V_j V_j^* with
+    j the computed lub (zero when the lub is infinite).
     """
     if not np.isfinite(tol):
         raise ValueError(f"the tolerance must be finite, not {tol}")
     graph = family.graph
-    bad = []
-
-    def expect(desc, a, b):
-        r = float(np.linalg.norm(a - b, ord=2)) if a.size else 0.0
-        if r > tol:
-            bad.append((desc, r))
-
-    eye = np.eye(family.dimension, dtype=complex)
-    for desc, lhs, rhs in _generator_relations(graph):
-        b = 0 * eye if rhs is None else _product(rhs, family.matrices, eye)
-        expect(desc, _product(lhs, family.matrices, eye), b)
-
+    rels = _generator_relations(graph)
     if ball is not None:
         rng = np.random.default_rng(seed)
         pool = [x for x in ball.elements if not x.is_identity]
-        for _ in range(samples):
-            if not pool:
-                break
+        side = lambda z: _range_side(tuple(_letters(graph, z)))
+        for _ in range(samples if pool else 0):
             x = pool[rng.integers(len(pool))]
             y = pool[rng.integers(len(pool))]
-            vx = family.of(x)
-            vy = family.of(y)
-            lhs = vx @ vx.conj().T @ vy @ vy.conj().T
             join = lub(graph, x, y)
-            if join is INFINITY:
-                rhs = np.zeros_like(lhs)
-            else:
-                vj = family.of(join)
-                rhs = vj @ vj.conj().T
-            expect(f"covariance {x},{y}", lhs, rhs)
+            rels.append((f"covariance {x},{y}", side(x) + side(y),
+                         None if join is INFINITY else side(join)))
 
+    eye = np.eye(family.dimension, dtype=complex)
+    bad = []
+    for desc, lhs, rhs in rels:
+        a = _product(lhs, family.matrices, eye)
+        b = 0 * eye if rhs is None else _product(rhs, family.matrices, eye)
+        r = float(np.linalg.norm(a - b, ord=2)) if a.size else 0.0
+        if r > tol:
+            bad.append((desc, r))
     return RelationReport(not bad, tuple(bad))
 
 

@@ -409,8 +409,22 @@ class TestErrorHandling:
         (["nf", "--ctx", "path3", "--in", "IN_OBJECT"], 2, "parse"),
         (["cov-check", "--ctx", "path3", json.dumps([["a", -1]]), json.dumps([["b", 1]])],
          1, "not-positive"),
+        (["lub", "--ctx", "b3", json.dumps([["v", "s" * 30]]), json.dumps([["v", "t" * 30]])],
+         1, "NoCommonMultipleError"),
+        (["nf", "--ctx", "CTX_EDGES_INT", "[]"], 2, "parse"),
+        (["nf", "--ctx", "CTX_VERTICES_INT", "[]"], 2, "parse"),
+        (["nf", "--ctx", "CTX_ARTIN_INT", "[]"], 2, "parse"),
+        (["nf", "--ctx", "CTX_NAME_LIST", "[]"], 2, "parse"),
+        (["nf", "--ctx", "CTX_GENERATOR_INT", json.dumps([["v", "s"]])], 2, "parse"),
+        (["nf", "--ctx", "CTX_GENERATOR_EMPTY", json.dumps([["v", "s"]])], 2, "parse"),
+        (["defect", "--ctx", "path3", json.dumps([["a", -1]])], 1, "not-positive"),
+        (["norm-curve", "--ctx", "path3", "--max-degree", "-2",
+          "--weights", json.dumps({"a": 1})], 2, "parse"),
+        (["verify", "--ctx", "path3", "--samples", "-3"], 2, "parse"),
+        (["ball", "--ctx", "path3", "--max-ball", "0"], 2, "parse"),
+        (["ball", "--ctx", "path3", "--max-degree", "-1"], 2, "parse"),
     ])
-    def test_error_envelope(self, run, tmp_path, argv, code, kind):
+    def test_error_envelope(self, run, tmp_path, monkeypatch, argv, code, kind):
         # one case per error class: unknown context, LiteralError,
         # NotFiniteTypeError, JSONDecodeError, OSError, two DomainErrors,
         # NotInPPInvError, BallSizeExceeded and NormNotCertified; then
@@ -424,7 +438,13 @@ class TestErrorHandling:
         # a context that is not an object, or has a vertex without a factor;
         # a word at an unknown vertex, not an array, with a one-element or a
         # trivial syllable; weights empty or at an unknown label; an --in
-        # file that is not an array; cov-check on a word that is not positive
+        # file that is not an array; cov-check on a word that is not positive;
+        # a reversal past its step budget (made small here, so only the lub of
+        # two 30-letter words reaches it); context files whose edges,
+        # vertices, Artin spec, vertex name or Artin generator names have the
+        # wrong JSON type, or an empty generator name; defect on a word that
+        # is not positive; a negative degree or sample count, a size cap below 1
+        monkeypatch.setattr("qlattice.factors._REVERSING_STEP_CAP", 1000)
         inf = tmp_path / "inf.json"
         inf.write_text(json.dumps({"vertices": [{"name": "v", "factor": {
             "artin": {"generators": ["s", "t"], "m": [[1, "inf"], ["inf", 1]]},
@@ -436,6 +456,13 @@ class TestErrorHandling:
             "CTX_ARRAY": [],
             "CTX_NO_FACTOR": {"vertices": [{"name": "a"}]},
             "IN_OBJECT": {"words": [[["a", 1]]]},
+            "CTX_EDGES_INT": {"vertices": [{"name": "a", "factor": "Z"}], "edges": 5},
+            "CTX_VERTICES_INT": {"vertices": 5},
+            "CTX_ARTIN_INT": {"vertices": [{"name": "v", "factor": {"artin": 5}}]},
+            "CTX_NAME_LIST": {"vertices": [{"name": ["a"], "factor": "Z"}]},
+            **{f"CTX_GENERATOR_{name}": {"vertices": [{"name": "v", "factor": {"artin": {
+                "generators": ["s", bad], "m": [[1, 3], [3, 1]]}}}]}
+               for name, bad in (("INT", 1), ("EMPTY", ""))},
         }
         bad_reps = {
             "REP_ARRAY": [[1]],

@@ -547,6 +547,39 @@ class TestIsometryFamily:
             with pytest.raises(ValueError, match="must be finite"):
                 check_graph_relations(family, tol=tol)
 
+    @pytest.mark.parametrize("name", ["path3", "b3"])
+    def test_sampled_covariance_matches_products_of_the_extension(self, request, name):
+        # each sampled pair is one more entry of the relation list; the
+        # reference forms its sides from IsometryFamily.of products instead
+        graph = request.getfixturevalue(name)
+        rng = np.random.default_rng(7)
+        family = IsometryFamily(graph, {
+            label: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            for label in graph.generator_labels()})
+        ball = enumerate_ball(graph, 3)
+        pool = [x for x in ball.elements if not x.is_identity]
+        draw = np.random.default_rng(5)
+        expected, infinite = [], 0
+        for _ in range(40):
+            x = pool[draw.integers(len(pool))]
+            y = pool[draw.integers(len(pool))]
+            vx, vy = family.of(x), family.of(y)
+            lhs = vx @ vx.conj().T @ vy @ vy.conj().T
+            join = lub(graph, x, y)
+            if join is INFINITY:
+                infinite += 1
+                rhs = np.zeros_like(lhs)
+            else:
+                vj = family.of(join)
+                rhs = vj @ vj.conj().T
+            expected.append((f"covariance {x},{y}", float(np.linalg.norm(lhs - rhs, ord=2))))
+        assert (infinite > 0) == (name == "path3")
+        # a negative tolerance reports every residual
+        got = check_graph_relations(family, tol=-1.0, ball=ball, samples=40, seed=5)
+        generators = check_graph_relations(family, tol=-1.0)
+        hexed = lambda pairs: [(desc, r.hex()) for desc, r in pairs]
+        assert hexed(got.violations) == hexed(generators.violations + tuple(expected))
+
     def test_orthogonality_violation_is_reported(self, free2):
         # identical unitaries at non-adjacent vertices cannot have
         # orthogonal ranges

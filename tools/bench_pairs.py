@@ -10,7 +10,8 @@ run uses the benchmark's own run length.  Afterwards every workload gets
 one traced run (``--trace 1``) per side on the first seed, for the
 per-layer counts.
 
-The output holds the machine facts, every run's metrics, each side's
+The output holds the machine facts, each side's line count over
+``src/qlattice/*.py`` (``src_lines``), every run's metrics, each side's
 median and quartiles, the number of pairs the change won (ties count for
 neither side) and a verdict per metric: ``gain`` when the change wins at
 least nine pairs in ten and the medians differ by more than the base's
@@ -57,6 +58,11 @@ def export_working_tree(dest):
             target = Path(dest) / name
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(src.read_bytes())
+
+
+def src_lines(checkout):
+    return sum(len(p.read_bytes().splitlines())
+               for p in (checkout / "src" / "qlattice").glob("*.py"))
 
 
 def run_once(command, checkout, workload, seed, seconds, trace):
@@ -182,6 +188,8 @@ def main(argv=None):
         sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         export_base(args.base_rev, sides["base"])
         export_working_tree(sides["change"])
+        out["src_lines"] = {side: src_lines(path) for side, path in sides.items()}
+        write()
         for i, seed in enumerate(seeds):
             for workload in workloads:
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
