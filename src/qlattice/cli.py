@@ -294,7 +294,7 @@ def main(argv=None):
     try:
         if "tolerance" in args and not math.isfinite(args.tolerance):
             raise InputError("parse", f"--tolerance {args.tolerance} is not finite")
-        for flag, least in (("max_degree", 0), ("samples", 0), ("max_ball", 1)):
+        for flag, least in (("max_degree", 0), ("samples", 0), ("max_ball", 1), ("seed", 0)):
             if getattr(args, flag, least) < least:
                 raise InputError("parse", f"--{flag.replace('_', '-')} must be at "
                                  f"least {least}, not {getattr(args, flag)}")

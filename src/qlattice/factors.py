@@ -9,11 +9,11 @@ word of length m(s,t)-1 starting with t, and s^-1 s into the empty word.
 For a finite-type matrix this rewriting always terminates, turning u^-1 v
 into (u\\v)(v\\u)^-1 with u (u\\v) the least common multiple.  The monoid
 offers only that reversal, one-letter division and canonical words;
-equality, quotients, lubs and gcds of elements go through ArtinOps.  Most
-reversals test whether a letter left-divides a word; _letter_quotient
-settles most tests from the word's length and letters (proof there), and
-canonical_word stops at a canonical tail, since shortlex-least words are
-closed under taking suffixes.
+equality, quotients, lubs and gcds of elements go through ArtinOps.  Both
+read short words off a cone table (ConeTable, pass 1 of the cone balls of
+toeplitz too), grown by each monoid under a fixed budget of elements.
+Past it canonical_word divides greedily by reversing, and stops at a
+canonical tail, since shortlex-least words are closed under suffixes.
 
 General Artin group elements are carried around as canonical fractions
 a b^-1 with a, b positive and without a common nontrivial right divisor.
@@ -31,6 +31,7 @@ Only io (the wire format) and verify (its sampler) read ``kind``.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -67,6 +68,12 @@ class NoCommonMultipleError(RuntimeError):
 # Coxeter matrix validation and the finite-type classification
 # ---------------------------------------------------------------------------
 
+#: Largest Coxeter entry accepted, checked before any alternating word of
+#: length m - 1 is built.  A reversing step writes one: s^-10 t^10 takes
+#: half a second to reduce in I2(100), a minute in I2(1000).
+_COXETER_ENTRY_CAP = 100
+
+
 def normalize_coxeter_entry(value):
     """Map a raw matrix entry to an int >= 1 or INFINITE."""
     if value in (None, 0, "inf", "infinity"):
@@ -98,6 +105,8 @@ def validate_coxeter(generators, m):
                 raise ValueError("Coxeter matrix must be symmetric")
             if norm[i][j] != INFINITE and norm[i][j] < 2:
                 raise ValueError("off-diagonal Coxeter entries must be >= 2")
+            if _COXETER_ENTRY_CAP < norm[i][j] < INFINITE:
+                raise ValueError(f"Coxeter entries above {_COXETER_ENTRY_CAP} are not supported")
     return norm
 
 
@@ -188,6 +197,56 @@ def coxeter_is_finite_type(m):
 #: raises NoCommonMultipleError.
 _REVERSING_STEP_CAP = 1_000_000
 
+#: Most elements an ArtinMonoid's cone table may hold; a layer that might
+#: take it past this is not grown, and longer words are reversed instead.
+_CONE_TABLE_BUDGET = 4_000
+
+
+class ConeTable:
+    """The left-multiplication table of a cone ball, grown a layer at a time.
+
+    rows[g][j] is the id of g y_j, the ids numbered degree first (-1 in the
+    top layer, not yet filled); later[g] lists (s, s\\j, g\\j), tails as
+    rows, for each row s < g whose lub j with g exists.  g y = s z exactly
+    when y = (g\\j) w and z = (s\\j) w for some w, so grow copies those
+    entries of row g from row s, walking the built layers along the tails,
+    and numbers the rest, recording each new z's first entry (g, y).  g is
+    then the least row dividing z, so by induction each layer is in the
+    lexicographic order of least spellings, and the chain of first entries
+    from z spells its least word.
+    """
+
+    def __init__(self, later):
+        self.later = later
+        self.rows = [[-1] for _ in later]
+        self.start = [0, 1]  # the ids of degree d run from start[d] to start[d + 1]
+        self.first = [None]
+
+    def grow(self):
+        """Fill the columns of the top layer, numbering the layer above it."""
+        rows, start = self.rows, self.start
+        d, end = len(start) - 1, start[-1]  # the degree of the new layer
+
+        def walk(letters, e):  # the ids of the letters times each w of degree e
+            ids = range(start[e], start[e + 1])
+            for c in reversed(letters):
+                ids = [rows[c][i] for i in ids]
+            return ids
+
+        for g, row in enumerate(rows):
+            for s, s_tail, g_tail in self.later[g]:
+                e = d - 1 - len(g_tail)  # the degree of w, d - deg j
+                if e >= 0:
+                    for i, j in zip(walk(g_tail, e), walk(s_tail, e)):
+                        row[i] = rows[s][j]
+            for y in range(start[d - 1], end):
+                if row[y] < 0:
+                    row[y] = len(self.first)
+                    self.first.append((g, y))
+        start.append(len(self.first))
+        for row in rows:
+            row += [-1] * (start[-1] - end)
+
 
 class ArtinMonoid:
     """Positive words over a finite-type Artin presentation.
@@ -195,8 +254,11 @@ class ArtinMonoid:
     Words are tuples of generator names.  reverse_fraction gives the
     complements of two words, and so their least common multiple; _strip
     cancels their common left divisor.  The canonical spelling used for
-    hashing is the shortlex-least word, found by greedy left division with
-    the same reversing; the monoid keeps no state beyond its presentation.
+    hashing is the shortlex-least word.  The only state beyond the
+    presentation is a cone table, grown lazily towards the longest word
+    asked so far, within _CONE_TABLE_BUDGET elements.  A word up to its
+    degree is walked through it, one lookup per letter, and that word and
+    the letter quotients are read off its id; longer words are reversed.
     """
 
     def __init__(self, generators, m):
@@ -218,6 +280,14 @@ class ArtinMonoid:
                 [code[c] for c in self._alt(t, s, mm)]
                 + [-code[c] for c in reversed(self._alt(s, t, mm))]
             )
+        tails = lambda s, t: [c - 1 for c in self._reversal[s][t] if c > 0]  # s\t in rows
+        self._table = ConeTable([[(s - 1, tails(s, t), tails(t, s)) for s in range(1, t)]
+                                 for t in code.values()])
+        self._rows = dict(zip(self.generators, self._table.rows))
+        self._inverse = {s: [-1] for s in self.generators}  # _inverse[s][z] = s\z or -1
+        self._words = [()]  # the shortlex-least word of each id
+        self._degree, self._budget = 0, _CONE_TABLE_BUDGET
+        self._growing = threading.Lock()
 
     def coxeter(self, s, t):
         return self.matrix[self.index[s]][self.index[t]]
@@ -254,19 +324,39 @@ class ArtinMonoid:
         return (tuple(letter[c] for c in word if c > 0),
                 tuple(letter[-c] for c in reversed(word) if c < 0))
 
-    def _letter_quotient(self, s, w):
-        """The word w' with s w' = w, or None if s does not left-divide w.
+    def _id(self, w):
+        """The id of w in the cone table, grown towards degree len(w) while
+        the next layer (at most n times the top one) fits the budget, or None."""
+        if len(w) > self._degree:
+            with self._growing:  # one thread grows; readers stay below _degree
+                while len(w) > self._degree:
+                    table, start = self._table, self._table.start
+                    if start[-1] + len(self._rows) * (start[-1] - start[-2]) > self._budget:
+                        return None
+                    table.grow()
+                    self._words += [(self.generators[g],) + self._words[y]
+                                    for g, y in table.first[start[-2]:]]
+                    for row, inverse in zip(table.rows, self._inverse.values()):
+                        inverse += [-1] * (start[-1] - start[-2])
+                        for y in range(start[-3], start[-2]):
+                            inverse[row[y]] = y
+                    self._degree += 1
+        rows, z = self._rows, 0
+        for c in reversed(w):
+            z = rows[c][z]
+        return z
 
-        w is nonempty.  Reverses only if len(w) >= m(s, w[0]) and s occurs
-        in w.  Both are necessary: if s <= t w' with t != s, then lcm(s, t)
-        = t (t\\s) divides t w', which needs m(s, t) letters; and t\\s
-        begins with s, so s <= w'.
-        """
+    def _letter_quotient(self, s, w):
+        """The word w' with s w' = w, or None if s does not left-divide w
+        (nonempty): read off the cone table, else by reversing."""
         if w[0] == s:
             return w[1:]
-        if len(w) >= self.coxeter(s, w[0]) and s in w:
-            quotient, over = self.reverse_fraction((s,), w)
-            return None if over else quotient
+        z = self._id(w)
+        if z is not None:
+            y = self._inverse[s][z]
+            return None if y < 0 else self._words[y]
+        quotient, over = self.reverse_fraction((s,), w)
+        return None if over else quotient
 
     def _strip(self, p, q):
         """(g\\p, g\\q) for g the left gcd of p and q, one common letter
@@ -287,15 +377,19 @@ class ArtinMonoid:
 
         Equal words have equal length, so this is the lexicographically
         least one: repeatedly split off the least generator that
-        left-divides what remains.  The first letter of the remainder
-        always divides it, which bounds each scan.  Suffixes of
-        shortlex-least words are shortlex-least, so once the scan has taken
-        every letter of w unchanged, the rest is the tail as it is.
+        left-divides what remains, until the cone table holds the rest.  The
+        first letter of the remainder always divides it, which bounds each
+        scan.  Suffixes of shortlex-least words are shortlex-least, so once
+        the scan has taken every letter of w unchanged, the rest is the tail
+        as it is.
         """
         rest = tuple(w) + tuple(tail)
         fresh = len(w)  # letters before the canonical tail
         out = []
         while fresh > 0:
+            z = self._id(rest)
+            if z is not None:
+                return tuple(out) + self._words[z]
             for s in self.generators:
                 quotient = self._letter_quotient(s, rest)
                 if quotient is not None:

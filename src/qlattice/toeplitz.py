@@ -4,9 +4,10 @@ A cone ball is the finite, divisor-closed set of positive elements of
 degree at most n.  It is enumerated once, as its Cayley graph for left
 multiplication by the generators: entry [g, j] of its table is the
 position of g y_j, or -1 when g y_j leaves the ball.  The table is read
-off the generator relations, the spellings of each lub s v g; its
-numbering, degree first, is the basis, and elements are formed only when
-read.  The truncated isometries are compressions
+off the generator relations, the spellings of each lub s v g, by
+factors.ConeTable (pass 1, numpy-free, so the Artin factors grow their
+own tables with it); its numbering, degree first, is the basis, and
+elements are formed only when read.  The truncated isometries are compressions
 P_n T P_n of the left-regular isometries T_x e_y = e_{xy}; they are read
 off the table by spelling x in the generators, with no further
 multiplication, and the balls of smaller degree are prefixes of the
@@ -39,7 +40,7 @@ from typing import NamedTuple
 # relation checks and norms with small blocks too, loads numpy alone.
 import numpy as np
 
-from .factors import INFINITY
+from .factors import INFINITY, ConeTable
 from .graph import BallSizeExceeded
 from .order import NotPositiveError, is_positive, lub
 
@@ -52,13 +53,16 @@ class ConeBall:
     the order of ``graph.generator_labels()``: entry [g, j] is the
     position of g y_j, or -1 when g y_j is not in the ball, and ``row_of``
     maps each label to its row.  Degree d runs from start[d] to
-    start[d + 1]; elements and index form on first read.
+    start[d + 1]; ``first`` holds, from position 1 on, the entry (g, y) at
+    which pass 1 numbered each element.  Elements and index form on first
+    read.
     """
     graph: object = field(repr=False)
     max_degree: int
     start: tuple = field(repr=False)
     table: np.ndarray = field(compare=False, repr=False)
     row_of: dict = field(compare=False, repr=False)
+    first: list = field(compare=False, repr=False)
 
     def __len__(self):
         return self.table.shape[1]
@@ -66,11 +70,9 @@ class ConeBall:
     @cached_property
     def elements(self):
         """Each z formed once, as g (g\\z) with g the least generator that
-        divides it: the first entry of z in the table, read row by row."""
-        ids, first = np.unique(self.table, return_index=True)
-        rows, cols = np.divmod(first[ids >= 0], len(self))
+        divides it: the entry (g, y) of first where the table numbered z."""
         gens, found = self.graph.generator_words(), [self.graph.identity()]
-        for g, y in zip(rows.tolist(), cols.tolist()):
+        for g, y in self.first:
             found.append(self.graph.multiply(gens[g], found[y]))
         return tuple(found)
 
@@ -83,53 +85,28 @@ def enumerate_ball(graph, max_degree, size_cap=200_000):
     """The cone ball of degree max_degree, as its table: no element is
     formed until one is read (ConeBall.elements).
 
-    Pass 1 numbers the elements layer by layer (each generator has degree
-    1) with no multiplication.  g y = s z exactly when y = (g\\j) w and
-    z = (s\\j) w for some w, where j = g (g\\j) = s (s\\j) is the lub of s
-    and g: g y lies above j, and g cancels on the left.  Each row, in label
-    order, copies those entries from the earlier rows s, found by walking
-    the layers built so far along _generator_lubs, and numbers the rest as
-    new elements; the size cap is checked per layer, before any product.
-    That numbering is the basis order: z is numbered at (g, g\\z), g the
-    least label dividing z, so by induction on the degree each layer is in
-    the lexicographic order of least spellings.
+    Pass 1 is factors.ConeTable on _generator_lubs: it numbers the basis
+    with no multiplication, and the size cap is checked per layer.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    gens = graph.generator_words()
     row = {label: i for i, label in enumerate(graph.generator_labels())}
-    later = [[] for _ in gens]  # row g: (row s, s\\j, g\\j) for s before g
+    later = [[] for _ in row]  # row g: (row s, s\\j, g\\j) for s before g
     for s, g, lhs, rhs in _generator_lubs(graph):
         if lhs is not None:
             tails = ([row[c] for c in side[1:]] for side in (lhs, rhs))
             later[row[g]].append((row[s], *tails))
-    table = np.full((len(gens), 1), -1, dtype=np.intp)  # over ids in layer order
-    start = [0, 1]  # the ids of degree d run from start[d] to start[d + 1]
-
-    def walk(letters, e):  # the ids of the letters times each w of degree e
-        ids = np.arange(start[e], start[e + 1])
-        for c in reversed(letters):
-            ids = table[c, ids]
-        return ids
-
-    for d in range(1, max_degree + 1):  # fill the columns of degree d - 1
-        layer = np.arange(start[d - 1], start[d])
-        start.append(start[d])
-        for g, pairs in enumerate(later):
-            for s, s_tail, g_tail in pairs:
-                e = d - 1 - len(g_tail)  # the degree of w, d - deg j
-                if e >= 0:
-                    table[g, walk(g_tail, e)] = table[s, walk(s_tail, e)]
-            new = layer[table[g, layer] < 0]
-            table[g, new] = start[d + 1] + np.arange(len(new))
-            start[d + 1] += len(new)
+    table = ConeTable(later)
+    start = table.start
+    for d in range(1, max_degree + 1):
+        table.grow()
         if start[d + 1] > size_cap:
             raise BallSizeExceeded(
                 f"the cone ball of degree {d} has {start[d + 1]} elements, over the "
                 f"size cap of {size_cap}; the ball of degree {d - 1} has {start[d]}")
-        fresh = np.full((len(gens), start[d + 1] - start[d]), -1, dtype=np.intp)
-        table = np.concatenate([table, fresh], axis=1)  # the columns of degree d
-    return ConeBall(graph, max_degree, tuple(start), table, row)
+    return ConeBall(graph, max_degree, tuple(start),
+                    np.array(table.rows, dtype=np.intp).reshape(len(row), start[-1]),
+                    row, table.first[1:])
 
 
 def _letters(graph, x):

@@ -423,6 +423,9 @@ class TestErrorHandling:
         (["verify", "--ctx", "path3", "--samples", "-3"], 2, "parse"),
         (["ball", "--ctx", "path3", "--max-ball", "0"], 2, "parse"),
         (["ball", "--ctx", "path3", "--max-degree", "-1"], 2, "parse"),
+        (["nf", "--ctx", "CTX_HUGE_ENTRY", json.dumps([["v", "s"]])], 2, "parse"),
+        (["relcheck", "--ctx", "free2", "--rep", "REP", "--seed", "-1"], 2, "parse"),
+        (["verify", "--ctx", "path3", "--seed", "-1"], 2, "parse"),
     ])
     def test_error_envelope(self, run, tmp_path, monkeypatch, argv, code, kind):
         # one case per error class: unknown context, LiteralError,
@@ -443,7 +446,8 @@ class TestErrorHandling:
         # two 30-letter words reaches it); context files whose edges,
         # vertices, Artin spec, vertex name or Artin generator names have the
         # wrong JSON type, or an empty generator name; defect on a word that
-        # is not positive; a negative degree or sample count, a size cap below 1
+        # is not positive; a negative degree or sample count, a size cap below 1;
+        # a Coxeter entry above the cap; a negative seed
         monkeypatch.setattr("qlattice.factors._REVERSING_STEP_CAP", 1000)
         inf = tmp_path / "inf.json"
         inf.write_text(json.dumps({"vertices": [{"name": "v", "factor": {
@@ -463,6 +467,8 @@ class TestErrorHandling:
             **{f"CTX_GENERATOR_{name}": {"vertices": [{"name": "v", "factor": {"artin": {
                 "generators": ["s", bad], "m": [[1, 3], [3, 1]]}}}]}
                for name, bad in (("INT", 1), ("EMPTY", ""))},
+            "CTX_HUGE_ENTRY": {"vertices": [{"name": "v", "factor": {"artin": {
+                "generators": ["s", "t"], "m": [[1, 10**9], [10**9, 1]]}}}]},
         }
         bad_reps = {
             "REP_ARRAY": [[1]],

@@ -1,12 +1,18 @@
 """Factor-level tests: reversing arithmetic and the finite-type check."""
 
+import hashlib
 import itertools
 import json
 import random
+import sys
+import threading
+import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from qlattice import ArtinOps, NotFiniteTypeError, ZOps, factor_from_spec, phi_lub
+from qlattice import ArtinOps, NotFiniteTypeError, ZOps, factor_from_spec, factors, phi_lub
 from qlattice.cli import main
 from qlattice.factors import coxeter_is_finite_type, validate_coxeter
 from qlattice.oracles import (
@@ -153,6 +159,18 @@ class TestFiniteType:
         with pytest.raises(ValueError):
             validate_coxeter(["s"], [[1, 1], [1, 1]])
 
+    def test_entries_past_the_cap_are_refused_before_any_word_is_built(self):
+        cap = factors._COXETER_ENTRY_CAP
+        assert dihedral(cap).monoid.coxeter("s", "t") == cap
+        for m in (cap + 1, 10**9, 10**400):
+            tracemalloc.start()
+            began = time.perf_counter()
+            with pytest.raises(ValueError, match=f"above {cap}"):
+                dihedral(m)
+            elapsed, peak = time.perf_counter() - began, tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert elapsed < 0.1 and peak < 100_000, (m, elapsed, peak)
+
 
 class TestReversing:
     def test_generator_complements(self):
@@ -244,6 +262,7 @@ FINITE_TYPES = {
     "A1xA1": (["s", "t"], [[1, 2], [2, 1]]),
 }
 B4 = ArtinOps(["s", "t", "u"], [[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+E8 = branched(1, 2, 4)
 
 
 def braid_move(monoid, word, rng):
@@ -293,12 +312,136 @@ class TestCanonicalWord:
         f = B4.element(tuple("stsuts") * 4)
         assert "".join(f.num) == "sssstssttsstutsstuutsstu" and not f.den
 
-    def test_the_monoid_keeps_no_state_per_word(self):
-        before = {k: len(v) for k, v in vars(B4.monoid).items()}
+    @pytest.mark.parametrize("matrix, count", [(FINITE_TYPES["A3"][1], 1000), (E8, 50)],
+                             ids=["b4", "e8"])
+    def test_the_cone_table_stays_within_its_budget(self, matrix, count):
+        # E8 reverses a 40-letter word in about 12 ms, hence fewer words
+        ops = ArtinOps(names(matrix), matrix)
+        assert table_state(ops.monoid) == [1] * len(table_state(ops.monoid))
         rng = random.Random(0)
-        for _ in range(50):
-            B4.element(tuple(rng.choice("stu") for _ in range(12)))
-        assert {k: len(v) for k, v in vars(B4.monoid).items()} == before
+        words = [random_word(rng, ops.monoid, 40, 40) for _ in range(count)]
+        for w in words:
+            ops.element(w)
+        state = table_state(ops.monoid)
+        assert max(state) <= factors._CONE_TABLE_BUDGET
+        for w in words:
+            ops.element(w)
+        assert table_state(ops.monoid) == state
+
+
+def table_state(monoid):
+    """The sizes of what the monoid's cone table keeps."""
+    return [len(monoid._words), len(monoid._table.first),
+            *map(len, monoid._table.rows), *map(len, monoid._inverse.values())]
+
+
+def reversal_only(ops):
+    """ops with a cone table budget of 0, so its monoid reverses every word."""
+    ops.monoid._budget = 0
+    return ops
+
+
+def same_quotients(table, plain, w):
+    """Whether both monoids divide w by the same letters, with equal quotients."""
+    for s in table.generators:
+        q, r = table._letter_quotient(s, w), plain._letter_quotient(s, w)
+        if (q is None) != (r is None) or q is not None and (
+                table.canonical_word(q) != plain.canonical_word(r)):
+            return False
+    return True
+
+
+CONTEXTS = Path(__file__).resolve().parent.parent / "perfbench" / "contexts"
+
+
+class TestConeTable:
+    """Words up to the cone table's degree are read off the table; longer
+    ones are reversed.  Both paths are checked against each other (the
+    reversal one on a fresh instance with budget 0) and the table's answers
+    against the rewriting oracles, which call neither."""
+
+    @pytest.mark.parametrize("name", ["A2", "A3"])
+    def test_equals_the_reversal_path_on_every_word_up_to_degree_8(self, name):
+        table = ArtinOps(*FINITE_TYPES[name]).monoid
+        plain = reversal_only(ArtinOps(*FINITE_TYPES[name])).monoid
+        for w in words_up_to(table, 8):
+            assert table.canonical_word(w) == plain.canonical_word(w), w
+            assert not w or same_quotients(table, plain, w), w
+        # grown only as far as the longest word asked
+        assert (table._degree, plain._degree) == (8, 0)
+
+    @pytest.mark.parametrize("name", sorted(FINITE_TYPES))
+    def test_words_across_the_table_degree(self, name):
+        table = ArtinOps(*FINITE_TYPES[name])
+        plain = reversal_only(ArtinOps(*FINITE_TYPES[name]))
+        table.element(table.monoid.generators[:1] * 100)  # grows it to its budget
+        d = table.monoid._degree
+        rng = random.Random(f"across-{name}")
+        for _ in range(60):
+            num, den = (random_word(rng, table.monoid, d - 1, d + 2) for _ in range(2))
+            assert table.element(num) == plain.element(num), num
+            assert table.element(num, den) == plain.element(num, den), (num, den)
+            assert same_quotients(table.monoid, plain.monoid, num), num
+        assert (table.monoid._degree, plain.monoid._degree) == (d, 0)
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_table_answers_match_the_rewrite_oracles(self, name):
+        mon = ArtinOps(*FINITE_TYPES[name]).monoid
+        rng = random.Random(f"table-oracle-{name}")
+        words = [random_word(rng, mon, 1, 6) for _ in range(40)]
+        for w in words:
+            assert rewrite_equal(mon, mon.canonical_word(w), w), w
+            for s in mon.generators:
+                quotient = mon._letter_quotient(s, w)
+                assert (quotient is not None) == bfs_left_divides(mon, (s,), w), (s, w)
+                assert quotient is None or rewrite_equal(mon, (s,) + quotient, w), (s, w)
+        assert mon._degree == max(map(len, words))
+
+    def test_threads_share_one_growing_table(self):
+        # each round starts four threads on a fresh monoid at once, each with
+        # its own order of the words, so they ask for growth together
+        plain = reversal_only(ArtinOps(*FINITE_TYPES["A3"])).monoid
+        rng = random.Random("threads")
+        words = [random_word(rng, plain, 6, 9) for _ in range(40)]
+        expected = {w: plain.canonical_word(w) for w in words}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(20):
+                shared = ArtinOps(*FINITE_TYPES["A3"]).monoid
+                ready, results = threading.Barrier(4), [None] * 4
+
+                def work(k):
+                    order = random.Random(4 * round_ + k).sample(words, len(words))
+                    ready.wait(timeout=60)
+                    results[k] = {w: shared.canonical_word(w) for w in order}
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [expected] * 4, round_
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("ctx, degree, digest", [
+        ("free2", 8, "25448a837a46f183aae9fce015a3a54f0a5f345944e5b811938f5bf3a8625004"),
+        ("path3", 6, "9b2bff4b5b6dd4436a2a9398399046b05c045b7184ca93a8bc60d14f6f88c210"),
+        ("square4", 5, "3ecd54dc34b08b50674a93090017f2b9695eb9f3e895c86e257c3d16da6e9ba5"),
+        ("b3", 15, "1187745d6918918bf94bbe39a961675214656750f50cfe068596624bc8364bb4"),
+        ("b4", 9, "60e24b5cf5191804a40046641a9178bd502566c11969240eb0df1cf1325ed064"),
+        (CONTEXTS / "b3zz.json", 6,
+         "b3fea201990bfc8a29115bda2627880a3961022e0471ed54c00d09b7c3932601"),
+        (CONTEXTS / "hex6.json", 5,
+         "f5befc2322aa694a206c388e16fe69d1fdd23423e2a9734f67ac46e9cd746ee1"),
+    ], ids=["free2", "path3", "square4", "b3", "b4", "b3zz", "hex6"])
+    def test_ball_output_is_unchanged(self, capsys, ctx, degree, digest):
+        # digests of `qlattice ball` as printed when ball elements were formed
+        # by reversal alone; the b3 and b4 degrees pass their tables' budgets
+        assert main(["ball", "--ctx", str(ctx), "--max-degree", str(degree)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestPrunedArithmetic:

@@ -4,7 +4,8 @@
 
 Each command runs in a fresh interpreter, so a time holds start-up,
 imports and the work itself.  The commands are ``norm-curve`` on the five
-presets and ``relcheck`` on b3 and b4.  Every run has
+presets, ``relcheck`` on b3 and b4, and the lattice commands ``nf`` and
+``lub`` on b3 and b4 with fixed 12-letter words.  Every run has
 OPENBLAS_NUM_THREADS=1, and the runs of the commands are interleaved, so
 a slow spell on the machine spreads over all of them.  ``--src`` names
 the source directory put on PYTHONPATH (default: this checkout's
@@ -29,6 +30,10 @@ def norm_curve(ctx, max_degree, labels):
     return ["norm-curve", "--ctx", ctx, "--max-degree", str(max_degree), "--weights", weights]
 
 
+def artin_words(command, ctx, *words):
+    return [command, "--ctx", ctx, *(json.dumps([["v", w]]) for w in words)]
+
+
 COMMANDS = [
     norm_curve("free2", 7, "ab"),
     norm_curve("path3", 6, "abc"),
@@ -37,6 +42,10 @@ COMMANDS = [
     norm_curve("b4", 7, "stu"),
     ["relcheck", "--ctx", "b3"],
     ["relcheck", "--ctx", "b4"],
+    artin_words("nf", "b3", "tstsststtsts"),
+    artin_words("lub", "b3", "tstsststtsts", "sttssttsttst"),
+    artin_words("nf", "b4", "utstusuttsus"),
+    artin_words("lub", "b4", "utstusuttsus", "tsuuststtuts"),
 ]
 
 
