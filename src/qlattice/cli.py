@@ -58,27 +58,36 @@ def _load_context(spec):
     raise InputError("context", f"no context file or preset named {spec!r}")
 
 
-def _read_literals(args):
-    if args.infile:
+def _words(graph, args):
+    """The words of a subcommand that takes them, read and counted before
+    it runs: from the arguments or from an --in file, not both."""
+    if not args.infile:
+        literals = [json.loads(w) for w in args.words]
+    elif args.words:
+        raise InputError("parse", "give word literals as arguments or in --in, not both")
+    else:
         with open(args.infile) as fh:
-            data = json.load(fh)
-        if not isinstance(data, list):
+            literals = json.load(fh)
+        if not isinstance(literals, list):
             raise InputError("parse", "--in file must hold a JSON array of words")
-        return data
-    return [json.loads(w) for w in args.words]
-
-
-def _words(graph, args, count=None):
-    literals = _read_literals(args)
-    if count is not None and len(literals) != count:
-        raise InputError("parse", f"expected {count} word argument(s)")
+    if args.count is not None and len(literals) != args.count:
+        raise InputError("parse", f"expected {args.count} word argument(s)")
     return [qio.parse_word(graph, lit) for lit in literals]
+
+
+def _ball(graph, args):
+    from .toeplitz import enumerate_ball
+    return enumerate_ball(graph, args.max_degree, size_cap=args.max_ball)
 
 
 def _result_word(graph, x):
     if x is INFINITY:
         return "infinity"
     return qio.word_to_json(graph, x)
+
+
+def _json_words(graph, xs):
+    return [qio.word_to_json(graph, x) for x in xs]
 
 
 def _emit(payload, out):
@@ -90,72 +99,46 @@ def _emit(payload, out):
         print(text)
 
 
-def cmd_nf(graph, args):
-    (x,) = _words(graph, args, 1)
-    return _result_word(graph, x)
-
-
-def cmd_eq(graph, args):
-    x, y = _words(graph, args, 2)
-    return graph.equal(x, y)
-
-
-def cmd_len(graph, args):
-    (x,) = _words(graph, args, 1)
-    return len(x)
-
-
-def cmd_lub(graph, args):
-    x, y = _words(graph, args, 2)
-    return _result_word(graph, lub(graph, x, y))
-
-
-def cmd_rgcd(graph, args):
-    x, y = _words(graph, args, 2)
-    return _result_word(graph, rgcd(graph, x, y))
-
-
-def cmd_fraction(graph, args):
-    (x,) = _words(graph, args, 1)
-    a, b = canonical_fraction(graph, x)
-    return {"a": qio.word_to_json(graph, a), "b": qio.word_to_json(graph, b)}
-
-
-def cmd_phi(graph, args):
-    (x,) = _words(graph, args, 1)
-    return {v: qio.element_to_json(graph, v, e) for v, e in phi(graph, x).items()}
+#: The lattice subcommands, one row each: name, word count, the result
+#: from the graph and the parsed words, help.
+_LATTICE = (
+    ("nf", 1, _result_word, "canonical normal form of a word"),
+    ("eq", 2, lambda g, x, y: g.equal(x, y), "whether two words represent the same element"),
+    ("len", 1, lambda g, x: len(x), "syllable length of the represented element"),
+    ("lub", 2, lambda g, x, y: _result_word(g, lub(g, x, y)), "least upper bound, or infinity"),
+    ("rgcd", 2, lambda g, x, y: _result_word(g, rgcd(g, x, y)),
+     "greatest common right divisor of positives"),
+    ("fraction", 1, lambda g, x: dict(zip("ab", _json_words(g, canonical_fraction(g, x)))),
+     "canonical fraction a b^-1"),
+    ("phi", 1, lambda g, x: {v: qio.element_to_json(g, v, e) for v, e in phi(g, x).items()},
+     "image in the direct product of the factors"),
+)
 
 
 def cmd_ball(graph, args):
-    from .toeplitz import enumerate_ball
-    ball = enumerate_ball(graph, args.max_degree, size_cap=args.max_ball)
+    ball = _ball(graph, args)
     return {
         "size": len(ball),
         "layer_sizes": [b - a for a, b in zip(ball.start, ball.start[1:])],
-        "elements": [qio.word_to_json(graph, x) for x in ball.elements],
+        "elements": _json_words(graph, ball.elements),
     }
 
 
-def cmd_cov_check(graph, args):
-    from .toeplitz import covariance_check, enumerate_ball
-    x, y = _words(graph, args, 2)
-    ball = enumerate_ball(graph, args.max_degree, size_cap=args.max_ball)
-    report = covariance_check(graph, x, y, ball)
+def cmd_cov_check(graph, args, x, y):
+    from .toeplitz import covariance_check
+    report = covariance_check(graph, x, y, _ball(graph, args))
     return {
         "ok": report.ok,
         "lub": _result_word(graph, report.lub),
-        "mismatches": [qio.word_to_json(graph, z) for z in report.mismatches],
+        "mismatches": _json_words(graph, report.mismatches),
     }
 
 
-def cmd_defect(graph, args):
-    from .toeplitz import defect_product_diag, enumerate_ball
-    ball = enumerate_ball(graph, args.max_degree, size_cap=args.max_ball)
-    if args.words or args.infile:
-        family = _words(graph, args)
-    else:
+def cmd_defect(graph, args, *family):
+    from .toeplitz import defect_product_diag
+    if not (family or args.infile):  # no words given: the generators
         family = graph.generator_words()
-    diag = defect_product_diag(graph, family, ball)
+    diag = defect_product_diag(graph, family, _ball(graph, args))
     return {
         "nonzero": bool(diag.any()),
         "delta1": int(diag[0]),
@@ -164,9 +147,7 @@ def cmd_defect(graph, args):
 
 
 def cmd_relcheck(graph, args):
-    from .toeplitz import IsometryFamily, check_graph_relations, enumerate_ball
-    from .toeplitz import check_toeplitz_relations
-    ball = enumerate_ball(graph, args.max_degree, size_cap=args.max_ball)
+    from .toeplitz import IsometryFamily, check_graph_relations, check_toeplitz_relations
     if args.rep:
         with open(args.rep) as fh:
             matrices = json.load(fh)
@@ -177,10 +158,10 @@ def cmd_relcheck(graph, args):
         except ValueError as exc:
             raise InputError("parse", str(exc)) from exc
         report = check_graph_relations(
-            family, tol=args.tolerance, ball=ball, seed=args.seed
+            family, tol=args.tolerance, ball=_ball(graph, args), seed=args.seed
         )
     else:
-        report = check_toeplitz_relations(graph, ball)
+        report = check_toeplitz_relations(graph, _ball(graph, args))
     payload = {
         "ok": report.ok,
         "violations": [[desc, res] for desc, res in report.violations],
@@ -193,9 +174,11 @@ def cmd_relcheck(graph, args):
 def cmd_norm_curve(graph, args):
     from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
     from .toeplitz import _norm_brackets
+    # the ball of degree d holds 1, g, ..., g^d, so the one of degree
+    # --max-ball passes the cap, and no later degree need be listed
     rows = _norm_brackets(graph, qio.parse_weights(graph, args.weights),
-                          range(1, args.max_degree + 1), tol=args.tolerance,
-                          size_cap=args.max_ball)
+                          range(1, min(args.max_degree, args.max_ball) + 1),
+                          tol=args.tolerance, size_cap=args.max_ball)
     # each end exactly to 12 decimals, outward: a float has at most 309 integer digits
     down, up = (Context(prec=400, rounding=r) for r in (ROUND_FLOOR, ROUND_CEILING))
     step = Decimal("1e-12")
@@ -241,22 +224,19 @@ def build_parser():
                            "norm-curve, the width of the certified norm bracket")
     seed.add_argument("--seed", type=int, default=0)
 
-    def add(name, fn, *parents, **kwargs):
+    def add(name, fn, *parents, count=None, **kwargs):
         p = sub.add_parser(name, parents=parents, **kwargs)
         p.add_argument("--ctx", required=True, help="context file or preset name")
         p.add_argument("--out", help="write the result to a file")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, count=count)
         return p
 
-    add("nf", cmd_nf, words, help="canonical normal form of a word")
-    add("eq", cmd_eq, words, help="whether two words represent the same element")
-    add("len", cmd_len, words, help="syllable length of the represented element")
-    add("lub", cmd_lub, words, help="least upper bound, or infinity")
-    add("rgcd", cmd_rgcd, words, help="greatest common right divisor of positives")
-    add("fraction", cmd_fraction, words, help="canonical fraction a b^-1")
-    add("phi", cmd_phi, words, help="image in the direct product of the factors")
+    for name, count, result, text in _LATTICE:
+        add(name, lambda graph, args, *xs, result=result: result(graph, *xs), words,
+            count=count, help=text)
     add("ball", cmd_ball, ball, help="enumerate the positive cone ball")
-    add("cov-check", cmd_cov_check, words, ball, help="covariance identity over a ball")
+    add("cov-check", cmd_cov_check, words, ball, count=2,
+        help="covariance identity over a ball")
     add("defect", cmd_defect, words, ball, help="defect projection support over a ball")
     p = add("relcheck", cmd_relcheck, ball, tolerance, seed,
             help="check the graph-product relations of a representation")
@@ -299,7 +279,8 @@ def main(argv=None):
                 raise InputError("parse", f"--{flag.replace('_', '-')} must be at "
                                  f"least {least}, not {getattr(args, flag)}")
         graph = _load_context(args.ctx)
-        result = args.fn(graph, args)
+        words = _words(graph, args) if "words" in args else []
+        result = args.fn(graph, args, *words)
     except tuple(t for t, _, _ in _ERRORS) as exc:
         kind, code = next((k, c) for t, k, c in _ERRORS if isinstance(exc, t))
         if isinstance(exc, DomainError):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 INFINITE = math.inf
 
@@ -206,19 +206,25 @@ class ConeTable:
     """The left-multiplication table of a cone ball, grown a layer at a time.
 
     rows[g][j] is the id of g y_j, the ids numbered degree first (-1 in the
-    top layer, not yet filled); later[g] lists (s, s\\j, g\\j), tails as
-    rows, for each row s < g whose lub j with g exists.  g y = s z exactly
-    when y = (g\\j) w and z = (s\\j) w for some w, so grow copies those
-    entries of row g from row s, walking the built layers along the tails,
-    and numbers the rest, recording each new z's first entry (g, y).  g is
-    then the least row dividing z, so by induction each layer is in the
-    lexicographic order of least spellings, and the chain of first entries
-    from z spells its least word.
+    top layer, not yet filled), a row per label (row_of).  For labels s
+    before g, lubs spells their lub j as (s, g, s (s\\j), g (g\\j)), or has
+    None sides; later[g] lists (s, s\\j, g\\j), tails as rows.  g y = s z
+    exactly when y = (g\\j) w and z = (s\\j) w for some w, so grow copies
+    those entries of row g from row s, walking the built layers along the
+    tails, and numbers the rest, recording each new z's first entry
+    (g, y).  g is then the least row dividing z, so by induction each layer
+    is in the lexicographic order of least spellings, and the chain of
+    first entries from z spells its least word.
     """
 
-    def __init__(self, later):
-        self.later = later
-        self.rows = [[-1] for _ in later]
+    def __init__(self, labels, lubs):
+        row = self.row_of = {label: i for i, label in enumerate(labels)}
+        self.later = [[] for _ in row]
+        for s, g, lhs, rhs in lubs:
+            if lhs is not None:
+                tails = ([row[c] for c in side[1:]] for side in (lhs, rhs))
+                self.later[row[g]].append((row[s], *tails))
+        self.rows = [[-1] for _ in row]
         self.start = [0, 1]  # the ids of degree d run from start[d] to start[d + 1]
         self.first = [None]
 
@@ -280,9 +286,9 @@ class ArtinMonoid:
                 [code[c] for c in self._alt(t, s, mm)]
                 + [-code[c] for c in reversed(self._alt(s, t, mm))]
             )
-        tails = lambda s, t: [c - 1 for c in self._reversal[s][t] if c > 0]  # s\t in rows
-        self._table = ConeTable([[(s - 1, tails(s, t), tails(t, s)) for s in range(1, t)]
-                                 for t in code.values()])
+        self._table = ConeTable(self.generators, [
+            (s, t, self._alt(s, t, self.coxeter(s, t)), self._alt(t, s, self.coxeter(s, t)))
+            for s, t in combinations(self.generators, 2)])
         self._rows = dict(zip(self.generators, self._table.rows))
         self._inverse = {s: [-1] for s in self.generators}  # _inverse[s][z] = s\z or -1
         self._words = [()]  # the shortlex-least word of each id

@@ -25,17 +25,21 @@ class LiteralError(ValueError):
 
 
 def graph_from_json(doc):
-    if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), list):
-        raise LiteralError("context must be an object with a 'vertices' list")
-    vertices = []
-    for entry in doc["vertices"]:
+    vertices = doc.get("vertices") if isinstance(doc, dict) else None
+    if not (isinstance(vertices, list) and vertices):
+        raise LiteralError("context must be an object with a nonempty 'vertices' list")
+    pairs = []
+    for entry in vertices:
         try:
-            vertices.append((entry["name"], entry["factor"]))
+            name, factor = entry["name"], entry["factor"]
         except (TypeError, KeyError) as exc:
             raise LiteralError(f"bad vertex entry {entry!r}") from exc
+        if not (isinstance(name, str) and name):
+            raise LiteralError(f"vertex names must be nonempty strings, not {name!r}")
+        pairs.append((name, factor))
     edges = doc.get("edges", [])
     try:
-        return CommutationGraph(vertices, edges)
+        return CommutationGraph(pairs, edges)
     except (ValueError, KeyError) as exc:
         raise LiteralError(str(exc)) from exc
     except TypeError as exc:  # a name, factor or edge list of the wrong JSON type

@@ -90,13 +90,7 @@ def enumerate_ball(graph, max_degree, size_cap=200_000):
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    row = {label: i for i, label in enumerate(graph.generator_labels())}
-    later = [[] for _ in row]  # row g: (row s, s\\j, g\\j) for s before g
-    for s, g, lhs, rhs in _generator_lubs(graph):
-        if lhs is not None:
-            tails = ([row[c] for c in side[1:]] for side in (lhs, rhs))
-            later[row[g]].append((row[s], *tails))
-    table = ConeTable(later)
+    table = ConeTable(graph.generator_labels(), _generator_lubs(graph))
     start = table.start
     for d in range(1, max_degree + 1):
         table.grow()
@@ -105,8 +99,8 @@ def enumerate_ball(graph, max_degree, size_cap=200_000):
                 f"the cone ball of degree {d} has {start[d + 1]} elements, over the "
                 f"size cap of {size_cap}; the ball of degree {d - 1} has {start[d]}")
     return ConeBall(graph, max_degree, tuple(start),
-                    np.array(table.rows, dtype=np.intp).reshape(len(row), start[-1]),
-                    row, table.first[1:])
+                    np.array(table.rows, dtype=np.intp).reshape(len(table.rows), start[-1]),
+                    table.row_of, table.first[1:])
 
 
 def _letters(graph, x):

@@ -1,6 +1,8 @@
 """End-to-end tests of the command line interface."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
 import qlattice
-from qlattice.cli import build_parser, main
+from qlattice.cli import _load_context, build_parser, main
 from qlattice.oracles import dense_norm
 from qlattice.toeplitz import enumerate_ball
 
@@ -426,6 +430,17 @@ class TestErrorHandling:
         (["nf", "--ctx", "CTX_HUGE_ENTRY", json.dumps([["v", "s"]])], 2, "parse"),
         (["relcheck", "--ctx", "free2", "--rep", "REP", "--seed", "-1"], 2, "parse"),
         (["verify", "--ctx", "path3", "--seed", "-1"], 2, "parse"),
+        (["defect", "--ctx", "square4", "--max-ball", "10", json.dumps([["zz", 1]])],
+         2, "parse"),
+        (["relcheck", "--ctx", "b3", "--max-ball", "1", "--rep", "MISSING"], 2, "parse"),
+        (["nf", "--ctx", "path3", "--in", "IN_WORDS", json.dumps([["a", 1]])], 2, "parse"),
+        (["defect", "--ctx", "path3", "--in", "IN_WORDS", json.dumps([["a", 1]])],
+         2, "parse"),
+        (["defect", "--ctx", "path3", "--in", "IN_EMPTY"], 1, "ValueError"),
+        (["verify", "--ctx", "CTX_NO_VERTEX"], 2, "parse"),
+        (["norm-curve", "--ctx", "path3", "--max-degree", str(10**18), "--max-ball", "5",
+          "--weights", json.dumps({"a": 1})], 1, "BallSizeExceeded"),
+        (["nf", "--ctx", "CTX_NAME_NULL", "[]"], 2, "parse"),
     ])
     def test_error_envelope(self, run, tmp_path, monkeypatch, argv, code, kind):
         # one case per error class: unknown context, LiteralError,
@@ -447,7 +462,11 @@ class TestErrorHandling:
         # vertices, Artin spec, vertex name or Artin generator names have the
         # wrong JSON type, or an empty generator name; defect on a word that
         # is not positive; a negative degree or sample count, a size cap below 1;
-        # a Coxeter entry above the cap; a negative seed
+        # a Coxeter entry above the cap; a negative seed; a malformed literal
+        # or a missing --rep file with a size cap the ball would pass (inputs
+        # are read first); word arguments beside --in; an empty --in family;
+        # a context with no vertex; a norm curve to a degree far past its cap;
+        # a vertex name that is not a string
         monkeypatch.setattr("qlattice.factors._REVERSING_STEP_CAP", 1000)
         inf = tmp_path / "inf.json"
         inf.write_text(json.dumps({"vertices": [{"name": "v", "factor": {
@@ -459,7 +478,11 @@ class TestErrorHandling:
         files = {
             "CTX_ARRAY": [],
             "CTX_NO_FACTOR": {"vertices": [{"name": "a"}]},
+            "CTX_NO_VERTEX": {"vertices": []},
+            "CTX_NAME_NULL": {"vertices": [{"name": None, "factor": "Z"}]},
             "IN_OBJECT": {"words": [[["a", 1]]]},
+            "IN_WORDS": [[["a", 1]]],
+            "IN_EMPTY": [],
             "CTX_EDGES_INT": {"vertices": [{"name": "a", "factor": "Z"}], "edges": 5},
             "CTX_VERTICES_INT": {"vertices": 5},
             "CTX_ARTIN_INT": {"vertices": [{"name": "v", "factor": {"artin": 5}}]},
@@ -543,6 +566,186 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["nf", "--ctx", "b3", "--max-ball", "1", "--seed", "4", B3_ST])
         assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
+PRESETS = {path.stem: json.loads(path.read_text())
+           for path in sorted((Path(qlattice.__file__).parent / "presets").glob("*.json"))}
+#: Literals that are not words of any preset: not JSON, not an array, at an
+#: unknown vertex, or with a syllable of the wrong shape.
+MALFORMED = ["[[", "", "null", '"x"', "{}", "[1]", json.dumps([["zz", 1]]),
+             json.dumps([["a"]]), json.dumps([["v", "sx"]]), json.dumps([["a", 1, 2]])]
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([10**9, 10**400]),
+                 st.floats(), st.text(max_size=2), st.just([]), st.just({}))
+
+
+def json_paths(doc, prefix=()):
+    """The path of every value in a JSON document, the root first."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from json_paths(value, prefix + (key,))
+
+
+def mutate(data, doc):
+    """doc with one value replaced by junk, deleted or repeated."""
+    path = data.draw(st.sampled_from(list(json_paths(doc))[::-1]))  # the root last
+    if not path:
+        return data.draw(JUNK)
+    *head, key = path
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    action = data.draw(st.sampled_from(["junk", "delete", "repeat"]))
+    if action == "junk":
+        parent[key] = data.draw(JUNK)
+    elif action == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.append(json.loads(json.dumps(parent[key])))
+    else:
+        parent[key] = [parent[key]] * 2
+    return doc
+
+
+def literals(graph):
+    """Word literals of graph, as JSON values, and malformed ones, as the
+    text of an argument."""
+    def syllable(v):
+        if graph.ops[v].kind == "Z":
+            return st.tuples(st.just(v), st.integers(-3, 3)).map(list)
+        letters = st.text(alphabet=graph.ops[v].monoid.generators, max_size=4)
+        fraction = st.fixed_dictionaries({"num": letters, "den": letters})
+        return st.tuples(st.just(v), st.one_of(letters, fraction)).map(list)
+
+    word = st.lists(st.sampled_from(graph.vertices).flatmap(syllable), max_size=3)
+    return st.one_of(word, st.sampled_from(MALFORMED))
+
+
+def argument(literal):
+    return literal if isinstance(literal, str) else json.dumps(literal)
+
+
+def in_process(argv):
+    """main's exit code and standard output; any exception escapes."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def assert_one_envelope(code, text, ok):
+    assert text.endswith("\n") and text.count("\n") == 1, text
+    doc = json.loads(text)
+    assert doc["ok"] is ok and (ok or set(doc["error"]) == {"kind", "detail"})
+    return doc
+
+
+#: The number of words each subcommand takes, where it is fixed.
+COUNTS = {**dict.fromkeys(["nf", "len", "fraction", "phi"], 1),
+          **dict.fromkeys(["eq", "lub", "rgcd", "cov-check"], 2)}
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzz:
+    """main(argv) in-process on mutated presets, random flags and input
+    files: every run ends in one exit code of the envelope, with its one
+    JSON object (or the CSV of a norm-curve success) on standard output.
+    The work flags, --max-ball and --samples, stay small, since they set
+    the work asked for; --max-degree may be huge, and the size cap bounds it."""
+
+    @FUZZ
+    @given(data=st.data())
+    def test_every_invocation_ends_in_the_envelope(self, data, tmp_path):
+        command = data.draw(st.sampled_from(sorted(FLAGS)))
+        name = data.draw(st.sampled_from(sorted(PRESETS)))
+        graph = _load_context(name)
+        labels = list(graph.generator_labels())
+        doc = json.loads(json.dumps(PRESETS[name]))
+        for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            doc = mutate(data, doc)
+        files = {"--ctx": doc}
+        weights = st.dictionaries(st.sampled_from(labels), st.floats(0, 1), min_size=1)
+        values = {
+            "--max-degree": st.one_of(st.integers(-1, 6), st.sampled_from([10**6, 10**18])),
+            "--max-ball": st.integers(-1, 60),
+            "--samples": st.integers(-1, 3),
+            "--seed": st.one_of(st.integers(-2, 3), st.just(10**30)),
+            "--tolerance": st.one_of(st.sampled_from(["1e-9", "1e-6", "0.5", "1e308"]),
+                                     st.sampled_from(["0", "-1", "nan", "inf", "-inf", "5e-324"])),
+            "--weights": st.one_of(weights, st.dictionaries(
+                st.sampled_from(labels + ["zz"]), st.one_of(st.floats(), JUNK)), JUNK,
+            ).map(json.dumps),
+        }
+        argv = [command]
+        for flag in sorted(FLAGS[command] & set(values)):
+            if flag == "--weights" or data.draw(st.booleans()):
+                argv.append(f"{flag}={data.draw(values[flag])}")
+        if "--rep" in FLAGS[command] and data.draw(st.booleans()):
+            row = st.lists(st.one_of(st.floats(), st.integers(-2, 2)), min_size=1, max_size=2)
+            matrix = st.one_of(st.lists(row, min_size=1, max_size=2), JUNK)
+            files["--rep"] = data.draw(st.one_of(st.dictionaries(
+                st.sampled_from(labels + ["zz"]), matrix), JUNK))
+        count = COUNTS.get(command)
+        if count is None or data.draw(st.sampled_from(["right"] * 3 + ["any"])) == "any":
+            count = data.draw(st.integers(0, 3))
+        words = data.draw(st.lists(literals(graph), min_size=count, max_size=count))
+        if "--in" in FLAGS[command] and data.draw(st.booleans()):
+            files["--in"] = data.draw(st.one_of(st.just(words), JUNK))
+            words = data.draw(st.sampled_from([[]] * 3 + [words]))  # now and then both
+        for flag, content in files.items():
+            path = tmp_path / f"{flag[2:]}.json"
+            if data.draw(st.sampled_from(["write"] * 9 + ["missing"])) == "write":
+                path.write_text(json.dumps(content))
+            elif path.exists():
+                path.unlink()  # a missing file
+            argv.append(f"{flag}={path}")
+        out = tmp_path / "out.txt"
+        out.unlink(missing_ok=True)
+        if data.draw(st.booleans()):
+            argv.append(f"--out={out}")
+        if "words" in FLAGS[command]:
+            argv += map(argument, words)
+        code, text = in_process(argv)
+        assert code in (0, 1, 2)
+        if code == 0 and out.exists():
+            assert text == ""
+            text = out.read_text()
+        if code == 0 and command == "norm-curve":
+            head, *rows = text.splitlines()
+            assert head == "degree,ball_size,norm_estimate,norm_hi"
+            assert all(float(lo) <= float(hi) for _, _, lo, hi in (r.split(",") for r in rows))
+        else:
+            assert_one_envelope(code, text, code == 0)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_malformed_inputs_exit_2_before_any_ball(self, data, tmp_path):
+        # the inputs are read first, so the degree and the cap do not matter
+        command = data.draw(st.sampled_from(["cov-check", "defect", "relcheck"]))
+        name = data.draw(st.sampled_from(sorted(PRESETS)))
+        labels = list(_load_context(name).generator_labels())
+        argv = [command, f"--ctx={name}",
+                f"--max-degree={data.draw(st.sampled_from([0, 1, 6, 12, 10**6, 10**18]))}",
+                f"--max-ball={data.draw(st.sampled_from([1, 10, 1000]))}"]
+        if command == "relcheck":
+            rep = tmp_path / "rep.json"
+            rep.unlink(missing_ok=True)
+            bad = data.draw(st.sampled_from(["missing", [[1]], {"zz": [[1.0]]},
+                                             dict.fromkeys(labels, [1.0, 0.0]),
+                                             dict.fromkeys(labels, [[math.nan]])]))
+            if bad != "missing":
+                rep.write_text(json.dumps(bad))
+            argv.append(f"--rep={rep}")
+        else:
+            word = json.dumps([["v", labels[0]] if name[0] == "b" else [labels[0], 1]])
+            words = [word] * data.draw(st.integers(0, 2))
+            words.insert(data.draw(st.integers(0, len(words))),
+                         data.draw(st.sampled_from(MALFORMED)))
+            argv += words
+        code, text = in_process(argv)
+        doc = assert_one_envelope(code, text, False)
+        assert (code, doc["error"]["kind"]) == (2, "parse"), argv
 
 
 class TestStartup:

@@ -4,8 +4,11 @@
 
 Each command runs in a fresh interpreter, so a time holds start-up,
 imports and the work itself.  The commands are ``norm-curve`` on the five
-presets, ``relcheck`` on b3 and b4, and the lattice commands ``nf`` and
-``lub`` on b3 and b4 with fixed 12-letter words.  Every run has
+presets, ``relcheck`` on b3 and b4, the lattice commands ``nf`` and
+``lub`` on b3 and b4 with fixed 12-letter words, and ``ball`` on b3 to
+degree 15 and on b4 to degree 10.  Those balls pass the degrees of the
+Artin factors' cone tables (13 and 8), so forming their elements takes
+the greedy path with a canonical tail past the table.  Every run has
 OPENBLAS_NUM_THREADS=1, and the runs of the commands are interleaved, so
 a slow spell on the machine spreads over all of them.  ``--src`` names
 the source directory put on PYTHONPATH (default: this checkout's
@@ -46,6 +49,8 @@ COMMANDS = [
     artin_words("lub", "b3", "tstsststtsts", "sttssttsttst"),
     artin_words("nf", "b4", "utstusuttsus"),
     artin_words("lub", "b4", "utstusuttsus", "tsuuststtuts"),
+    ["ball", "--ctx", "b3", "--max-degree", "15"],
+    ["ball", "--ctx", "b4", "--max-degree", "10"],
 ]
 
 
