@@ -23,7 +23,7 @@ import sys
 
 from . import io as qio
 from .factors import INFINITY, NoCommonMultipleError
-from .graph import BallSizeExceeded
+from .graph import BALL_SIZE_CAP, BallSizeExceeded
 from .order import NotPositiveError, canonical_fraction, lub, phi, rgcd
 
 # The numeric subcommands import toeplitz and verify themselves, so the
@@ -174,10 +174,8 @@ def cmd_relcheck(graph, args):
 def cmd_norm_curve(graph, args):
     from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
     from .toeplitz import _norm_brackets
-    # the ball of degree d holds 1, g, ..., g^d, so the one of degree
-    # --max-ball passes the cap, and no later degree need be listed
     rows = _norm_brackets(graph, qio.parse_weights(graph, args.weights),
-                          range(1, min(args.max_degree, args.max_ball) + 1),
+                          range(1, args.max_degree + 1),
                           tol=args.tolerance, size_cap=args.max_ball)
     # each end exactly to 12 decimals, outward: a float has at most 309 integer digits
     down, up = (Context(prec=400, rounding=r) for r in (ROUND_FLOOR, ROUND_CEILING))
@@ -218,7 +216,7 @@ def build_parser():
     words.add_argument("--in", dest="infile", help="JSON file with word literals")
     words.add_argument("words", nargs="*", help="word literals (JSON)")
     ball.add_argument("--max-degree", type=int, default=4)
-    ball.add_argument("--max-ball", type=int, default=200_000)
+    ball.add_argument("--max-ball", type=int, default=BALL_SIZE_CAP)
     tolerance.add_argument("--tolerance", type=float, default=1e-9,
                            help="relation residual bound for relcheck; for "
                            "norm-curve, the width of the certified norm bracket")

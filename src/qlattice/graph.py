@@ -34,6 +34,9 @@ class BallSizeExceeded(RuntimeError):
     """A cone ball of the requested degree outgrows its size cap."""
 
 
+BALL_SIZE_CAP = 200_000  #: the default size cap of a cone ball, in elements
+
+
 @dataclass(frozen=True)
 class Syllable:
     """A nontrivial factor element tagged by the vertex it belongs to."""

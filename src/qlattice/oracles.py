@@ -7,6 +7,8 @@ paths it is used to validate.  Desk-scale only.
 
 from __future__ import annotations
 
+import math
+
 from .factors import INFINITY
 from .graph import BallSizeExceeded, Syllable
 
@@ -180,6 +182,27 @@ def bfs_right_divisors(monoid, w):
                 if not any(rewrite_equal(monoid, c, d) for d in divisors):
                     divisors.append(c)
     return divisors
+
+
+def positive_root_count(m, cap):
+    """The number of positive roots of the Coxeter group of the matrix m,
+    or None if there are more than cap, as there are when it is infinite:
+    half the orbit of the simple roots e_s under the reflections s_t(v) =
+    v - 2 B(v, e_t) e_t, B(e_s, e_t) = -cos(pi/m(s,t)), keyed by their
+    coordinates rounded to 9 places."""
+    b = [[-math.cos(math.pi / x) for x in row] for row in m]
+    key = lambda v: tuple(round(x, 9) for x in v)
+    roots = [tuple(float(i == s) for i in range(len(m))) for s in range(len(m))]
+    seen = set(map(key, roots))
+    for v in roots:  # roots grows as it is read, breadth first
+        for t, bt in enumerate(b):
+            w = v[:t] + (v[t] - 2 * sum(x * y for x, y in zip(v, bt)),) + v[t + 1:]
+            if key(w) not in seen:
+                if len(seen) >= 2 * cap:
+                    return None
+                seen.add(key(w))
+                roots.append(w)
+    return len(seen) // 2
 
 
 # ---------------------------------------------------------------------------

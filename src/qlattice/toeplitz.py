@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .factors import INFINITY, ConeTable
-from .graph import BallSizeExceeded
+from .graph import BALL_SIZE_CAP, BallSizeExceeded
 from .order import NotPositiveError, is_positive, lub
 
 
@@ -81,7 +81,7 @@ class ConeBall:
         return {x.syllables: i for i, x in enumerate(self.elements)}
 
 
-def enumerate_ball(graph, max_degree, size_cap=200_000):
+def enumerate_ball(graph, max_degree, size_cap=BALL_SIZE_CAP):
     """The cone ball of degree max_degree, as its table: no element is
     formed until one is read (ConeBall.elements).
 
@@ -663,7 +663,7 @@ def norm_estimate(graph, weights, ball, tol=1e-9):
     return _certified_norms(terms, np.zeros(len(ball), dtype=np.intp), [1], tol)[0][0]
 
 
-def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
+def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=BALL_SIZE_CAP):
     """Rows (degree, ball size, certified norm) for generator weights.
 
     The ball is enumerated, and A = sum lambda_x T_x assembled, once, at
@@ -680,11 +680,16 @@ def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
     return [row[:3] for row in _norm_brackets(graph, weights_by_label, degrees, tol, size_cap)]
 
 
-def _norm_brackets(graph, weights_by_label, degrees, tol=1e-9, size_cap=200_000):
+def _norm_brackets(graph, weights_by_label, degrees, tol=1e-9, size_cap=BALL_SIZE_CAP):
     """norm_curve's rows with the upper end of each bracket appended, also
     kept at least the one before (the exact norm is nondecreasing in n)."""
     _check_norm_inputs("norm_curve", weights_by_label, tol)
-    degrees = list(degrees)
+    # the ball of degree d holds 1, g, ..., g^d: none past size_cap fits
+    degrees, given = [], degrees
+    for d in given:
+        degrees.append(d)
+        if d > size_cap:
+            break
     if degrees != sorted(degrees):
         raise ValueError("norm_curve needs the degrees in increasing order")
     gen_words = dict(zip(graph.generator_labels(), graph.generator_words()))

@@ -12,7 +12,7 @@ import random
 
 from . import oracles
 from .factors import INFINITY
-from .graph import Syllable
+from .graph import BALL_SIZE_CAP, Syllable
 from .order import (
     canonical_fraction,
     is_positive,
@@ -137,7 +137,7 @@ def check_defect(graph, ball):
     return True, None
 
 
-def run_verification(graph, seed=0, samples=50, degree=3, size_cap=200_000):
+def run_verification(graph, seed=0, samples=50, degree=3, size_cap=BALL_SIZE_CAP):
     """Run every check; each ball is enumerated under ``size_cap``.  The
     lub oracle scans the ball of degree min(2 degree, degree + 3)."""
     rng = random.Random(seed)

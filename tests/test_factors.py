@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 import threading
@@ -19,6 +20,7 @@ from qlattice.oracles import (
     bfs_left_divides,
     bfs_minimal_common_multiples,
     bfs_right_divisors,
+    positive_root_count,
     rewrite_closure,
     rewrite_equal,
 )
@@ -102,6 +104,14 @@ def simply_laced(n, edges):
     return m
 
 
+def labelled_path(n, label=3, edge=0):
+    """A path on n nodes, its edge (edge, edge + 1) labelled label, the rest 3."""
+    m = simply_laced(n, [(i, i + 1) for i in range(n - 1)])
+    if n > 1:
+        m[edge][edge + 1] = m[edge + 1][edge] = label
+    return m
+
+
 def branched(*arms):
     """A node 0 with a path of arms[k] edges hanging off it for each k."""
     edges, n = [], 1
@@ -141,6 +151,34 @@ class TestFiniteType:
         tilde_d5 = simply_laced(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)])
         for m in (tilde_a2, tilde_a1, big_label, two_fours, *tilde_e, tilde_d4, tilde_d5):
             assert not coxeter_is_finite_type(validate_coxeter(names(m), m)), m
+
+    def test_root_counts_of_the_finite_families(self):
+        # the positive root counts of Humphreys' table (2.10)
+        cases = [(labelled_path(n), n * (n + 1) // 2) for n in range(1, 8)]
+        cases += [(labelled_path(n, 4), n * n) for n in range(2, 8)]
+        cases += [(branched(1, 1, n - 3), n * (n - 1)) for n in range(4, 8)]
+        cases += [(branched(1, 2, k), count) for k, count in ((2, 36), (3, 63), (4, 120))]
+        cases += [(labelled_path(4, 4, 1), 24), (labelled_path(3, 5), 15),
+                  (labelled_path(4, 5), 60)]
+        cases += [(labelled_path(2, m), m) for m in (2, 3, 4, 5, 6, 7, 12, 100)]
+        for m, count in cases:
+            assert positive_root_count(m, 200) == count, m
+
+    def test_classification_agrees_with_the_root_count(self):
+        # W is finite exactly when its root orbit is; the largest rank-6
+        # finite type has 36 positive roots, so a cap of 120 decides it
+        rng = random.Random("roots")
+        labels = (2, 3, 4, 5, 6, 7, 12, math.inf)
+        finite = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            m = [[1] * n for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                m[i][j] = m[j][i] = 2 if rng.random() < 0.6 else rng.choice(labels)
+            got = coxeter_is_finite_type(validate_coxeter(names(m), m))
+            assert got == (positive_root_count(m, 120) is not None), m
+            finite += got
+        assert 100 < finite < 200, finite
 
     def test_artin_ops_rejects_non_finite_type(self):
         with pytest.raises(NotFiniteTypeError):
@@ -249,7 +287,8 @@ class TestLatticeOps:
             assert_rgcd_matches_oracle(B3, u, v)
 
 
-# finite types for the canonical-word differential test (D4's branch is t)
+# finite types for the canonical-word differential test (D4's branch is t,
+# D5's and E6's s)
 FINITE_TYPES = {
     "A2": (["s", "t"], [[1, 3], [3, 1]]),
     "A3": (["s", "t", "u"], [[1, 3, 2], [3, 1, 3], [2, 3, 1]]),
@@ -260,6 +299,11 @@ FINITE_TYPES = {
     "D4": (["s", "t", "u", "v"],
            [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]),
     "A1xA1": (["s", "t"], [[1, 2], [2, 1]]),
+    "B4": (list("stuv"), labelled_path(4, 4)),
+    "F4": (list("stuv"), labelled_path(4, 4, 1)),
+    "H4": (list("stuv"), labelled_path(4, 5)),
+    "D5": (list("stuvw"), branched(1, 1, 2)),
+    "E6": (list("stuvwx"), branched(1, 2, 2)),
 }
 B4 = ArtinOps(["s", "t", "u"], [[1, 3, 2], [3, 1, 3], [2, 3, 1]])
 E8 = branched(1, 2, 4)

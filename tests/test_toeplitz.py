@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import time
 import warnings
 from pathlib import Path
 
@@ -339,6 +340,15 @@ class TestCayleyTable:
         with pytest.raises(BallSizeExceeded):
             enumerate_ball(path3, 6, size_cap=246)
         assert len(enumerate_ball(path3, 6, size_cap=247)) == 247
+
+    def test_degrees_past_the_size_cap_are_not_read(self, path3):
+        # listing the degrees would exhaust memory; they are read no further
+        # than the first one over the cap, whose ball cannot fit
+        began = time.perf_counter()
+        with pytest.raises(BallSizeExceeded, match="degree 2 has 11 elements, over the "
+                           "size cap of 5; the ball of degree 1 has 4"):
+            norm_curve(path3, {"a": 1.0}, range(1, 10**18), size_cap=5)
+        assert time.perf_counter() - began < 0.1
 
 
 class TestToeplitzOps:

@@ -5,14 +5,17 @@
 Each command runs in a fresh interpreter, so a time holds start-up,
 imports and the work itself.  The commands are ``norm-curve`` on the five
 presets, ``relcheck`` on b3 and b4, the lattice commands ``nf`` and
-``lub`` on b3 and b4 with fixed 12-letter words, and ``ball`` on b3 to
-degree 15 and on b4 to degree 10.  Those balls pass the degrees of the
-Artin factors' cone tables (13 and 8), so forming their elements takes
-the greedy path with a canonical tail past the table.  Every run has
-OPENBLAS_NUM_THREADS=1, and the runs of the commands are interleaved, so
-a slow spell on the machine spreads over all of them.  ``--src`` names
-the source directory put on PYTHONPATH (default: this checkout's
-``src``); point it at an exported older revision to compare two trees.
+``lub`` on b3 and b4 with fixed 12-letter words, ``ball`` on b3 to
+degree 15 and on b4 to degree 10, and ``nf`` on a 12-letter word in an
+E8 context that the script writes to a temporary file, so loading a
+context of the largest tested rank is timed.  Those balls pass the
+degrees of the Artin factors' cone tables (13 and 8), so forming their
+elements takes the greedy path with a canonical tail past the table.
+Every run has OPENBLAS_NUM_THREADS=1, and the runs of the commands are
+interleaved, so a slow spell on the machine spreads over all of them.
+``--src`` names the source directory put on PYTHONPATH (default: this
+checkout's ``src``); point it at an exported older revision to compare
+two trees.
 A command that exits nonzero stops the script.
 """
 
@@ -21,6 +24,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -54,19 +58,32 @@ COMMANDS = [
 ]
 
 
+def e8_context():
+    """E8 on one vertex: a path a-...-g with h joined to c, edges labelled 3."""
+    gens = "abcdefgh"
+    edges = [{s, t} for s, t in zip(gens, gens[1:7])] + [{"c", "h"}]
+    m = [[1 if s == t else 3 if {s, t} in edges else 2 for t in gens] for s in gens]
+    return {"vertices": [{"name": "v", "factor": {"artin": {"generators": list(gens), "m": m}}}],
+            "edges": []}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory on PYTHONPATH")
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()), OPENBLAS_NUM_THREADS="1")
-    times = [[] for _ in COMMANDS]
-    for _ in range(REPEAT):
-        for argv_, seen in zip(COMMANDS, times):
-            began = time.perf_counter()
-            subprocess.run([sys.executable, "-m", "qlattice.cli", *argv_], env=env, check=True,
-                           stdout=subprocess.DEVNULL)
-            seen.append(time.perf_counter() - began)
-    for argv_, seen in zip(COMMANDS, times):
+    with tempfile.TemporaryDirectory() as tmp:
+        e8 = Path(tmp) / "e8.json"
+        e8.write_text(json.dumps(e8_context()))
+        commands = COMMANDS + [artin_words("nf", str(e8), "hcdbhgfecahd")]
+        times = [[] for _ in commands]
+        for _ in range(REPEAT):
+            for argv_, seen in zip(commands, times):
+                began = time.perf_counter()
+                subprocess.run([sys.executable, "-m", "qlattice.cli", *argv_], env=env,
+                               check=True, stdout=subprocess.DEVNULL)
+                seen.append(time.perf_counter() - began)
+    for argv_, seen in zip(commands, times):
         print(f"{min(seen):.3f} s  {' '.join(argv_[:5])}")
 
 
