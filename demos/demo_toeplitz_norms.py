@@ -6,6 +6,7 @@ Run with:  python3 demos/demo_toeplitz_norms.py
 import math
 
 from qlattice import (
+    INFINITY,
     CommutationGraph,
     check_toeplitz_relations,
     covariance_check,
@@ -37,7 +38,8 @@ ball = enumerate_ball(free2, 4)
 a = free2.normal([("a", 1)])
 b = free2.normal([("b", 1)])
 rep = covariance_check(free2, a, b, ball)
-print("free pair, x=a, y=b:  ok =", rep.ok, " lub =", rep.lub)
+print("free pair, x=a, y=b:  ok =", rep.ok,
+      " lub =", "Infinity" if rep.lub is INFINITY else rep.lub)
 print("(no ball vector dominates both a and b, matching lub = Infinity)")
 print()
 

@@ -18,6 +18,8 @@ canonical tail, since shortlex-least words are closed under suffixes.
 
 General Artin group elements are carried around as canonical fractions
 a b^-1 with a, b positive and without a common nontrivial right divisor.
+Words are written as names run together and read back by longest match;
+INFINITY, math.inf, is both m(s, t) = inf and the lub of an unbounded pair.
 
 The graph product (graph, order, toeplitz) reaches a factor only through
 the interface that ZOps and ArtinOps implement, with no base class; a new
@@ -32,23 +34,14 @@ Only io (the wire format) and verify (its sampler) read ``kind``.
 from __future__ import annotations
 
 import math
+import re
 import threading
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-INFINITE = math.inf
-
-#: Sentinel that order.lub returns when two elements of a graph product
-#: have no common upper bound.  (No factor needs it: in Z and in a
-#: finite-type Artin group every pair is bounded.)
-class _Infinity:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Infinity"
-
-
-INFINITY = _Infinity()
+#: m(s, t) = inf and order.lub of an unbounded pair: one fact, since two Artin
+#: generators have a common multiple exactly when m(s, t) is finite (Brieskorn-Saito).
+INFINITY = math.inf
 
 
 class NotFiniteTypeError(ValueError):
@@ -76,9 +69,9 @@ _COXETER_ENTRY_CAP = 100
 
 
 def normalize_coxeter_entry(value):
-    """Map a raw matrix entry to an int >= 1 or INFINITE."""
-    if value in (None, 0, "inf", "infinity", INFINITE):
-        return INFINITE
+    """Map a raw matrix entry to an int >= 1 or INFINITY."""
+    if not isinstance(value, bool) and value in (None, 0, "inf", "infinity", INFINITY):
+        return INFINITY  # bools are kept out first, since False == 0
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"bad Coxeter matrix entry: {value!r}")
     return value
@@ -93,6 +86,15 @@ def validate_coxeter(generators, m):
         raise ValueError("Artin generator names must be nonempty strings")
     if len(set(generators)) != n:
         raise ValueError("duplicate Artin generator names")
+    for b in generators:  # longest match misreads a word exactly when
+        # some b = a + r, a a name and r the start of a word w of names: a w
+        # reads as b...; with no such pair no longer name fits at any letter.
+        begins = {}  # i -> whether b[i:] begins a word of names
+        for i in range(len(b) - 1, 0, -1):  # shorter suffixes first
+            begins[i] = any(c.startswith(b[i:]) or b.startswith(c, i) and begins[i + len(c)]
+                            for c in generators)
+            if begins[i] and b[:i] in generators:
+                raise ValueError(f"Artin generator names {b[:i]!r} and {b!r} do not read back")
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError("Coxeter matrix must be square over the generators")
     norm = [[normalize_coxeter_entry(v) for v in row] for row in m]
@@ -102,9 +104,9 @@ def validate_coxeter(generators, m):
         for j in range(i + 1, n):
             if norm[i][j] != norm[j][i]:
                 raise ValueError("Coxeter matrix must be symmetric")
-            if norm[i][j] != INFINITE and norm[i][j] < 2:
+            if norm[i][j] < 2:
                 raise ValueError("off-diagonal Coxeter entries must be >= 2")
-            if _COXETER_ENTRY_CAP < norm[i][j] < INFINITE:
+            if _COXETER_ENTRY_CAP < norm[i][j] < INFINITY:
                 raise ValueError(f"Coxeter entries above {_COXETER_ENTRY_CAP} are not supported")
     return norm
 
@@ -240,6 +242,8 @@ class ArtinMonoid:
         self._words = [()]  # the shortlex-least word of each id
         self._degree, self._budget = 0, _CONE_TABLE_BUDGET
         self._growing = threading.Lock()
+        names = "|".join(map(re.escape, sorted(self.generators, key=len, reverse=True)))
+        self._name, self._spelled = re.compile(names), re.compile(f"(?:{names})*")
 
     def coxeter(self, s, t):
         return self.matrix[self.index[s]][self.index[t]]
@@ -353,18 +357,10 @@ class ArtinMonoid:
 
     def parse_word(self, text):
         """Split a string into generator letters (longest match first)."""
-        names = sorted(self.generators, key=len, reverse=True)
-        letters = []
-        i = 0
-        while i < len(text):
-            for name in names:
-                if text.startswith(name, i):
-                    letters.append(name)
-                    i += len(name)
-                    break
-            else:
-                raise ValueError(f"unknown Artin generator at {text[i:]!r}")
-        return tuple(letters)
+        end = self._spelled.match(text).end()  # always matches: where longest match stops
+        if end < len(text):
+            raise ValueError(f"unknown Artin generator at {text[end:]!r}")
+        return tuple(self._name.findall(text))
 
 
 @dataclass(frozen=True)

@@ -149,9 +149,6 @@ class CovarianceReport:
     lub: object  # NormalWord or INFINITY
     mismatches: tuple  # offending ball elements
 
-    def __bool__(self):
-        return self.ok
-
 
 def covariance_check(graph, x, y, ball):
     """Pointwise check of V_x V_x^* V_y V_y^* = V_{x v y} V_{x v y}^*.
@@ -229,9 +226,6 @@ class IsometryFamily:
 class RelationReport:
     ok: bool
     violations: tuple  # (description, residual norm) pairs
-
-    def __bool__(self):
-        return self.ok
 
 
 def _generator_lubs(graph):

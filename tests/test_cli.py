@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -325,18 +326,53 @@ class TestAnalysisCommands:
             assert code == 1 and doc["error"]["kind"] == "BallSizeExceeded"
 
     def test_verify_reports_a_failed_check(self, run, monkeypatch):
-        # one broken function at a time, each caught by the check that reads it
-        for name, broken, check in [
-            ("lub", lambda graph, x, y: x, "lub_oracle"),
-            ("rgcd", lambda graph, u, v: u, "canonical_fractions"),
-            ("phi_lub", lambda graph, xi, eta: {}, "phi"),
+        # one broken function at a time, each caught by the check that reads
+        # it, with the detail of the failure it makes
+        from qlattice.order import NotInPPInvError, canonical_fraction
+        from qlattice.toeplitz import CovarianceReport
+        def longer(graph, x):  # both sides times a generator: still x, not minimal
+            g = graph.generator_words()[0]
+            return tuple(graph.multiply(p, g) for p in canonical_fraction(graph, x))
+
+        calls = itertools.count()
+
+        def every_other(graph, x):  # right for x, then longer for a b^-1
+            return (longer if next(calls) % 2 else canonical_fraction)(graph, x)
+
+        def not_a_fraction(graph, x):
+            raise NotInPPInvError(x)
+
+        for name, broken, check, detail in [
+            ("oracles.bfs_normal_form", lambda graph, sylls: None, "normal_forms",
+             "normal form mismatch"),
+            ("graph.CommutationGraph.initial_vertices", lambda graph, x: set(graph.vertices),
+             "normal_forms", "not pairwise adjacent"),
+            ("verify.lub", lambda graph, x, y: x, "lub_oracle", "lub("),
+            ("verify.canonical_fraction", lambda graph, x: (graph.identity(),) * 2,
+             "canonical_fractions", "does not multiply back"),
+            ("verify.canonical_fraction", longer, "canonical_fractions", "not minimal"),
+            ("verify.rgcd", lambda graph, u, v: u, "canonical_fractions", "common right divisor"),
+            ("verify.canonical_fraction", every_other, "canonical_fractions", "re-factorizing"),
+            ("verify.rgcd", lambda graph, u, v: graph.identity(), "canonical_fractions",
+             "disagrees with a^-1 u"),
+            ("verify.leq_r", lambda graph, x, y: False, "canonical_fractions",
+             "not a right lower bound"),
+            ("verify.phi_lub", lambda graph, xi, eta: {}, "phi", "phi(lub) mismatch"),
+            ("verify.phi", lambda graph, x: {}, "phi", "phi not injective"),
+            ("verify.covariance_check", lambda graph, x, y, ball: CovarianceReport(False, x, ()),
+             "covariance", "covariance fails"),
+            ("verify.defect_product_diag", lambda graph, elements, ball: [0], "defect",
+             "vanishes at the identity"),
+            ("verify.canonical_fraction", not_a_fraction, "canonical_fractions",
+             "is not a fraction of positives"),
         ]:
             with monkeypatch.context() as patch:
-                patch.setattr(f"qlattice.verify.{name}", broken)
+                patch.setattr(f"qlattice.{name}", broken)
                 code, doc = run_json(run, "verify", "--ctx", "free2", "--samples", "20")
             assert code == 1 and doc["error"]["kind"] == "verification-failure"
             assert doc["error"]["detail"]["ok"] is False
             assert doc["error"]["detail"][check]["ok"] is False, name
+            assert detail in doc["error"]["detail"][check]["detail"], name
 
 
 class TestErrorHandling:
@@ -441,6 +477,12 @@ class TestErrorHandling:
         (["norm-curve", "--ctx", "path3", "--max-degree", str(10**18), "--max-ball", "5",
           "--weights", json.dumps({"a": 1})], 1, "BallSizeExceeded"),
         (["nf", "--ctx", "CTX_NAME_NULL", "[]"], 2, "parse"),
+        (["nf", "--ctx", "CTX_GENERATOR_PREFIX", "[]"], 2, "parse"),
+        (["nf", "--ctx", "CTX_ENTRY_FALSE", "[]"], 2, "parse"),
+        (["nf", "--ctx", "CTX_ENTRY_STR", "[]"], 2, "parse"),
+        (["nf", "--ctx", "CTX_NO_GENERATOR", "[]"], 2, "parse"),
+        (["nf", "--ctx", "CTX_GENERATOR_DUP", "[]"], 2, "parse"),
+        (["nf", "--ctx", "CTX_ENTRY_ONE", "[]"], 2, "parse"),
     ])
     def test_error_envelope(self, run, tmp_path, monkeypatch, argv, code, kind):
         # one case per error class: unknown context, LiteralError,
@@ -466,7 +508,9 @@ class TestErrorHandling:
         # or a missing --rep file with a size cap the ball would pass (inputs
         # are read first); word arguments beside --in; an empty --in family;
         # a context with no vertex; a norm curve to a degree far past its cap;
-        # a vertex name that is not a string
+        # a vertex name that is not a string; then Artin contexts, with the
+        # detail: names that longest match misreads, entries false, a string
+        # and 1, no generators, duplicate names
         monkeypatch.setattr("qlattice.factors._REVERSING_STEP_CAP", 1000)
         inf = tmp_path / "inf.json"
         inf.write_text(json.dumps({"vertices": [{"name": "v", "factor": {
@@ -489,7 +533,12 @@ class TestErrorHandling:
             "CTX_NAME_LIST": {"vertices": [{"name": ["a"], "factor": "Z"}]},
             **{f"CTX_GENERATOR_{name}": {"vertices": [{"name": "v", "factor": {"artin": {
                 "generators": ["s", bad], "m": [[1, 3], [3, 1]]}}}]}
-               for name, bad in (("INT", 1), ("EMPTY", ""))},
+               for name, bad in (("INT", 1), ("EMPTY", ""), ("PREFIX", "ss"), ("DUP", "s"))},
+            **{f"CTX_ENTRY_{name}": {"vertices": [{"name": "v", "factor": {"artin": {
+                "generators": ["s", "t"], "m": [[1, bad], [bad, 1]]}}}]}
+               for name, bad in (("FALSE", False), ("STR", "x"), ("ONE", 1))},
+            "CTX_NO_GENERATOR": {"vertices": [{"name": "v", "factor": {"artin": {
+                "generators": [], "m": []}}}]},
             "CTX_HUGE_ENTRY": {"vertices": [{"name": "v", "factor": {"artin": {
                 "generators": ["s", "t"], "m": [[1, 10**9], [10**9, 1]]}}}]},
         }
@@ -506,10 +555,20 @@ class TestErrorHandling:
         for name, content in {**bad_reps, **files}.items():
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps(content))
+        details = {
+            "CTX_GENERATOR_PREFIX": "Artin generator names 's' and 'ss' do not read back",
+            "CTX_ENTRY_FALSE": "bad Coxeter matrix entry: False",
+            "CTX_ENTRY_STR": "bad Coxeter matrix entry: 'x'",
+            "CTX_NO_GENERATOR": "Artin factor needs at least one generator",
+            "CTX_GENERATOR_DUP": "duplicate Artin generator names",
+            "CTX_ENTRY_ONE": "off-diagonal Coxeter entries must be >= 2",
+        }
+        detail = next((details[arg] for arg in argv if arg in details), None)
         argv = [str(paths.get(arg, arg)) for arg in argv]
         got_code, doc = run_json(run, *argv)
         assert (got_code, doc["ok"], doc["error"]["kind"]) == (code, False, kind)
         assert set(doc["error"]) == {"kind", "detail"}
+        assert detail in (None, doc["error"]["detail"])
 
 
 class TestPresets:

@@ -12,10 +12,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlattice import ArtinOps, NotFiniteTypeError, ZOps, factor_from_spec, factors, phi_lub
 from qlattice.cli import main
-from qlattice.factors import coxeter_is_finite_type, validate_coxeter
+from qlattice.factors import ArtinMonoid, coxeter_is_finite_type, validate_coxeter
 from qlattice.oracles import (
     bfs_left_divides,
     bfs_minimal_common_multiples,
@@ -196,6 +198,8 @@ class TestFiniteType:
             validate_coxeter(["s", "t"], [[2, 3], [3, 1]])
         with pytest.raises(ValueError):
             validate_coxeter(["s"], [[1, 1], [1, 1]])
+        with pytest.raises(ValueError, match="bad Coxeter matrix entry: False"):
+            validate_coxeter(["s", "t"], [[1, False], [False, 1]])
 
     def test_entries_past_the_cap_are_refused_before_any_word_is_built(self):
         cap = factors._COXETER_ENTRY_CAP
@@ -208,6 +212,60 @@ class TestFiniteType:
             elapsed, peak = time.perf_counter() - began, tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert elapsed < 0.1 and peak < 100_000, (m, elapsed, peak)
+
+
+def longest_match(names, text):
+    """The names that reading text by longest match gives, or None where
+    no name fits."""
+    letters, i = [], 0
+    while i < len(text):
+        fits = [name for name in names if text.startswith(name, i)]
+        if not fits:
+            return None
+        letters.append(max(fits, key=len))
+        i += len(letters[-1])
+    return tuple(letters)
+
+
+def commuting(names):
+    """The Coxeter matrix of pairwise commuting generators, A1 x ... x A1."""
+    return [[1 if s == t else 2 for t in names] for s in names]
+
+
+class TestGeneratorNames:
+    def test_names_that_begin_one_another_without_a_misreading(self):
+        for names in ([f"g{i}" for i in range(12)], [f"s{i}" for i in range(1, 13)],
+                      ["c", "c" + "a" * 40 + "b", "a"]):
+            monoid = ArtinMonoid(names, commuting(names))
+            for w in itertools.product(names, repeat=2):
+                assert monoid.parse_word("".join(w)) == w
+
+    def test_a_misreading_pair_is_refused(self):
+        with pytest.raises(ValueError, match="'s' and 'ss' do not read back"):
+            ArtinMonoid(["s", "ss"], [[1, 3], [3, 1]])
+
+    def test_an_adversarial_name_set_is_decided_at_once(self):
+        # c a^40 b against names a and aa: without memoized suffixes, deciding
+        # whether a^40 b begins a word of names tries every split into a, aa
+        names = ["c", "c" + "a" * 40 + "b", "a", "aa"]
+        began = time.perf_counter()
+        with pytest.raises(ValueError, match="'a' and 'aa' do not read back"):
+            validate_coxeter(names, commuting(names))
+        assert time.perf_counter() - began < 0.1
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.lists(st.text("ab", min_size=1, max_size=3), min_size=2, max_size=4,
+                    unique=True))
+    def test_refused_exactly_when_longest_match_misreads(self, names):
+        if any(longest_match(names, "".join(w)) != w
+               for k in (2, 3) for w in itertools.product(names, repeat=k)):
+            with pytest.raises(ValueError, match="do not read back"):
+                ArtinMonoid(names, commuting(names))
+            return
+        monoid = ArtinMonoid(names, commuting(names))
+        for k in range(5):
+            for w in itertools.product(names, repeat=k):
+                assert monoid.parse_word("".join(w)) == w
 
 
 class TestReversing:
@@ -262,6 +320,10 @@ class TestLatticeOps:
         minimal = bfs_minimal_common_multiples(mon, ("s",), ("t",), m + 1)
         assert len(minimal) == 1
         assert equal(ops, got, minimal[0])
+        # the oracles' own edges: no multiple shorter than m, nor a divisor
+        # longer than its multiple
+        assert bfs_minimal_common_multiples(mon, ("s",), ("t",), m - 1) == []
+        assert not bfs_left_divides(mon, got, ("s",))
 
     def test_lub_is_idempotent(self):
         for u in words_up_to(MON, 3):

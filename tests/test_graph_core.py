@@ -32,6 +32,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             path3.syllable("a", 0)
 
+    def test_normal_reduces_pairs(self, path3):
+        # the demos' way in: (vertex, element) pairs straight to a NormalWord
+        assert path3.normal([("c", 1), ("a", 2), ("b", -1)]) == nw(
+            path3, ("c", 1), ("a", 2), ("b", -1))
+
 
 class TestReducedWords:
     def test_green_criterion(self, path3):

@@ -350,6 +350,9 @@ class TestCayleyTable:
             norm_curve(path3, {"a": 1.0}, range(1, 10**18), size_cap=5)
         assert time.perf_counter() - began < 0.1
 
+    def test_no_degrees_give_no_rows(self, path3):
+        assert norm_curve(path3, {"a": 1.0}, []) == []
+
 
 class TestToeplitzOps:
     def test_shift_on_a_single_vertex(self, free2):
