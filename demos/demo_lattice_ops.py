@@ -8,7 +8,6 @@ from qlattice import (
     CommutationGraph,
     canonical_fraction,
     lub,
-    lub_general,
     phi,
     rgcd,
 )
@@ -66,8 +65,8 @@ print("== lub of general (non-positive) elements ==")
 g = b3.normal([("v", ops.element(("s",), ("t",)))])
 st = b3.normal([("v", ops.element(("s", "t")))])
 ts = b3.normal([("v", ops.element(("t", "s")))])
-plain = lub_general(b3, st, ts)
-moved = lub_general(b3, b3.multiply(g, st), b3.multiply(g, ts))
+plain = lub(b3, st, ts)
+moved = lub(b3, b3.multiply(g, st), b3.multiply(g, ts))
 print("st v ts             =", show(b3, plain))
 print("g(st) v g(ts)       =", show(b3, moved))
 print("equals g*(st v ts)  :", b3.equal(moved, b3.multiply(g, plain)))

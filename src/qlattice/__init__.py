@@ -26,7 +26,6 @@ from .order import (
     leq,
     leq_r,
     lub,
-    lub_general,
     phi,
     phi_lub,
     rgcd,
@@ -45,13 +44,12 @@ def __getattr__(name):
 
 
 __all__ = [
-    "ArtinFraction", "ArtinOps", "BallSizeExceeded", "CommutationGraph", "ConeBall",
-    "INFINITY", "IsometryFamily", "NoCommonMultipleError", "NormNotCertified",
-    "NormalWord", "NotFiniteTypeError", "NotInPPInvError", "Syllable", "ZOps",
-    "canonical_fraction", "check_graph_relations", "check_toeplitz_relations",
-    "covariance_check", "defect_product_diag", "enumerate_ball", "factor_from_spec",
-    "factors", "graph", "is_positive", "leq", "leq_r", "lub", "lub_general",
-    "norm_curve", "norm_estimate", "order", "phi", "phi_lub",
-    "range_projection_diag", "rgcd", "toeplitz", "toeplitz_op",
+    "ArtinFraction", "ArtinOps", "BallSizeExceeded", "CommutationGraph", "ConeBall", "INFINITY",
+    "IsometryFamily", "NoCommonMultipleError", "NormNotCertified", "NormalWord",
+    "NotFiniteTypeError", "NotInPPInvError", "Syllable", "ZOps", "canonical_fraction",
+    "check_graph_relations", "check_toeplitz_relations", "covariance_check", "defect_product_diag",
+    "enumerate_ball", "factor_from_spec", "factors", "graph", "is_positive", "leq", "leq_r", "lub",
+    "norm_curve", "norm_estimate", "order", "phi", "phi_lub", "range_projection_diag", "rgcd",
+    "toeplitz", "toeplitz_op",
 ]
 __version__ = "0.1.0"

@@ -4,13 +4,13 @@ Results go to standard output as one JSON object per invocation,
 {"ok": true, "result": ...}; an infinite lub is rendered as the string
 "infinity".  Exit codes: 0 success, 1 domain error (a word that is not
 positive or no fraction of positives, relation violation, a norm that
-cannot be certified, a reversal past its step budget), 2 input/parse
-error.  The norm-curve subcommand emits CSV instead (columns
-degree, ball_size, norm_estimate, norm_hi).  Each row is a bracket on
-the exact compressed norm, and both columns are nondecreasing.  The
-computed bracket is at most --tolerance (relative above 1) wide; its ends
-are printed rounded outward to 12 decimals, so a printed row is at most
---tolerance plus 2e-12 wide.
+cannot be certified, a reversal or a division past the step budget), 2
+input/parse error, such as a generator name over 64 characters.  The
+norm-curve subcommand emits CSV instead (columns degree, ball_size,
+norm_estimate, norm_hi).  Each row is a bracket on the exact compressed
+norm, and both columns are nondecreasing.  The computed bracket is at most
+--tolerance (relative above 1) wide; its ends are printed rounded outward
+to 12 decimals, so a printed row is at most --tolerance plus 2e-12 wide.
 """
 
 from __future__ import annotations
@@ -90,13 +90,12 @@ def _json_words(graph, xs):
     return [qio.word_to_json(graph, x) for x in xs]
 
 
-def _emit(payload, out):
-    text = json.dumps(payload, sort_keys=True)
+def _emit(text, out):
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 #: The lattice subcommands, one row each: name, word count, the result
@@ -183,11 +182,7 @@ def cmd_norm_curve(graph, args):
     text = "".join(["degree,ball_size,norm_estimate,norm_hi\n"] + [
         f"{d},{n},{down.quantize(Decimal(lo), step):.12f},{up.quantize(Decimal(hi), step):.12f}\n"
         for d, n, lo, hi in rows])
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     return None  # already emitted as CSV
 
 
@@ -288,7 +283,7 @@ def main(argv=None):
         print(json.dumps({"ok": False, "error": {"kind": kind, "detail": detail}}))
         return code
     if result is not None:
-        _emit({"ok": True, "result": result}, args.out)
+        _emit(json.dumps({"ok": True, "result": result}, sort_keys=True) + "\n", args.out)
     return 0
 
 

@@ -14,12 +14,14 @@ equality, quotients, lubs and gcds of elements go through ArtinOps.  Both
 read short words off a cone table (ConeTable, pass 1 of the cone balls of
 toeplitz too), grown by each monoid under a fixed budget of elements.
 Past it canonical_word divides greedily by reversing, and stops at a
-canonical tail, since shortlex-least words are closed under suffixes.
+canonical tail, since shortlex-least words are closed under suffixes; its
+reversals, quadratic in the word's length in all, share one step budget.
 
 General Artin group elements are carried around as canonical fractions
 a b^-1 with a, b positive and without a common nontrivial right divisor.
-Words are written as names run together and read back by longest match;
-INFINITY, math.inf, is both m(s, t) = inf and the lub of an unbounded pair.
+Words are written as names of at most 64 characters run together and read
+back by longest match; INFINITY, math.inf, is both m(s, t) = inf and the
+lub of an unbounded pair.
 
 The graph product (graph, order, toeplitz) reaches a factor only through
 the interface that ZOps and ArtinOps implement, with no base class; a new
@@ -49,7 +51,7 @@ class NotFiniteTypeError(ValueError):
 
 
 class NoCommonMultipleError(RuntimeError):
-    """Subword reversing ran past _REVERSING_STEP_CAP.
+    """One reversal, or all those of one greedy division, ran past _REVERSING_STEP_CAP.
 
     For a finite-type matrix reversing terminates, but its step count grows
     quickly with word length (s^-800 t^800 in the 3-strand braid monoid
@@ -86,6 +88,8 @@ def validate_coxeter(generators, m):
         raise ValueError("Artin generator names must be nonempty strings")
     if len(set(generators)) != n:
         raise ValueError("duplicate Artin generator names")
+    if max(map(len, generators)) > 64:  # the read-back rule below is quadratic in length
+        raise ValueError("Artin generator names longer than 64 characters are not supported")
     for b in generators:  # longest match misreads a word exactly when
         # some b = a + r, a a name and r the start of a word w of names: a w
         # reads as b...; with no such pair no longer name fits at any letter.
@@ -141,8 +145,8 @@ def coxeter_is_finite_type(m):
 # Artin monoids via subword reversing
 # ---------------------------------------------------------------------------
 
-#: The work budget of one reversal, in rewriting steps; past it reversing
-#: raises NoCommonMultipleError.
+#: The work budget of one reversal, or of all those of one canonical_word or
+#: _strip, in rewriting steps; past it reversing raises NoCommonMultipleError.
 _REVERSING_STEP_CAP = 1_000_000
 
 #: Most elements an ArtinMonoid's cone table may hold; a layer that might
@@ -253,17 +257,18 @@ class ArtinMonoid:
         """Alternating word s t s t ... of the given length."""
         return tuple(s if i % 2 == 0 else t for i in range(length))
 
-    def reverse_fraction(self, u, v):
+    def reverse_fraction(self, u, v, spent=None):
         """Rewrite u^-1 v into positive fraction form p q^-1.
 
         Returns (p, q) = (u\\v, v\\u); in particular u (u\\v) = v (v\\u)
-        is the least common multiple of u and v.
+        is the least common multiple of u and v.  Given spent, a one-item
+        list, steps count on from spent[0] and are stored back there.
         """
         if not u or not v:
             return tuple(v), tuple(u)
         code, table = self._code, self._reversal
         word = [-code[s] for s in reversed(u)] + [code[t] for t in v]
-        steps = 0
+        steps = spent[0] if spent else 0
         i = 0
         while i < len(word) - 1:
             a, b = word[i], word[i + 1]
@@ -276,6 +281,8 @@ class ArtinMonoid:
             if steps > _REVERSING_STEP_CAP:
                 raise NoCommonMultipleError(
                     f"subword reversing passed its budget of {_REVERSING_STEP_CAP} steps")
+        if spent:
+            spent[0] = steps
         letter = self._letter
         return (tuple(letter[c] for c in word if c > 0),
                 tuple(letter[-c] for c in reversed(word) if c < 0))
@@ -302,25 +309,25 @@ class ArtinMonoid:
             z = rows[c][z]
         return z
 
-    def _letter_quotient(self, s, w):
-        """The word w' with s w' = w, or None if s does not left-divide w
-        (nonempty): read off the cone table, else by reversing."""
+    def _letter_quotient(self, s, w, spent=None):
+        """The w' with s w' = w (nonempty), or None; spent as in reverse_fraction."""
         if w[0] == s:
             return w[1:]
         z = self._id(w)
         if z is not None:
             y = self._inverse[s][z]
             return None if y < 0 else self._words[y]
-        quotient, over = self.reverse_fraction((s,), w)
+        quotient, over = self.reverse_fraction((s,), w, spent)
         return None if over else quotient
 
     def _strip(self, p, q):
         """(g\\p, g\\q) for g the left gcd of p and q, one common letter
         at a time: s <= p, q gives gcd(p, q) = s gcd(s\\p, s\\q)."""
+        spent = [0]  # all the reversals of one strip share one step budget
         while p and q:
             for s in self.generators:
-                p1 = self._letter_quotient(s, p)
-                q1 = None if p1 is None else self._letter_quotient(s, q)
+                p1 = self._letter_quotient(s, p, spent)
+                q1 = None if p1 is None else self._letter_quotient(s, q, spent)
                 if q1 is not None:
                     break
             else:
@@ -339,15 +346,15 @@ class ArtinMonoid:
         the scan has taken every letter of w unchanged, the rest is the tail
         as it is.
         """
-        rest = tuple(w) + tuple(tail)
-        fresh = len(w)  # letters before the canonical tail
-        out = []
+        rest, fresh = tuple(w) + tuple(tail), len(w)  # fresh: letters before the canonical tail
+        out, spent = [], None
         while fresh > 0:
             z = self._id(rest)
             if z is not None:
                 return tuple(out) + self._words[z]
+            spent = spent or [0]  # its reversals, quadratic in all, share one step budget
             for s in self.generators:
-                quotient = self._letter_quotient(s, rest)
+                quotient = self._letter_quotient(s, rest, spent)
                 if quotient is not None:
                     break
             fresh = fresh - 1 if s == rest[0] else len(quotient)

@@ -16,10 +16,7 @@ from .graph import NormalWord, Syllable
 
 
 class NotInPPInvError(ValueError):
-    """args[0] has no upper bound in P; the message is built when read."""
-
-    def __str__(self):
-        return f"{self.args[0]} is not a fraction of positives"
+    """An element with no upper bound in P: not a fraction of positives."""
 
 
 class NotPositiveError(ValueError):
@@ -91,7 +88,7 @@ def canonical_fraction(graph, x):
     """
     split = _split(graph, x.syllables)
     if split is None:
-        raise NotInPPInvError(x)
+        raise NotInPPInvError(f"{x} is not a fraction of positives")
     parts_a, parts_b, b_degree = split
     b = NormalWord(tuple(graph._insert([], reversed(parts_b))), b_degree)
     return NormalWord(tuple(parts_a), x.degree + b_degree), b
@@ -119,7 +116,7 @@ def _split(graph, sylls):
 
 
 def lub_general(graph, x, y):
-    """The former name of :func:`lub`, which takes any two elements."""
+    """lub's former name: a def, not an alias, so a tracer wrapping by identity spans each."""
     return lub(graph, x, y)
 
 

@@ -588,7 +588,7 @@ def _sparse_vector(b):
 
 
 def _certified_norms(terms, layer, tops, tol):
-    """Certified lower and upper bounds, as two lists, on the norm of A,
+    """Certified lower and upper bounds, as two nondecreasing lists, on the norm of A,
     the sum of the terms (rows, cols, lambda) of _weighted_sum, cut to its
     columns of layer below n, for each n in tops (see norm_estimate).
 
@@ -635,7 +635,7 @@ def _certified_norms(terms, layer, tops, tol):
                 f"the tolerance {tol:g} is below {least:.3g}, the least the norm bracket "
                 f"[{lo:.15g}, {hi:.15g}] can close to" if tol < least else
                 f"norm bracket [{lo:.15g}, {hi:.15g}] is wider than the tolerance {tol:g}")
-    return lower[at].tolist(), upper[at].tolist()
+    return [np.maximum.accumulate(ends).tolist() for ends in (lower[at], upper[at])]
 
 
 def norm_estimate(graph, weights, ball, tol=1e-9):
@@ -698,6 +698,5 @@ def _norm_brackets(graph, weights_by_label, degrees, tol=1e-9, size_cap=BALL_SIZ
     big = enumerate_ball(graph, degrees[-1], size_cap=size_cap)
     terms = _weighted_sum(graph, {gen_words[k]: w for k, w in weights_by_label.items()}, big)
     layer = np.repeat(np.arange(len(big.start) - 1), np.diff(big.start))
-    lower, upper = (itertools.accumulate(ends, max)
-                    for ends in _certified_norms(terms, layer, degrees, tol))
+    lower, upper = _certified_norms(terms, layer, degrees, tol)
     return list(zip(degrees, [big.start[n + 1] for n in degrees], lower, upper))

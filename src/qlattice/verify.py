@@ -15,7 +15,6 @@ from .factors import INFINITY
 from .graph import BALL_SIZE_CAP, Syllable
 from .order import (
     canonical_fraction,
-    is_positive,
     leq,
     leq_r,
     lub,
@@ -65,12 +64,18 @@ def check_normal_forms(graph, rng, samples):
     return True, None
 
 
+def _pairs(rng, elements, samples):
+    """``samples`` pairs drawn from elements, lazily: a check that stops
+    early draws no more."""
+    pool = list(elements)
+    for _ in range(samples):
+        yield rng.choice(pool), rng.choice(pool)
+
+
 def check_lub_oracle(graph, rng, small, big, samples):
     """lub() against the common-upper-bound scan of an enumerated ball."""
     bitsets = oracles.product_upper_bitsets(graph, small.elements, big)
-    pool = list(small.elements)
-    for _ in range(samples):
-        x, y = rng.choice(pool), rng.choice(pool)
+    for x, y in _pairs(rng, small.elements, samples):
         ok, detail = oracles.check_lub_against_ball(
             graph, x, y, lub(graph, x, y), bitsets, big.elements, big.index, leq
         )
@@ -81,9 +86,7 @@ def check_lub_oracle(graph, rng, small, big, samples):
 
 def check_fractions(graph, rng, ball, samples):
     """Canonical fraction minimality, rgcd, and pair uniqueness."""
-    pool = list(ball.elements)
-    for _ in range(samples):
-        u, v = rng.choice(pool), rng.choice(pool)
+    for u, v in _pairs(rng, ball.elements, samples):
         x = graph.multiply(u, graph.invert(v))
         a, b = canonical_fraction(graph, x)
         if not graph.equal(graph.multiply(a, graph.invert(b)), x):
@@ -105,9 +108,7 @@ def check_fractions(graph, rng, ball, samples):
 
 def check_phi(graph, rng, ball, samples):
     """Injectivity on bounded pairs and compatibility with lubs."""
-    pool = list(ball.elements)
-    for _ in range(samples):
-        x, y = rng.choice(pool), rng.choice(pool)
+    for x, y in _pairs(rng, ball.elements, samples):
         join = lub(graph, x, y)
         if join is INFINITY:
             continue
@@ -121,9 +122,7 @@ def check_phi(graph, rng, ball, samples):
 
 
 def check_covariance(graph, rng, ball, samples):
-    pool = list(ball.elements)
-    for _ in range(samples):
-        x, y = rng.choice(pool), rng.choice(pool)
+    for x, y in _pairs(rng, ball.elements, samples):
         report = covariance_check(graph, x, y, ball)
         if not report.ok:
             return False, f"covariance fails at ({x},{y}): {report.mismatches[:3]}"

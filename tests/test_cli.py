@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -340,7 +341,7 @@ class TestAnalysisCommands:
             return (longer if next(calls) % 2 else canonical_fraction)(graph, x)
 
         def not_a_fraction(graph, x):
-            raise NotInPPInvError(x)
+            raise NotInPPInvError(f"{x} is not a fraction of positives")
 
         for name, broken, check, detail in [
             ("oracles.bfs_normal_form", lambda graph, sylls: None, "normal_forms",
@@ -373,6 +374,15 @@ class TestAnalysisCommands:
             assert doc["error"]["detail"]["ok"] is False
             assert doc["error"]["detail"][check]["ok"] is False, name
             assert detail in doc["error"]["detail"][check]["detail"], name
+
+
+I2_100 = {"vertices": [{"name": "v", "factor": {"artin": {
+    "generators": ["s", "t"], "m": [[1, 100], [100, 1]]}}}]}
+
+
+def i2_quotient(k):
+    """The literal of s^-k t^k at I2_100's vertex."""
+    return json.dumps([["v", {"den": "s" * k}], ["v", "t" * k]])
 
 
 class TestErrorHandling:
@@ -483,6 +493,8 @@ class TestErrorHandling:
         (["nf", "--ctx", "CTX_NO_GENERATOR", "[]"], 2, "parse"),
         (["nf", "--ctx", "CTX_GENERATOR_DUP", "[]"], 2, "parse"),
         (["nf", "--ctx", "CTX_ENTRY_ONE", "[]"], 2, "parse"),
+        (["nf", "--ctx", "CTX_GENERATOR_LONG", "[]"], 2, "parse"),
+        (["nf", "--ctx", "CTX_I2_100", i2_quotient(2)], 1, "NoCommonMultipleError"),
     ])
     def test_error_envelope(self, run, tmp_path, monkeypatch, argv, code, kind):
         # one case per error class: unknown context, LiteralError,
@@ -510,7 +522,9 @@ class TestErrorHandling:
         # a context with no vertex; a norm curve to a degree far past its cap;
         # a vertex name that is not a string; then Artin contexts, with the
         # detail: names that longest match misreads, entries false, a string
-        # and 1, no generators, duplicate names
+        # and 1, no generators, duplicate names, a name over 64 characters, and
+        # in I2(100) a 198-letter quotient, whose greedy division takes 12,375
+        # reversing steps in all, though none of its reversals passes 200
         monkeypatch.setattr("qlattice.factors._REVERSING_STEP_CAP", 1000)
         inf = tmp_path / "inf.json"
         inf.write_text(json.dumps({"vertices": [{"name": "v", "factor": {
@@ -533,7 +547,8 @@ class TestErrorHandling:
             "CTX_NAME_LIST": {"vertices": [{"name": ["a"], "factor": "Z"}]},
             **{f"CTX_GENERATOR_{name}": {"vertices": [{"name": "v", "factor": {"artin": {
                 "generators": ["s", bad], "m": [[1, 3], [3, 1]]}}}]}
-               for name, bad in (("INT", 1), ("EMPTY", ""), ("PREFIX", "ss"), ("DUP", "s"))},
+               for name, bad in (("INT", 1), ("EMPTY", ""), ("PREFIX", "ss"), ("DUP", "s"),
+                                 ("LONG", "t" * 65))},
             **{f"CTX_ENTRY_{name}": {"vertices": [{"name": "v", "factor": {"artin": {
                 "generators": ["s", "t"], "m": [[1, bad], [bad, 1]]}}}]}
                for name, bad in (("FALSE", False), ("STR", "x"), ("ONE", 1))},
@@ -541,6 +556,7 @@ class TestErrorHandling:
                 "generators": [], "m": []}}}]},
             "CTX_HUGE_ENTRY": {"vertices": [{"name": "v", "factor": {"artin": {
                 "generators": ["s", "t"], "m": [[1, 10**9], [10**9, 1]]}}}]},
+            "CTX_I2_100": I2_100,
         }
         bad_reps = {
             "REP_ARRAY": [[1]],
@@ -562,6 +578,9 @@ class TestErrorHandling:
             "CTX_NO_GENERATOR": "Artin factor needs at least one generator",
             "CTX_GENERATOR_DUP": "duplicate Artin generator names",
             "CTX_ENTRY_ONE": "off-diagonal Coxeter entries must be >= 2",
+            "CTX_GENERATOR_LONG": "Artin generator names longer than 64 characters "
+                                  "are not supported",
+            "CTX_I2_100": "subword reversing passed its budget of 1000 steps",
         }
         detail = next((details[arg] for arg in argv if arg in details), None)
         argv = [str(paths.get(arg, arg)) for arg in argv]
@@ -569,6 +588,38 @@ class TestErrorHandling:
         assert (got_code, doc["ok"], doc["error"]["kind"]) == (code, False, kind)
         assert set(doc["error"]) == {"kind", "detail"}
         assert detail in (None, doc["error"]["detail"])
+
+
+class TestDivisionBudget:
+    """nf of s^-k t^k in I2(100): a quotient of 99 k letters on each side,
+    past the cone table, so its greedy division takes about 2,600 k^2
+    reversing steps, all counted against one budget."""
+
+    @pytest.fixture()
+    def ctx(self, tmp_path):
+        path = tmp_path / "i2.json"
+        path.write_text(json.dumps(I2_100))
+        return str(path)
+
+    @pytest.mark.parametrize("k, digest", [
+        (10, "c8f9c664eac872c95caaaa79045728449dcebbb617dbe419263031ade0a31a86"),
+        (15, "58590010a3c12736f21c31c2a6b9d15208639f01f6958952809c042924b7cf98"),
+    ])
+    def test_a_quotient_within_the_budget_prints_as_before(self, run, ctx, k, digest):
+        code, out = run("nf", "--ctx", ctx, i2_quotient(k))
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+    def test_a_long_word_with_one_reversal_prints_as_before(self, run):
+        # t s^1500 in b3: one letter test on 1,501 letters, one reversal
+        code, out = run("nf", "--ctx", "b3", json.dumps([["v", "t"], ["v", "s" * 1500]]))
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, (
+            "05c2de5322f2a33bad49b4f43b54097f65be6e55fdcf181c92b95931314c8d8b"))
+
+    def test_a_quotient_past_the_budget_is_refused(self, run, ctx):
+        # 1,980 letters: about 1.04 million steps in all, past 1,000,000
+        code, doc = run_json(run, "nf", "--ctx", ctx, i2_quotient(20))
+        assert (code, doc["error"]) == (1, {"kind": "NoCommonMultipleError", "detail":
+                                            "subword reversing passed its budget of 1000000 steps"})
 
 
 class TestPresets:
@@ -854,9 +905,10 @@ class TestStartup:
             "ZOps", "canonical_fraction", "check_graph_relations",
             "check_toeplitz_relations", "covariance_check", "defect_product_diag",
             "enumerate_ball", "factor_from_spec", "factors", "graph", "is_positive",
-            "leq", "leq_r", "lub", "lub_general", "norm_curve", "norm_estimate",
+            "leq", "leq_r", "lub", "norm_curve", "norm_estimate",
             "order", "phi", "phi_lub", "range_projection_diag", "rgcd", "toeplitz",
             "toeplitz_op",
         ]
+        assert qlattice.order.lub_general is not qlattice.order.lub  # a span each
         star = "from qlattice import *\nassert norm_curve.__name__ == 'norm_curve'"
         assert numeric_modules_after(star) == [True, False]

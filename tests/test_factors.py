@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from qlattice import ArtinOps, NotFiniteTypeError, ZOps, factor_from_spec, factors, phi_lub
 from qlattice.cli import main
-from qlattice.factors import ArtinMonoid, coxeter_is_finite_type, validate_coxeter
+from qlattice.factors import (
+    ArtinMonoid,
+    NoCommonMultipleError,
+    coxeter_is_finite_type,
+    validate_coxeter,
+)
 from qlattice.oracles import (
     bfs_left_divides,
     bfs_minimal_common_multiples,
@@ -252,6 +257,17 @@ class TestGeneratorNames:
         with pytest.raises(ValueError, match="'a' and 'aa' do not read back"):
             validate_coxeter(names, commuting(names))
         assert time.perf_counter() - began < 0.1
+
+    def test_a_long_name_is_refused_at_once(self):
+        # the read-back rule slices every suffix of a name, so its time grows
+        # with the square of the name's length: 3.5 s at 3 * 10^5 characters
+        names = ["a" * 10**6, "b"]
+        began = time.perf_counter()
+        with pytest.raises(ValueError, match="longer than 64 characters are not supported"):
+            validate_coxeter(names, commuting(names))
+        assert time.perf_counter() - began < 0.1
+        names = ["a" * 64, "b"]
+        assert ArtinMonoid(names, commuting(names)).parse_word(names[0] * 2) == (names[0],) * 2
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.lists(st.text("ab", min_size=1, max_size=3), min_size=2, max_size=4,
@@ -563,6 +579,23 @@ class TestPrunedArithmetic:
                 assert (quotient is not None) == bfs_left_divides(mon, (s,), w)
                 if quotient is not None:
                     assert rewrite_equal(mon, (s,) + quotient, w), (s, w)
+
+    def test_the_reversals_of_one_division_share_one_step_budget(self, monkeypatch):
+        # t^30 s^30, with no sts or tst, is the only word of its element; each
+        # s test on it reverses at most 117 steps, 2,640 in all when
+        # canonical_word divides it, and again when _strip does
+        mon = reversal_only(dihedral(3)).monoid
+        w = ("t",) * 30 + ("s",) * 30
+        assert mon.canonical_word(w) == w
+        assert mon._strip(w, w + ("t",)) == ((), ("t",))
+        monkeypatch.setattr("qlattice.factors._REVERSING_STEP_CAP", 1000)
+        for divide in (lambda: mon.canonical_word(w), lambda: mon._strip(w, w + ("t",))):
+            with pytest.raises(NoCommonMultipleError, match="budget of 1000 steps"):
+                divide()
+        # one letter test on a long word is one linear reversal, 799 steps
+        tail = ("s",) * 400
+        assert mon._letter_quotient("s", ("t",) + tail) is None
+        assert mon.canonical_word(("t",), tail) == ("t",) + tail
 
     @pytest.mark.parametrize("name", ["B3", "H3", "D4"])
     def test_rgcd_matches_right_divisor_enumeration(self, name):

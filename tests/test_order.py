@@ -12,12 +12,12 @@ from qlattice import (
     leq,
     leq_r,
     lub,
-    lub_general,
     phi,
     phi_lub,
     rgcd,
 )
 from qlattice.cli import _load_context
+from qlattice.order import lub_general
 from qlattice.oracles import (
     check_lub_against_ball,
     product_upper_bitsets,
@@ -185,8 +185,9 @@ class TestFractions:
         x = free2.multiply(
             free2.invert(nw(free2, ("a", 1))), nw(free2, ("b", 1))
         )
-        with pytest.raises(NotInPPInvError):
+        with pytest.raises(NotInPPInvError) as raised:
             canonical_fraction(free2, x)
+        assert raised.value.args[0] == str(raised.value) == f"{x} is not a fraction of positives"
 
     def test_fraction_properties_sampled(self, mixed):
         ball = enumerate_ball(mixed, 3)
