@@ -1,21 +1,23 @@
 """Command line interface.
 
-Results go to standard output as one JSON object per invocation,
-{"ok": true, "result": ...}; an infinite lub is rendered as the string
-"infinity".  Exit codes: 0 success, 1 domain error (a word that is not
-positive or no fraction of positives, relation violation, a norm that
-cannot be certified, a reversal or a division past the step budget), 2
-input/parse error, such as a generator name over 64 characters.  The
+A result goes to standard output, or to the --out file, as one JSON object,
+{"ok": true, "result": ...}; an infinite lub is rendered as "infinity".
+Exit codes: 0 success, 1 domain error (a word that is not positive or no
+fraction of positives, relation violation, a norm that cannot be certified,
+a reversal or a division past the step budget), 2 input/parse error, such as
+a generator name over 64 characters or an --out file that cannot be opened.
+An error is reported on standard output, and no --out file is written.  The
 norm-curve subcommand emits CSV instead (columns degree, ball_size,
 norm_estimate, norm_hi).  Each row is a bracket on the exact compressed
 norm, and both columns are nondecreasing.  The computed bracket is at most
---tolerance (relative above 1) wide; its ends are printed rounded outward
-to 12 decimals, so a printed row is at most --tolerance plus 2e-12 wide.
+--tolerance (relative above 1) wide; its ends are printed rounded outward to
+12 decimals, so a printed row is at most --tolerance plus 2e-12 wide.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.resources
 import json
 import math
@@ -88,14 +90,6 @@ def _result_word(graph, x):
 
 def _json_words(graph, xs):
     return [qio.word_to_json(graph, x) for x in xs]
-
-
-def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 #: The lattice subcommands, one row each: name, word count, the result
@@ -179,11 +173,9 @@ def cmd_norm_curve(graph, args):
     # each end exactly to 12 decimals, outward: a float has at most 309 integer digits
     down, up = (Context(prec=400, rounding=r) for r in (ROUND_FLOOR, ROUND_CEILING))
     step = Decimal("1e-12")
-    text = "".join(["degree,ball_size,norm_estimate,norm_hi\n"] + [
+    return "".join(["degree,ball_size,norm_estimate,norm_hi\n"] + [
         f"{d},{n},{down.quantize(Decimal(lo), step):.12f},{up.quantize(Decimal(hi), step):.12f}\n"
         for d, n, lo, hi in rows])
-    _emit(text, args.out)
-    return None  # already emitted as CSV
 
 
 def cmd_verify(graph, args):
@@ -274,6 +266,10 @@ def main(argv=None):
         graph = _load_context(args.ctx)
         words = _words(graph, args) if "words" in args else []
         result = args.fn(graph, args, *words)
+        if args.command != "norm-curve":  # which returns its CSV
+            result = json.dumps({"ok": True, "result": result}, sort_keys=True) + "\n"
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write(result)
     except tuple(t for t, _, _ in _ERRORS) as exc:
         kind, code = next((k, c) for t, k, c in _ERRORS if isinstance(exc, t))
         if isinstance(exc, DomainError):
@@ -282,8 +278,6 @@ def main(argv=None):
             kind, detail = kind or type(exc).__name__, str(exc)
         print(json.dumps({"ok": False, "error": {"kind": kind, "detail": detail}}))
         return code
-    if result is not None:
-        _emit(json.dumps({"ok": True, "result": result}, sort_keys=True) + "\n", args.out)
     return 0
 
 

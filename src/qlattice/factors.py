@@ -287,12 +287,12 @@ class ArtinMonoid:
         return (tuple(letter[c] for c in word if c > 0),
                 tuple(letter[-c] for c in reversed(word) if c < 0))
 
-    def _id(self, w):
-        """The id of w in the cone table, grown towards degree len(w) while
+    def _id(self, w, at=0):
+        """The id of w[at:] in the cone table, grown towards its degree while
         the next layer (at most n times the top one) fits the budget, or None."""
-        if len(w) > self._degree:
+        if len(w) - at > self._degree:
             with self._growing:  # one thread grows; readers stay below _degree
-                while len(w) > self._degree:
+                while len(w) - at > self._degree:
                     table, start = self._table, self._table.start
                     if start[-1] + len(self._rows) * (start[-1] - start[-2]) > self._budget:
                         return None
@@ -305,62 +305,64 @@ class ArtinMonoid:
                             inverse[row[y]] = y
                     self._degree += 1
         rows, z = self._rows, 0
-        for c in reversed(w):
+        for c in reversed(w[at:]):  # at most _degree letters
             z = rows[c][z]
         return z
 
-    def _letter_quotient(self, s, w, spent=None):
-        """The w' with s w' = w (nonempty), or None; spent as in reverse_fraction."""
-        if w[0] == s:
-            return w[1:]
-        z = self._id(w)
+    def _letter_quotient(self, s, w, start=0, spent=None):
+        """The w' with s w' = w[start:] (nonempty), as a word and the index
+        it starts at, or None; spent as in reverse_fraction."""
+        if w[start] == s:
+            return w, start + 1
+        z = self._id(w, start)
         if z is not None:
             y = self._inverse[s][z]
-            return None if y < 0 else self._words[y]
-        quotient, over = self.reverse_fraction((s,), w, spent)
-        return None if over else quotient
+            return None if y < 0 else (self._words[y], 0)
+        quotient, over = self.reverse_fraction((s,), w[start:], spent)
+        return None if over else (quotient, 0)
 
     def _strip(self, p, q):
         """(g\\p, g\\q) for g the left gcd of p and q, one common letter
         at a time: s <= p, q gives gcd(p, q) = s gcd(s\\p, s\\q)."""
         spent = [0]  # all the reversals of one strip share one step budget
-        while p and q:
+        i = j = 0  # the remainders are p[i:] and q[j:]
+        while i < len(p) and j < len(q):
             for s in self.generators:
-                p1 = self._letter_quotient(s, p, spent)
-                q1 = None if p1 is None else self._letter_quotient(s, q, spent)
+                p1 = self._letter_quotient(s, p, i, spent)
+                q1 = None if p1 is None else self._letter_quotient(s, q, j, spent)
                 if q1 is not None:
                     break
             else:
                 break
-            p, q = p1, q1
-        return p, q
+            (p, i), (q, j) = p1, q1
+        return p[i:], q[j:]
 
     def canonical_word(self, w, tail=()):
         """Shortlex-least word equal to w + tail, for a shortlex-least tail.
 
-        Equal words have equal length, so this is the lexicographically
-        least one: repeatedly split off the least generator that
-        left-divides what remains, until the cone table holds the rest.  The
-        first letter of the remainder always divides it, which bounds each
-        scan.  Suffixes of shortlex-least words are shortlex-least, so once
-        the scan has taken every letter of w unchanged, the rest is the tail
-        as it is.
+        Equal words have equal length, so this is the lexicographically least
+        one: repeatedly split off the least generator that left-divides what
+        remains, rest[start:], until the cone table holds it.  The first letter
+        of the remainder always divides it, which bounds each scan; dividing it
+        off moves start and copies nothing.  Suffixes of shortlex-least words
+        are shortlex-least, so once the scan has taken every letter of w
+        unchanged, the rest is the tail as it is.
         """
         rest, fresh = tuple(w) + tuple(tail), len(w)  # fresh: letters before the canonical tail
-        out, spent = [], None
+        start, out, spent = 0, [], None  # what remains is rest[start:]
         while fresh > 0:
-            z = self._id(rest)
+            z = self._id(rest, start)
             if z is not None:
                 return tuple(out) + self._words[z]
             spent = spent or [0]  # its reversals, quadratic in all, share one step budget
             for s in self.generators:
-                quotient = self._letter_quotient(s, rest, spent)
+                quotient = self._letter_quotient(s, rest, start, spent)
                 if quotient is not None:
                     break
-            fresh = fresh - 1 if s == rest[0] else len(quotient)
+            fresh = fresh - 1 if s == rest[start] else len(quotient[0])
             out.append(s)
-            rest = quotient
-        return tuple(out) + rest
+            rest, start = quotient
+        return tuple(out) + rest[start:]
 
     def parse_word(self, text):
         """Split a string into generator letters (longest match first)."""

@@ -559,16 +559,18 @@ def _dense_vector(b, component):
 
 
 def _sparse_vector(b):
-    """Two vectors for _bracket: (mI - B)^-1 (1, ..., 1), through one
-    sparse factorisation, and the Ritz vector r of the top eigenvalue t.
+    """Three vectors for _bracket: (mI - B)^-1 (1, ..., 1), the Ritz vector
+    r of the top eigenvalue t, and |r| after 40 power steps.
 
     Lanczos (eigsh from the all-ones vector, to machine precision) gives
     (t, r), m = t (1 + 10^-12), and spilu factorises C = fl(mI - B) with
     one symmetric fill-reducing permutation, no pivoting and no dropping
     under the fill cap of 40 times the memory of C.  Past it the first
     bracket does not close, but r's may: with generator weights, layer 11
-    of square4 at degree 12 fills 42 times (the whole B, 31).  Zero vectors
-    if Lanczos or spilu fails or the solve is not finite.
+    of square4 at degree 12 fills 42 times (the whole B, 31).  B is
+    nonnegative, so the steps v <- Bv / max(Bv) run to its Perron vector
+    and mend r's least entries where they are not relatively accurate.
+    Zero vectors if Lanczos or spilu fails or the solve is not finite.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh, spilu
@@ -582,9 +584,11 @@ def _sparse_vector(b):
         lu = spilu(c, drop_tol=0, fill_factor=40, permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0, options={"SymmetricMode": True})
     except RuntimeError:  # eigsh did not converge, or spilu met a singular pivot
-        return np.zeros((2, n))
-    v = lu.solve(ones)
-    return np.stack([v, ritz[:, 0]]) if np.isfinite(v).all() else np.zeros((2, n))
+        return np.zeros((3, n))
+    v, polished = lu.solve(ones), np.abs(ritz[:, 0])
+    for _ in range(40):
+        polished = (w := b @ polished) / w.max()
+    return np.stack([v, ritz[:, 0], polished]) if np.isfinite(v).all() else np.zeros((3, n))
 
 
 def _certified_norms(terms, layer, tops, tol):
@@ -595,7 +599,7 @@ def _certified_norms(terms, layer, tops, tol):
     ``layer`` numbers the columns, nondecreasing, and B = A^T A links no
     two layers.  Each layer is bracketed once, from a vector solved by
     _dense_vector if none of its blocks has over _DENSE_BLOCK rows (all in
-    one call), else from the two of _sparse_vector; each n reads the
+    one call), else from the three of _sparse_vector; each n reads the
     running maximum of the layer ends below it.  _gram sums each entry of B
     from the products lambda_x lambda_x' that A^T A sums, one per z = xy =
     x'y', if in another order: so the slack and _bracket's gamma_k stand.
@@ -616,7 +620,7 @@ def _certified_norms(terms, layer, tops, tol):
     component = _component_labels(b)
     sparse = np.unique(group[np.bincount(component)[component] > _DENSE_BLOCK])
     dense = ~np.isin(group, sparse)
-    v = np.empty((1 + bool(sparse.size), len(rows)))
+    v = np.empty((1 + 2 * bool(sparse.size), len(rows)))
     v[:, dense] = _dense_vector(b if dense.all() else _restrict(b, dense), component[dense])
     for d in sparse:
         v[:, group == d] = _sparse_vector(_restrict(b, group == d))

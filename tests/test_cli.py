@@ -495,6 +495,7 @@ class TestErrorHandling:
         (["nf", "--ctx", "CTX_ENTRY_ONE", "[]"], 2, "parse"),
         (["nf", "--ctx", "CTX_GENERATOR_LONG", "[]"], 2, "parse"),
         (["nf", "--ctx", "CTX_I2_100", i2_quotient(2)], 1, "NoCommonMultipleError"),
+        (["nf", "--ctx", "path3", "[]", "--out", "OUT_MISSING"], 2, "parse"),
     ])
     def test_error_envelope(self, run, tmp_path, monkeypatch, argv, code, kind):
         # one case per error class: unknown context, LiteralError,
@@ -524,7 +525,8 @@ class TestErrorHandling:
         # detail: names that longest match misreads, entries false, a string
         # and 1, no generators, duplicate names, a name over 64 characters, and
         # in I2(100) a 198-letter quotient, whose greedy division takes 12,375
-        # reversing steps in all, though none of its reversals passes 200
+        # reversing steps in all, though none of its reversals passes 200; an
+        # --out file in a missing directory
         monkeypatch.setattr("qlattice.factors._REVERSING_STEP_CAP", 1000)
         inf = tmp_path / "inf.json"
         inf.write_text(json.dumps({"vertices": [{"name": "v", "factor": {
@@ -532,7 +534,8 @@ class TestErrorHandling:
         }}]}))
         rep = tmp_path / "rep.json"
         rep.write_text(json.dumps({"a": [[1.0]], "b": [[1.0]]}))
-        paths = {"INF": inf, "REP": rep, "MISSING": tmp_path / "missing.json"}
+        paths = {"INF": inf, "REP": rep, "MISSING": tmp_path / "missing.json",
+                 "OUT_MISSING": tmp_path / "missing" / "x.json"}
         files = {
             "CTX_ARRAY": [],
             "CTX_NO_FACTOR": {"vertices": [{"name": "a"}]},
@@ -581,6 +584,7 @@ class TestErrorHandling:
             "CTX_GENERATOR_LONG": "Artin generator names longer than 64 characters "
                                   "are not supported",
             "CTX_I2_100": "subword reversing passed its budget of 1000 steps",
+            "OUT_MISSING": f"[Errno 2] No such file or directory: '{paths['OUT_MISSING']}'",
         }
         detail = next((details[arg] for arg in argv if arg in details), None)
         argv = [str(paths.get(arg, arg)) for arg in argv]
@@ -659,6 +663,37 @@ FLAGS = {
     "norm-curve": BALL | {"--tolerance", "--weights"},
     "verify": BALL | {"--seed", "--samples"},
 }
+
+
+#: A succeeding run of each subcommand.
+SUCCEEDING = {
+    "nf": ["--ctx", "path3", PATH3_B_A],
+    "eq": ["--ctx", "path3", PATH3_B_A, PATH3_B_A],
+    "len": ["--ctx", "b3", B3_ST],
+    "lub": ["--ctx", "b3", B3_ST, B3_TS],
+    "rgcd": ["--ctx", "b3", B3_ST, B3_TS],
+    "fraction": ["--ctx", "path3", PATH3_B_A],
+    "phi": ["--ctx", "path3", PATH3_B_A],
+    "ball": ["--ctx", "path3", "--max-degree", "2"],
+    "cov-check": ["--ctx", "b3", "--max-degree", "2", B3_ST, B3_TS],
+    "defect": ["--ctx", "path3", "--max-degree", "2"],
+    "relcheck": ["--ctx", "path3", "--max-degree", "3"],
+    "norm-curve": ["--ctx", "free2", "--max-degree", "3", "--weights", '{"a": 0.5}'],
+    "verify": ["--ctx", "path3", "--max-degree", "2", "--samples", "2"],
+}
+
+
+class TestOutFile:
+    """--out is opened once a command has succeeded, inside the envelope."""
+
+    @pytest.mark.parametrize("name", sorted(FLAGS))
+    def test_an_out_file_that_cannot_be_opened_is_a_parse_error(self, capsys, tmp_path, name):
+        out = tmp_path / "missing" / "x.json"
+        assert in_process([name, *SUCCEEDING[name]])[0] == 0
+        code, text = in_process([name, *SUCCEEDING[name], "--out", str(out)])
+        doc = assert_one_envelope(code, text, False)
+        assert (code, doc["error"]["kind"]) == (2, "parse")
+        assert capsys.readouterr().err == "" and not out.parent.exists()
 
 
 class TestParser:
@@ -762,7 +797,8 @@ class TestFuzz:
     files: every run ends in one exit code of the envelope, with its one
     JSON object (or the CSV of a norm-curve success) on standard output.
     The work flags, --max-ball and --samples, stay small, since they set
-    the work asked for; --max-degree may be huge, and the size cap bounds it."""
+    the work asked for; --max-degree may be huge, and the size cap bounds it.
+    An --out file now and then lies in a missing directory."""
 
     @FUZZ
     @given(data=st.data())
@@ -810,7 +846,7 @@ class TestFuzz:
             elif path.exists():
                 path.unlink()  # a missing file
             argv.append(f"{flag}={path}")
-        out = tmp_path / "out.txt"
+        out = tmp_path / data.draw(st.sampled_from(["out.txt"] * 2 + ["missing/out.txt"]))
         out.unlink(missing_ok=True)
         if data.draw(st.booleans()):
             argv.append(f"--out={out}")
@@ -818,6 +854,7 @@ class TestFuzz:
             argv += map(argument, words)
         code, text = in_process(argv)
         assert code in (0, 1, 2)
+        assert code == 0 or not out.exists()  # a failure writes no file
         if code == 0 and out.exists():
             assert text == ""
             text = out.read_text()

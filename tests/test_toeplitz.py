@@ -962,6 +962,29 @@ class TestNorms:
             val = norm_estimate(graph, weights, ball)
             assert val <= dense_norm(graph, weights, ball) <= val + 1e-9 * max(val, 1.0)
 
+    def test_a_block_past_the_fill_cap_certifies_by_power_steps(self, monkeypatch):
+        # square4 at degree 11 with uneven weights, one of them on a d: spilu
+        # fills its 20,481-row block past the cap, and the Ritz vector's least
+        # entries are too inexact for the upper end, which stayed 6.7e-7 above
+        # the lower one; the power-polished third vector closes the bracket
+        graph = _load_context("square4")
+        words = dict(zip(graph.generator_labels(), graph.generator_words()))
+        rng = random.Random(2)
+        weights = {x: rng.uniform(0.05, 1) for x in words.values()}
+        weights[graph.multiply(words["a"], words["d"])] = 0.5
+        seen = []
+        monkeypatch.setattr(toeplitz, "_sparse_vector",
+                            lambda b: seen.append((b, _sparse_vector(b))) or seen[-1][1])
+        val = norm_estimate(graph, weights, enumerate_ball(graph, 11))
+        # inside the bracket the first two vectors give, 2.06666863703084 to
+        # 2.06667002414159
+        assert 2.0666686370 <= val <= 2.0666700242
+        (b, v), = seen
+        component = _component_labels(b)
+        for vectors, closes in ((v[:2], False), (v, True)):
+            lower, upper = (np.sqrt(end.max()) for end in _bracket(b, vectors, component))
+            assert (upper - lower <= 1e-9 * lower) == closes
+
     @pytest.mark.parametrize("failure", ["lanczos", "singular", "non-finite solve"])
     def test_failed_sparse_factorisation_raises(self, monkeypatch, failure):
         # each way _sparse_vector can fail leaves the upper bound infinite

@@ -6,11 +6,15 @@ Each command runs in a fresh interpreter, so a time holds start-up,
 imports and the work itself.  The commands are ``norm-curve`` on the five
 presets, ``relcheck`` on b3 and b4, the lattice commands ``nf`` and
 ``lub`` on b3 and b4 with fixed 12-letter words, ``ball`` on b3 to
-degree 15 and on b4 to degree 10, and ``nf`` on a 12-letter word in an
-E8 context that the script writes to a temporary file, so loading a
-context of the largest tested rank is timed.  Those balls pass the
-degrees of the Artin factors' cone tables (13 and 8), so forming their
-elements takes the greedy path with a canonical tail past the table.
+degree 15 and on b4 to degree 10, ``nf`` on b3 of s^20000 and of the
+fraction t s^20000 / s^20000, and ``nf`` on a 12-letter word in an E8
+context that the script writes to a temporary file, so loading a context
+of the largest tested rank is timed.  Those balls pass the degrees of the
+Artin factors' cone tables (13 and 8), so forming their elements takes
+the greedy path with a canonical tail past the table; the two long words
+take it with no reversal, dividing off first letters (canonical_word) and
+a common right divisor (_strip) one letter at a time.  A word argument
+over 40 characters is printed shortened.
 Every run has OPENBLAS_NUM_THREADS=1, and the runs of the commands are
 interleaved, so a slow spell on the machine spreads over all of them.
 ``--src`` names the source directory put on PYTHONPATH (default: this
@@ -55,6 +59,8 @@ COMMANDS = [
     artin_words("lub", "b4", "utstusuttsus", "tsuuststtuts"),
     ["ball", "--ctx", "b3", "--max-degree", "15"],
     ["ball", "--ctx", "b4", "--max-degree", "10"],
+    artin_words("nf", "b3", "s" * 20000),
+    artin_words("nf", "b3", {"num": "t" + "s" * 20000, "den": "s" * 20000}),
 ]
 
 
@@ -84,7 +90,8 @@ def main(argv=None):
                                check=True, stdout=subprocess.DEVNULL)
                 seen.append(time.perf_counter() - began)
     for argv_, seen in zip(commands, times):
-        print(f"{min(seen):.3f} s  {' '.join(argv_[:5])}")
+        shown = (a if len(a) <= 40 else a[:37] + "..." for a in argv_[:5])
+        print(f"{min(seen):.3f} s  {' '.join(shown)}")
 
 
 if __name__ == "__main__":
