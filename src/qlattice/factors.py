@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import re
 import threading
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 #: m(s, t) = inf and order.lub of an unbounded pair: one fact, since two Artin
@@ -372,15 +371,46 @@ class ArtinMonoid:
         return tuple(self._name.findall(text))
 
 
-@dataclass(frozen=True)
-class ArtinFraction:
+class Record:
+    """The cold methods of the immutable records ArtinFraction, Syllable and
+    NormalWord, written out on __slots__ because importing dataclasses, and
+    with it inspect, took about 30 % of a lattice process's start-up.  Each
+    writes its own __init__ (through _set), __eq__ and __hash__ (of its field
+    tuple, as a dataclass): on these hot paths a generic one was slower."""
+    __slots__ = ()
+    _set = object.__setattr__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{self.__class__.__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class ArtinFraction(Record):
     """An Artin group element num * den^-1 with rgcd(num, den) = 1.
 
     Both words are stored in shortlex canonical form, so fractions compare
-    and hash by value.
+    and hash by value.  A Record, not a dataclass: see Record for why.
     """
-    num: tuple
-    den: tuple
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self._set("num", num)
+        self._set("den", den)
+
+    def __eq__(self, other):
+        return (self.num == other.num and self.den == other.den
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def __repr__(self):
         n = "".join(self.num) or "e"

@@ -21,9 +21,7 @@ have identical syllable sequences and equality is a sequence comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .factors import factor_from_spec
+from .factors import Record, factor_from_spec
 
 
 class UnknownVertexError(KeyError):
@@ -37,24 +35,42 @@ class BallSizeExceeded(RuntimeError):
 BALL_SIZE_CAP = 200_000  #: the default size cap of a cone ball, in elements
 
 
-@dataclass(frozen=True)
-class Syllable:
-    """A nontrivial factor element tagged by the vertex it belongs to."""
-    vertex: str
-    element: object
+class Syllable(Record):
+    """A nontrivial factor element tagged by its vertex (a factors.Record)."""
+    __slots__ = ("vertex", "element")
+
+    def __init__(self, vertex, element):
+        self._set("vertex", vertex)
+        self._set("element", element)
+
+    def __eq__(self, other):
+        return (self.vertex == other.vertex and self.element == other.element
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.vertex, self.element))
 
 
-@dataclass(frozen=True)
-class NormalWord:
+class NormalWord(Record):
     """The canonical reduced word representing a group element.
 
     Only :meth:`CommutationGraph.reduce` and friends construct these, from
     validated syllables that are trusted from then on.  The degree, the sum
     of the syllables' factor degrees, is a homomorphism to Z: the relations
-    keep the Artin degree |num| - |den|.
+    keep the Artin degree |num| - |den|.  A factors.Record, not a dataclass.
     """
-    syllables: tuple
-    degree: int
+    __slots__ = ("syllables", "degree")
+
+    def __init__(self, syllables, degree):
+        self._set("syllables", syllables)
+        self._set("degree", degree)
+
+    def __eq__(self, other):
+        return (self.degree == other.degree and self.syllables == other.syllables
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.syllables, self.degree))
 
     def __len__(self):
         return len(self.syllables)

@@ -633,7 +633,7 @@ class TestPresets:
         assert code == 0 and doc["result"] == []
 
 
-def numeric_modules_after(code, modules=("numpy", "scipy")):
+def loaded_after(code, modules=("numpy", "scipy")):
     """Whether each module is loaded after code runs in a new interpreter."""
     path = [str(Path(qlattice.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -895,9 +895,14 @@ class TestFuzz:
         assert (code, doc["error"]["kind"]) == (2, "parse"), argv
 
 
+#: What the lattice side never loads: the numeric libraries, and dataclasses
+#: with the inspect it imports (about 30 % of the start-up of a lattice command).
+LATTICE_UNLOADED = ("numpy", "scipy", "dataclasses", "inspect")
+
+
 class TestStartup:
     def test_import_loads_no_numeric_library(self):
-        assert numeric_modules_after("import qlattice") == [False, False]
+        assert loaded_after("import qlattice", LATTICE_UNLOADED) == [False] * 4
 
     def test_lattice_commands_load_no_numeric_library(self):
         ctx = ["--ctx", "b3"]
@@ -905,7 +910,7 @@ class TestStartup:
                         ["len", *ctx, B3_ST], ["lub", *ctx, B3_ST, B3_TS],
                         ["rgcd", *ctx, B3_ST, B3_TS], ["fraction", *ctx, B3_ST],
                         ["phi", *ctx, B3_ST])
-        assert numeric_modules_after(code) == [False, False]
+        assert loaded_after(code, LATTICE_UNLOADED) == [False] * 4
 
     @pytest.mark.parametrize("argv", [
         ["ball", "--ctx", "b3", "--max-degree", "3"],
@@ -915,7 +920,7 @@ class TestStartup:
         ["relcheck", "--ctx", "b4"],
     ])
     def test_table_commands_load_numpy_but_not_scipy(self, argv):
-        assert numeric_modules_after(commands(argv)) == [True, False]
+        assert loaded_after(commands(argv)) == [True, False]
 
     def test_operators_load_numpy_but_not_scipy(self):
         # toeplitz_op is the index map the table walk gives: no sparse matrix
@@ -924,14 +929,14 @@ class TestStartup:
                 "g = _load_context('b3')\n"
                 "rows, cols = toeplitz_op(g, g.generator_words()[0], enumerate_ball(g, 3))\n"
                 "assert len(rows) == len(cols) == 7\n")
-        assert numeric_modules_after(code) == [True, False]
+        assert loaded_after(code) == [True, False]
 
     def test_small_norm_curves_load_no_sparse_solver(self):
         # every block of this curve is small enough for the dense bracket,
         # and B is gathered from the ball's table: no scipy module loads
         argv = ["norm-curve", "--ctx", "b3", "--max-degree", "8",
                 "--weights", json.dumps({"s": 0.5, "t": 0.5})]
-        assert numeric_modules_after(commands(argv)) == [True, False]
+        assert loaded_after(commands(argv)) == [True, False]
 
     def test_public_names(self):
         assert sorted(qlattice.__all__) == [
@@ -948,4 +953,4 @@ class TestStartup:
         ]
         assert qlattice.order.lub_general is not qlattice.order.lub  # a span each
         star = "from qlattice import *\nassert norm_curve.__name__ == 'norm_curve'"
-        assert numeric_modules_after(star) == [True, False]
+        assert loaded_after(star) == [True, False]

@@ -1,9 +1,11 @@
 """Factor-level tests: reversing arithmetic and the finite-type check."""
 
+import copy
 import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
 import sys
 import threading
@@ -15,7 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlattice import ArtinOps, NotFiniteTypeError, ZOps, factor_from_spec, factors, phi_lub
+from qlattice import (
+    ArtinFraction,
+    ArtinOps,
+    NotFiniteTypeError,
+    ZOps,
+    factor_from_spec,
+    factors,
+    phi_lub,
+)
 from qlattice.cli import main
 from qlattice.factors import (
     ArtinMonoid,
@@ -703,6 +713,47 @@ class TestFractions:
         f = B3.element(("s", "t", "s"), ("t",))
         assert B3.degree(f) == 2
         assert B3.degree(B3.invert(f)) == -2
+
+
+class TestArtinFractionValue:
+    """A value record on __slots__: the behaviour a frozen dataclass had."""
+
+    f = ArtinFraction(("s", "t"), ("t",))
+
+    def test_equality_is_by_value_and_class(self):
+        assert self.f == ArtinFraction(("s", "t"), ("t",))
+        assert self.f != ArtinFraction(("s", "t"), ())
+        assert self.f != ArtinFraction(("t",), ("t",))
+        assert self.f != (("s", "t"), ("t",))  # not a tuple of its fields
+        assert ArtinFraction((), ()) != ((), ())
+
+    def test_hash_is_that_of_the_field_tuple(self):
+        assert hash(self.f) == hash((("s", "t"), ("t",)))
+        assert hash(ArtinFraction((), ())) == hash(((), ()))
+        assert len({self.f, ArtinFraction(("s", "t"), ("t",)), B3.identity}) == 2
+
+    def test_repr(self):
+        assert repr(self.f) == "st/t"
+        assert repr(ArtinFraction(("s", "t", "s"), ())) == "sts"
+        assert repr(ArtinFraction((), ("t",))) == "e/t"
+        assert repr(ArtinFraction((), ())) == "e"
+
+    def test_fields_are_read_only(self):
+        for field in ("num", "den", "other"):
+            with pytest.raises(AttributeError):
+                setattr(self.f, field, ())
+            with pytest.raises(AttributeError):
+                delattr(self.f, field)
+        assert self.f.num == ("s", "t") and self.f.den == ("t",)
+        assert not hasattr(self.f, "__dict__")
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))])
+    def test_copies_are_equal_records(self, clone):
+        for f in (self.f, B3.identity, B3.element(("s",), ("t",))):
+            again = clone(f)
+            assert type(again) is ArtinFraction
+            assert again == f and hash(again) == hash(f) and repr(again) == repr(f)
 
 
 class TestZOps:

@@ -1,10 +1,12 @@
 """Normal forms and group operations on graph products."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
-from qlattice import CommutationGraph, Syllable
+from qlattice import CommutationGraph, NormalWord, Syllable
 from qlattice.graph import UnknownVertexError
 from qlattice.oracles import bfs_normal_form, is_reduced, shuffle_closure
 from qlattice.verify import random_syllables
@@ -36,6 +38,79 @@ class TestConstruction:
         # the demos' way in: (vertex, element) pairs straight to a NormalWord
         assert path3.normal([("c", 1), ("a", 2), ("b", -1)]) == nw(
             path3, ("c", 1), ("a", 2), ("b", -1))
+
+
+def clones(x):
+    """copy.copy, copy.deepcopy and a pickle round trip of x."""
+    return [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+
+
+class TestValueRecords:
+    """Syllable and NormalWord are value records on __slots__: the
+    behaviour a frozen dataclass had, without its import."""
+
+    def test_syllable_equality_is_by_value_and_class(self):
+        s = Syllable("a", 2)
+        assert s == Syllable("a", 2)
+        assert s != Syllable("a", 3) and s != Syllable("b", 2)
+        assert s != ("a", 2)  # not a tuple of its fields
+        assert s != NormalWord(("a", 2), 0)  # nor another record with those fields
+
+    def test_normal_word_equality_is_by_value_and_class(self, path3):
+        x = nw(path3, ("a", 2), ("b", -1))
+        assert x == nw(path3, ("b", -1), ("a", 2))
+        assert x != nw(path3, ("a", 2)) and x != path3.identity()
+        assert NormalWord(x.syllables, 0) != x  # the degree takes part
+        assert x != (x.syllables, x.degree)
+        assert path3.identity() == NormalWord((), 0) != ((), 0)
+
+    def test_hash_is_that_of_the_field_tuple(self, b3):
+        s = Syllable("v", braid(b3, "st", "t"))
+        assert hash(s) == hash(("v", braid(b3, "st", "t")))
+        assert hash(Syllable("a", 2)) == hash(("a", 2))
+        x = nw(b3, ("v", "sts"))
+        assert hash(x) == hash((x.syllables, x.degree))
+        assert hash(NormalWord((), 0)) == hash(((), 0))
+        assert len({x, nw(b3, ("v", "sts")), b3.identity()}) == 2
+
+    def test_reprs(self, path3, b3):
+        assert repr(Syllable("a", -1)) == "Syllable(vertex='a', element=-1)"
+        assert repr(path3.identity()) == "NormalWord(syllables=(), degree=0)"
+        assert repr(nw(path3, ("a", -1), ("b", 1))) == (
+            "NormalWord(syllables=(Syllable(vertex='a', element=-1), "
+            "Syllable(vertex='b', element=1)), degree=0)")
+        fraction = b3.reduce([Syllable("v", braid(b3, "st", "t"))])
+        assert repr(fraction) == (
+            "NormalWord(syllables=(Syllable(vertex='v', element=s),), degree=1)")
+        assert repr(Syllable("v", braid(b3, "", "t"))) == "Syllable(vertex='v', element=e/t)"
+        assert repr(Syllable("v", braid(b3, "s", "t"))) == "Syllable(vertex='v', element=s/t)"
+
+    @pytest.mark.parametrize("field", ["vertex", "element", "syllables", "degree", "other"])
+    def test_fields_are_read_only(self, path3, field):
+        for record in (Syllable("a", 2), nw(path3, ("a", 2))):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            assert not hasattr(record, "__dict__")
+        assert Syllable("a", 2).element == 2
+
+    def test_copies_are_equal_records(self, path3, b3):
+        records = [Syllable("a", 2), nw(path3, ("a", 2), ("b", -1)), path3.identity(),
+                   nw(b3, ("v", "sts")), b3.reduce([Syllable("v", braid(b3, "s", "t"))])]
+        for x in records:
+            for again in clones(x):
+                assert type(again) is type(x)
+                assert again == x and hash(again) == hash(x) and repr(again) == repr(x)
+
+    def test_copies_of_artin_syllables_hold_fractions(self, b3):
+        x = b3.reduce([Syllable("v", braid(b3, "st", "ss"))])
+        assert repr(x.syllables[0].element) == "st/ss"
+        for again in clones(x):
+            (syllable,) = again.syllables
+            assert type(syllable.element) is type(x.syllables[0].element)
+            assert syllable.element == x.syllables[0].element
+            assert b3.equal(again, x) and again.degree == 0
 
 
 class TestReducedWords:

@@ -3,7 +3,8 @@
     python3 tools/cli_times.py [--src path/to/src]
 
 Each command runs in a fresh interpreter, so a time holds start-up,
-imports and the work itself.  The commands are ``norm-curve`` on the five
+imports and the work itself.  The commands are ``len`` of a one-letter
+word on free2, whose time is start-up alone, ``norm-curve`` on the five
 presets, ``relcheck`` on b3 and b4, the lattice commands ``nf`` and
 ``lub`` on b3 and b4 with fixed 12-letter words, ``ball`` on b3 to
 degree 15 and on b4 to degree 10, ``nf`` on b3 of s^20000 and of the
@@ -46,6 +47,7 @@ def artin_words(command, ctx, *words):
 
 
 COMMANDS = [
+    ["len", "--ctx", "free2", json.dumps([["a", 1]])],  # start-up only
     norm_curve("free2", 7, "ab"),
     norm_curve("path3", 6, "abc"),
     norm_curve("square4", 5, "abcd"),
