@@ -15,7 +15,7 @@ read short words off a cone table (ConeTable, pass 1 of the cone balls of
 toeplitz too), grown by each monoid under a fixed budget of elements.
 Past it canonical_word divides greedily by reversing, and stops at a
 canonical tail, since shortlex-least words are closed under suffixes; its
-reversals, quadratic in the word's length in all, share one step budget.
+reversals, quadratic in length in all, count steps on one itertools.count.
 
 General Artin group elements are carried around as canonical fractions
 a b^-1 with a, b positive and without a common nontrivial right divisor.
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 
 #: m(s, t) = inf and order.lub of an unbounded pair: one fact, since two Artin
 #: generators have a common multiple exactly when m(s, t) is finite (Brieskorn-Saito).
@@ -209,13 +209,13 @@ class ArtinMonoid:
     """Positive words over a finite-type Artin presentation.
 
     Words are tuples of generator names.  reverse_fraction gives the
-    complements of two words, and so their least common multiple; _strip
-    cancels their common left divisor.  The canonical spelling used for
-    hashing is the shortlex-least word.  The only state beyond the
-    presentation is a cone table, grown lazily towards the longest word
-    asked so far, within _CONE_TABLE_BUDGET elements.  A word up to its
-    degree is walked through it, one lookup per letter, and that word and
-    the letter quotients are read off its id; longer words are reversed.
+    complements of two words, so their lcm, in steps drawn from spent, an
+    itertools.count that the reversals of one division share; _strip
+    cancels their common left divisor.  Canonical words, used for hashing,
+    are shortlex-least.  The only state beyond the presentation is a cone
+    table, grown lazily towards the longest word asked so far, within
+    _CONE_TABLE_BUDGET elements.  A word up to its degree is walked through
+    it, one lookup per letter, and its word and quotients read off its id.
     """
 
     def __init__(self, generators, m):
@@ -229,14 +229,14 @@ class ArtinMonoid:
         code = self._code = {s: i + 1 for i, s in enumerate(self.generators)}
         self._letter = (None,) + self.generators
         # s^-1 t reverses to (s\t)(t\s)^-1; with letters coded 1..n and
-        # inverses -1..-n, _reversal[s][t] holds it (row and column 0 unused)
-        self._reversal = [[[] for _ in self._letter] for _ in self._letter]
+        # inverses -1..-n, _reversal[s][t] holds it last letter first (row
+        # and column 0 unused)
+        self._reversal = [[() for _ in self._letter] for _ in self._letter]
         for s, t in permutations(self.generators, 2):
             mm = self.coxeter(s, t) - 1
-            self._reversal[code[s]][code[t]] = (
-                [code[c] for c in self._alt(t, s, mm)]
-                + [-code[c] for c in reversed(self._alt(s, t, mm))]
-            )
+            self._reversal[code[s]][code[t]] = tuple(
+                [-code[c] for c in self._alt(s, t, mm)]
+                + [code[c] for c in reversed(self._alt(t, s, mm))])
         self._table = ConeTable(self.generators, [
             (s, t, self._alt(s, t, self.coxeter(s, t)), self._alt(t, s, self.coxeter(s, t)))
             for s, t in combinations(self.generators, 2)])
@@ -259,31 +259,28 @@ class ArtinMonoid:
     def reverse_fraction(self, u, v, spent=None):
         """Rewrite u^-1 v into positive fraction form p q^-1.
 
-        Returns (p, q) = (u\\v, v\\u); in particular u (u\\v) = v (v\\u)
-        is the least common multiple of u and v.  Given spent, a one-item
-        list, steps count on from spent[0] and are stored back there.
+        Returns (p, q) = (u\\v, v\\u), so u (u\\v) = v (v\\u) = lcm(u, v).
+        word holds the letters reversed so far, positive then inverse, and
+        pending the rewrites still to read, last letter first.  Each step,
+        one rewrite, draws from spent: an itertools.count that the
+        reversals of one division share.
         """
         if not u or not v:
             return tuple(v), tuple(u)
-        code, table = self._code, self._reversal
-        word = [-code[s] for s in reversed(u)] + [code[t] for t in v]
-        steps = spent[0] if spent else 0
-        i = 0
-        while i < len(word) - 1:
-            a, b = word[i], word[i + 1]
-            if a > 0 or b < 0:
-                i += 1
-                continue
-            word[i:i + 2] = table[-a][b]
-            i = i - 1 if i else 0
-            steps += 1
-            if steps > _REVERSING_STEP_CAP:
+        code, table, letter, spent = self._code, self._reversal, self._letter, spent or count(1)
+        word, pending, k = [0] + [-code[s] for s in reversed(u)], [], 0  # 0 marks the bottom
+        while pending or k < len(v) and word[-1] < 0:  # v[k:] unread; kept once no inverse
+            if pending:
+                if (b := pending.pop()) < 0 or word[-1] >= 0:
+                    word.append(b)
+                    continue
+            else:
+                b, k = code[v[k]], k + 1
+            if next(spent) > _REVERSING_STEP_CAP:
                 raise NoCommonMultipleError(
                     f"subword reversing passed its budget of {_REVERSING_STEP_CAP} steps")
-        if spent:
-            spent[0] = steps
-        letter = self._letter
-        return (tuple(letter[c] for c in word if c > 0),
+            pending += table[-word.pop()][b]
+        return (tuple(letter[c] for c in word if c > 0) + tuple(v[k:]),
                 tuple(letter[-c] for c in reversed(word) if c < 0))
 
     def _id(self, w, at=0):
@@ -323,7 +320,7 @@ class ArtinMonoid:
     def _strip(self, p, q):
         """(g\\p, g\\q) for g the left gcd of p and q, one common letter
         at a time: s <= p, q gives gcd(p, q) = s gcd(s\\p, s\\q)."""
-        spent = [0]  # all the reversals of one strip share one step budget
+        spent = count(1)  # all the reversals of one strip share one step budget
         i = j = 0  # the remainders are p[i:] and q[j:]
         while i < len(p) and j < len(q):
             for s in self.generators:
@@ -353,7 +350,7 @@ class ArtinMonoid:
             z = self._id(rest, start)
             if z is not None:
                 return tuple(out) + self._words[z]
-            spent = spent or [0]  # its reversals, quadratic in all, share one step budget
+            spent = spent or count(1)  # its reversals, quadratic in all, share one step budget
             for s in self.generators:
                 quotient = self._letter_quotient(s, rest, start, spent)
                 if quotient is not None:

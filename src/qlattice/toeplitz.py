@@ -678,7 +678,7 @@ def norm_curve(graph, weights_by_label, degrees, tol=1e-9, size_cap=BALL_SIZE_CA
     return [row[:3] for row in _norm_brackets(graph, weights_by_label, degrees, tol, size_cap)]
 
 
-def _norm_brackets(graph, weights_by_label, degrees, tol=1e-9, size_cap=BALL_SIZE_CAP):
+def _norm_brackets(graph, weights_by_label, degrees, tol, size_cap):
     """norm_curve's rows with the upper end of each bracket appended, also
     kept at least the one before (the exact norm is nondecreasing in n)."""
     _check_norm_inputs("norm_curve", weights_by_label, tol)

@@ -613,6 +613,40 @@ class TestPrunedArithmetic:
         assert mon._letter_quotient("s", ("t",) + tail) is None
         assert mon.canonical_word(("t",), tail) == ("t",) + tail
 
+    def test_a_long_reversal_moves_no_tail(self, monkeypatch):
+        # s^-1 t s^N reverses in 2N - 1 steps, each letter of s^N meeting the
+        # inverse letters left by the last; a rewrite spliced into the middle
+        # of one list moved its tail at every step, about 2 s at N = 10^5
+        v = ("t",) + ("s",) * 10**5
+        began = time.perf_counter()
+        got = MON.reverse_fraction(("s",), v)
+        assert time.perf_counter() - began < 1.0
+        assert got == (("t", "s", "s") + ("t",) * (10**5 - 1), ("t", "s"))
+        monkeypatch.setattr("qlattice.factors._REVERSING_STEP_CAP", 199_999)
+        assert MON.reverse_fraction(("s",), v) == got
+        monkeypatch.setattr("qlattice.factors._REVERSING_STEP_CAP", 199_998)
+        with pytest.raises(NoCommonMultipleError, match="budget of 199998 steps"):
+            MON.reverse_fraction(("s",), v)
+
+    def test_a_reversal_stops_once_no_inverse_letter_is_left(self, monkeypatch):
+        # s^-1 u s^N in b4: s^-1 u -> u s^-1, s^-1 s -> e, and s^(N-1) is
+        # returned unread, so two steps are all it counts
+        v = ("u",) + ("s",) * 10**5
+        monkeypatch.setattr("qlattice.factors._REVERSING_STEP_CAP", 2)
+        assert B4.monoid.reverse_fraction(("s",), v) == (("u",) + ("s",) * (10**5 - 1), ())
+        monkeypatch.setattr("qlattice.factors._REVERSING_STEP_CAP", 1)
+        with pytest.raises(NoCommonMultipleError, match="budget of 1 steps"):
+            B4.monoid.reverse_fraction(("s",), v)
+
+    def test_a_reversal_per_letter_reads_no_remainder_letter_by_letter(self):
+        # u s^L in b4 divides off s at each greedy step by that 2-step
+        # reversal; coding the whole remainder letter by letter at every step
+        # made L = 5,000 take about 2.3 s on 2 cores
+        began = time.perf_counter()
+        got = ArtinOps(*FINITE_TYPES["A3"]).element(("u",) + ("s",) * 5000)
+        assert time.perf_counter() - began < 1.0
+        assert got.num == ("s",) * 5000 + ("u",)
+
     @pytest.mark.parametrize("num, den, expected", [
         (("s",) * 10**5, (), (("s",) * 10**5, ())),
         (("t",) + ("s",) * 10**4, ("s",) * 10**4, (("t",), ())),
