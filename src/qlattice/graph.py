@@ -40,8 +40,8 @@ class Syllable(Record):
     __slots__ = ("vertex", "element")
 
     def __init__(self, vertex, element):
-        self._set("vertex", vertex)
-        self._set("element", element)
+        _set_vertex(self, vertex)
+        _set_element(self, element)
 
     def __eq__(self, other):
         return (self.vertex == other.vertex and self.element == other.element
@@ -62,8 +62,8 @@ class NormalWord(Record):
     __slots__ = ("syllables", "degree")
 
     def __init__(self, syllables, degree):
-        self._set("syllables", syllables)
-        self._set("degree", degree)
+        _set_syllables(self, syllables)
+        _set_degree(self, degree)
 
     def __eq__(self, other):
         return (self.degree == other.degree and self.syllables == other.syllables
@@ -78,6 +78,10 @@ class NormalWord(Record):
     @property
     def is_identity(self):
         return not self.syllables
+
+
+_set_vertex, _set_element = Syllable.vertex.__set__, Syllable.element.__set__
+_set_syllables, _set_degree = NormalWord.syllables.__set__, NormalWord.degree.__set__
 
 
 class CommutationGraph:
@@ -205,7 +209,8 @@ class CommutationGraph:
         """
         sylls, degree = [], 0
         for s in w:
-            self.check_vertex(s.vertex)
+            if s.vertex not in self.ops:
+                raise UnknownVertexError(s.vertex)
             ops = self.ops[s.vertex]
             if not ops.is_identity(s.element):
                 sylls.append(s)

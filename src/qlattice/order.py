@@ -84,35 +84,41 @@ def canonical_fraction(graph, x):
     stay in it, so it is reduced, and the greedy least-vertex extraction on
     x, filtered to it, is the greedy extraction on it.  b's syllables come
     from x's trusted word, so like ``invert`` it only inserts them, and
-    its degree is the sum of theirs.
+    its degree is the sum of theirs.  Only here are they built, from the
+    syllables of x that _split keeps; positives are never factorized.
     """
     split = _split(graph, x.syllables)
     if split is None:
         raise NotInPPInvError(f"{x} is not a fraction of positives")
-    parts_a, parts_b, b_degree = split
-    b = NormalWord(tuple(graph._insert([], reversed(parts_b))), b_degree)
+    parts_a, negatives, b_degree = split
+    parts_b = (Syllable(s.vertex, graph.ops[s.vertex].factorize(s.element)[1])
+               for s in reversed(negatives))
+    b = NormalWord(tuple(graph._insert([], parts_b)), b_degree)
     return NormalWord(tuple(parts_a), x.degree + b_degree), b
 
 
 def _split(graph, sylls):
-    """(a_1 ... a_k, b_1 ... b_k, deg b) of a reduced list, or None if it
-    fails canonical_fraction's test."""
-    parts_a, parts_b, b_degree = [], [], 0
+    """(a_1 ... a_k, the syllables with b_i != 1, deg b) of a reduced list,
+    or None if it fails canonical_fraction's test.  A positive syllable is
+    its own a_i, unfactorized, and no b_i is built: lub and rgcd need deg b
+    only, and canonical_fraction builds b from the syllables returned."""
+    parts_a, negatives, b_degree = [], [], 0
     negative = set()  # the vertices of the syllables so far with b_i != 1
     for s in sylls:
         v = s.vertex
         ops = graph.ops[v]
-        a_i, b_i = ops.factorize(s.element)
-        negative_i = not ops.is_identity(b_i)
-        if not (negative_i and ops.is_identity(a_i)):  # a_i = s if b_i = 1
+        positive = ops.is_positive(s.element)
+        if not positive:
+            a_i, b_i = ops.factorize(s.element)
+        if positive or not ops.is_identity(a_i):
             if not negative <= graph.neighbours[v]:
                 return None
-            parts_a.append(Syllable(v, a_i) if negative_i else s)
-        if negative_i:
+            parts_a.append(s if positive else Syllable(v, a_i))
+        if not positive:
             negative.add(v)
-            parts_b.append(Syllable(v, b_i))
+            negatives.append(s)
             b_degree += ops.degree(b_i)
-    return parts_a, parts_b, b_degree
+    return parts_a, negatives, b_degree
 
 
 def lub_general(graph, x, y):

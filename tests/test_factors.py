@@ -748,6 +748,17 @@ class TestFractions:
         assert B3.degree(f) == 2
         assert B3.degree(B3.invert(f)) == -2
 
+    def test_factorize_returns_the_parts_it_holds(self):
+        f = B3.element(("s", "t"))
+        p, q = B3.factorize(f)
+        assert p is f and q is B3.identity
+        g = B3.invert(f)
+        p, q = B3.factorize(g)
+        assert p is B3.identity and q == f
+        p, q = B3.factorize(B3.element(("s",), ("t",)))
+        assert (p, q) == (B3.element(("s",)), B3.element(("t",)))
+        assert B3.factorize(B3.identity) == (B3.identity, B3.identity)
+
 
 class TestArtinFractionValue:
     """A value record on __slots__: the behaviour a frozen dataclass had."""

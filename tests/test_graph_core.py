@@ -146,6 +146,12 @@ class TestReducedWords:
         with pytest.raises(UnknownVertexError):
             path3.reduce([Syllable("a", 1), Syllable("zz", 1)])
 
+    def test_syllable_and_initial_split_check_the_vertex(self, path3):
+        with pytest.raises(UnknownVertexError):
+            path3.syllable("zz", 1)
+        with pytest.raises(UnknownVertexError):
+            path3.initial_split(nw(path3, ("a", 1)), "zz")
+
     def test_artin_syllables_merge(self, b3):
         w = [braid(b3, "s"), braid(b3, "t")]
         got = b3.reduce([Syllable("v", e) for e in w])

@@ -1,12 +1,15 @@
 """Lattice operations: lub, canonical fractions, rgcd, and phi."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+import qlattice.order
 from qlattice import (
     INFINITY,
     NotInPPInvError,
+    Syllable,
     canonical_fraction,
     is_positive,
     leq,
@@ -27,6 +30,8 @@ from qlattice.toeplitz import enumerate_ball
 from qlattice.verify import random_syllables
 
 from conftest import braid, nw
+
+HEX6 = Path(__file__).resolve().parent.parent / "perfbench" / "contexts" / "hex6.json"
 
 
 class TestOrders:
@@ -237,6 +242,48 @@ class TestRgcd:
             for d in pool:
                 if leq_r(mixed, d, u) and leq_r(mixed, d, v):
                     assert leq_r(mixed, d, g)
+
+
+class TestBuiltRecords:
+    """The order layer builds only the syllables a result keeps: a positive
+    syllable is its own a-part, and only canonical_fraction builds b."""
+
+    @pytest.mark.parametrize("name", ["path3", str(HEX6)], ids=["path3", "hex6"])
+    def test_positive_queries_build_no_syllable(self, name, monkeypatch):
+        # Z syllables are never mixed, so no a-part needs a new syllable either
+        graph = _load_context(name)
+        pool = list(enumerate_ball(graph, 3).elements)
+        rng = random.Random(34)
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(80)]
+
+        def queries():
+            return [(lub(graph, x, y), rgcd(graph, x, y), leq(graph, x, y), leq_r(graph, x, y))
+                    for x, y in pairs]
+
+        want = queries()
+        assert any(row[0] is INFINITY for row in want)
+
+        def refuse(vertex, element):
+            raise AssertionError(f"order built Syllable({vertex!r}, {element!r})")
+
+        monkeypatch.setattr(qlattice.order, "Syllable", refuse)
+        assert queries() == want
+
+    def test_canonical_fraction_builds_b(self, path3, b3, monkeypatch):
+        built = []
+
+        def counting(vertex, element):
+            built.append((vertex, element))
+            return Syllable(vertex, element)
+
+        monkeypatch.setattr(qlattice.order, "Syllable", counting)
+        a, b = canonical_fraction(path3, nw(path3, ("a", 2), ("c", -1)))
+        assert (a, b) == (nw(path3, ("a", 2)), nw(path3, ("c", 1)))
+        assert built == [("c", 1)]
+        built.clear()
+        a, b = canonical_fraction(b3, b3.reduce([b3.syllable("v", braid(b3, "s", "t"))]))
+        assert (a, b) == (nw(b3, ("v", "s")), nw(b3, ("v", "t")))
+        assert built == [("v", braid(b3, "s")), ("v", braid(b3, "t"))]
 
 
 class TestPhi:

@@ -8,9 +8,11 @@ under a ``sys.settrace``/``threading.settrace`` tracer that records lines
 only in frames whose code lies under ``src/qlattice``.  The executable
 lines of each module are those that ``co_lines()`` names in any of its code
 objects.  Each one never run prints as ``file:line: source``, then the
-count.  Only the standard library and pytest are used.  Lines run only in
-a subprocess (the CLI tests that start ``python -m qlattice``) are not
-seen, and tracing makes the suite several times slower.
+count, with pytest's exit status, and under it the node id of each test
+that failed in the traced run.  Only the standard library and pytest are
+used.  Lines run only in a subprocess (the CLI tests that start
+``python -m qlattice``) are not seen, and tracing makes the suite several
+times slower, so a test with a wall-clock bound may fail here alone.
 """
 
 import os
@@ -32,6 +34,17 @@ def executable_lines(path):
     return lines
 
 
+class FailedTests:
+    """A pytest plugin that keeps the node ids of the failed tests, in order."""
+
+    def __init__(self):
+        self.ids = []
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed and report.nodeid not in self.ids:
+            self.ids.append(report.nodeid)
+
+
 def main():
     prefix = str(PACKAGE) + os.sep
     seen = set()
@@ -49,10 +62,12 @@ def main():
     os.chdir(ROOT)
     import pytest
 
+    failed = FailedTests()
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        status = pytest.main(["-q", "--continue-on-collection-errors", *sys.argv[1:]])
+        status = pytest.main(["-q", "--continue-on-collection-errors", *sys.argv[1:]],
+                             plugins=[failed])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -67,6 +82,8 @@ def main():
                 unrun += 1
                 print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
     print(f"{unrun} of {total} executable lines unrun (pytest exit {int(status)})")
+    for nodeid in failed.ids:
+        print(f"failed under the tracer: {nodeid}")
 
 
 if __name__ == "__main__":
