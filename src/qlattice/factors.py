@@ -25,12 +25,14 @@ lub of an unbounded pair.
 
 The graph product (graph, order, toeplitz) reaches a factor only through
 the interface that ZOps and ArtinOps implement, with no base class; a new
-kind implements it too: identity, is_identity, multiply, invert,
-is_positive, degree, factorize (a = p q^-1 as the canonical pair (p, q);
-either part may be a itself or the identity object), generators(vertex)
-({label: element} for the cone's generators) and letters(vertex, a) (the
-labels that spell a positive a).  The lub of x and y is x p for the
-canonical pair (p, q) of x^-1 y, so no factor computes it.
+kind implements it too.  Its elements are hashable values (the graph pools
+syllables by (vertex, element)), and it offers identity, is_identity,
+multiply, invert, is_positive, degree, factorize (a = p q^-1 as the
+canonical pair (p, q); either part may be a itself or the identity
+object), generators(vertex) ({label: element} for the cone's generators)
+and letters(vertex, a) (the labels that spell a positive a).  The lub of
+x and y is x p for the canonical pair (p, q) of x^-1 y, so no factor
+computes it.
 Only io (the wire format) and verify (its sampler) read ``kind``.
 """
 

@@ -17,6 +17,12 @@ syllables at equal or non-adjacent vertices cannot pass each other, so
 ``reduce`` builds it in one pass of stack insertion that keeps the prefix
 canonical, so a product reuses its canonical left factor.  Equal elements
 have identical syllable sequences and equality is a sequence comparison.
+
+Syllables and words are values: they compare and hash by their fields, and
+two equal syllables may or may not be one object.  A graph hash-conses the
+syllables it builds in dicts (CommutationGraph._syllable), so its results
+mostly share a few syllable objects; a dict's get and set are atomic under
+the GIL, so threads sharing a graph at worst build a duplicate, equal one.
 """
 
 from __future__ import annotations
@@ -33,6 +39,12 @@ class BallSizeExceeded(RuntimeError):
 
 
 BALL_SIZE_CAP = 200_000  #: the default size cap of a cone ball, in elements
+
+#: Most syllables one graph's pools hold in all; full pools are cleared.  A
+#: round of the benchmark's lattice queries pools at most about 1,100 per
+#: graph, so this only bounds the memory of a long-lived graph fed ever new
+#: elements (a^k for growing k); clearing costs nothing but sharing.
+SYLLABLE_POOL_CAP = 4096
 
 
 class Syllable(Record):
@@ -83,6 +95,9 @@ class NormalWord(Record):
 _set_vertex, _set_element = Syllable.vertex.__set__, Syllable.element.__set__
 _set_syllables, _set_degree = NormalWord.syllables.__set__, NormalWord.degree.__set__
 
+#: The identity word: words are values, so every graph returns this one.
+_IDENTITY = NormalWord((), 0)
+
 
 class CommutationGraph:
     """A finite simplicial graph with a factor group at each vertex.
@@ -90,6 +105,14 @@ class CommutationGraph:
     The vertex order is total and fixed for the lifetime of the graph; it
     pins down the canonical form.  All word operations are pure functions
     of their inputs, so instances are safe to share between threads.
+
+    The syllables that the graph, the order layer and the parser build come
+    from _syllable: one per (vertex, element), in a dict per vertex keyed
+    by element (so a lookup builds no tuple), SYLLABLE_POOL_CAP in all.
+    The words a query keeps alive share them, so the cyclic collector
+    scans far fewer objects.  Results are values: equal syllables may or
+    may not be one object.  A dict's get and set are each atomic under the
+    GIL, so a race between threads at worst builds a duplicate, equal one.
     """
 
     def __init__(self, vertices, edges):
@@ -119,6 +142,7 @@ class CommutationGraph:
                 if name in self._labels:
                     raise ValueError(f"generator label {name!r} is not unique")
                 self._labels[name] = (v, elem)
+        self._pools = {v: {} for v in self.vertices}  # element -> Syllable, per vertex
 
     # -- basic structure ----------------------------------------------------
 
@@ -133,10 +157,22 @@ class CommutationGraph:
         self.check_vertex(vertex)
         if self.ops[vertex].is_identity(element):
             raise ValueError("a syllable must be a nontrivial factor element")
-        return Syllable(vertex, element)
+        return self._syllable(vertex, element)
+
+    def _syllable(self, vertex, element):
+        """The pooled Syllable(vertex, element), unchecked.  A miss counts
+        the pooled syllables, and clears all pools once they hold the cap."""
+        pool = self._pools[vertex]
+        s = pool.get(element)
+        if s is None:
+            if sum(map(len, self._pools.values())) >= SYLLABLE_POOL_CAP:
+                for p in self._pools.values():
+                    p.clear()
+            s = pool[element] = Syllable(vertex, element)
+        return s
 
     def identity(self):
-        return NormalWord((), 0)
+        return _IDENTITY
 
     def generator_labels(self):
         """Mapping label -> (vertex, factor element), one entry per generator."""
@@ -192,7 +228,7 @@ class CommutationGraph:
                 if ops.is_identity(merged):
                     del out[j]
                 else:
-                    out[j] = Syllable(v, merged)
+                    out[j] = self._syllable(v, merged)
                 continue
             j += 1
             while j < len(out) and index[out[j].vertex] < index[v]:
@@ -233,7 +269,7 @@ class CommutationGraph:
 
     def _inverses(self, sylls):
         """The inverse syllables of sylls, reversed: reduced if sylls is."""
-        return [Syllable(s.vertex, self.ops[s.vertex].invert(s.element))
+        return [self._syllable(s.vertex, self.ops[s.vertex].invert(s.element))
                 for s in reversed(sylls)]
 
     def invert(self, x):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .graph import CommutationGraph, Syllable
+from .graph import CommutationGraph
 
 
 class LiteralError(ValueError):
@@ -85,7 +85,7 @@ def parse_word(graph, literal):
         element = parse_element(graph, vertex, raw)
         if graph.ops[vertex].is_identity(element):
             raise LiteralError(f"trivial syllable {item!r}")
-        syllables.append(Syllable(vertex, element))
+        syllables.append(graph._syllable(vertex, element))
     return graph.reduce(syllables)
 
 

@@ -12,7 +12,7 @@ any reduced word, so quotients such as x^-1 y stay unsorted reduced lists
 from __future__ import annotations
 
 from .factors import INFINITY
-from .graph import NormalWord, Syllable
+from .graph import NormalWord
 
 
 class NotInPPInvError(ValueError):
@@ -85,23 +85,22 @@ def canonical_fraction(graph, x):
     x, filtered to it, is the greedy extraction on it.  b's syllables come
     from x's trusted word, so like ``invert`` it only inserts them, and
     its degree is the sum of theirs.  Only here are they built, from the
-    syllables of x that _split keeps; positives are never factorized.
+    (vertex, b_i) pairs that _split keeps; positives are never factorized.
     """
     split = _split(graph, x.syllables)
     if split is None:
         raise NotInPPInvError(f"{x} is not a fraction of positives")
     parts_a, negatives, b_degree = split
-    parts_b = (Syllable(s.vertex, graph.ops[s.vertex].factorize(s.element)[1])
-               for s in reversed(negatives))
+    parts_b = (graph._syllable(v, b_i) for v, b_i in reversed(negatives))
     b = NormalWord(tuple(graph._insert([], parts_b)), b_degree)
     return NormalWord(tuple(parts_a), x.degree + b_degree), b
 
 
 def _split(graph, sylls):
-    """(a_1 ... a_k, the syllables with b_i != 1, deg b) of a reduced list,
-    or None if it fails canonical_fraction's test.  A positive syllable is
-    its own a_i, unfactorized, and no b_i is built: lub and rgcd need deg b
-    only, and canonical_fraction builds b from the syllables returned."""
+    """(a_1 ... a_k, the pairs (vertex, b_i) with b_i != 1, deg b) of a
+    reduced list, or None if it fails canonical_fraction's test.  A positive
+    syllable is its own a_i, unfactorized, and no b syllable is built: lub
+    and rgcd need deg b only, and canonical_fraction builds b from the pairs."""
     parts_a, negatives, b_degree = [], [], 0
     negative = set()  # the vertices of the syllables so far with b_i != 1
     for s in sylls:
@@ -113,10 +112,10 @@ def _split(graph, sylls):
         if positive or not ops.is_identity(a_i):
             if not negative <= graph.neighbours[v]:
                 return None
-            parts_a.append(s if positive else Syllable(v, a_i))
+            parts_a.append(s if positive else graph._syllable(v, a_i))
         if not positive:
             negative.add(v)
-            negatives.append(s)
+            negatives.append((v, b_i))
             b_degree += ops.degree(b_i)
     return parts_a, negatives, b_degree
 
@@ -133,6 +132,8 @@ def rgcd(graph, u, v):
     a, _, b_degree = _split(graph, graph._insert(list(u.syllables),
                                                  graph._inverses(v.syllables)))
     gcd = graph._insert(graph._inverses(a), u.syllables)
+    if not gcd:  # u and v coprime: the shared identity word, not a new one
+        return graph.identity()
     return NormalWord(tuple(graph._insert([], gcd)), v.degree - b_degree)
 
 

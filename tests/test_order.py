@@ -1,6 +1,10 @@
 """Lattice operations: lub, canonical fractions, rgcd, and phi."""
 
+import copy
+import pickle
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,8 @@ import pytest
 import qlattice.order
 from qlattice import (
     INFINITY,
+    CommutationGraph,
+    NormalWord,
     NotInPPInvError,
     Syllable,
     canonical_fraction,
@@ -20,6 +26,8 @@ from qlattice import (
     rgcd,
 )
 from qlattice.cli import _load_context
+from qlattice.graph import SYLLABLE_POOL_CAP
+from qlattice.io import parse_word
 from qlattice.order import lub_general
 from qlattice.oracles import (
     check_lub_against_ball,
@@ -29,7 +37,7 @@ from qlattice.oracles import (
 from qlattice.toeplitz import enumerate_ball
 from qlattice.verify import random_syllables
 
-from conftest import braid, nw
+from conftest import B3_SPEC, braid, nw
 
 HEX6 = Path(__file__).resolve().parent.parent / "perfbench" / "contexts" / "hex6.json"
 
@@ -244,6 +252,20 @@ class TestRgcd:
                     assert leq_r(mixed, d, g)
 
 
+def order_requests(graph, monkeypatch):
+    """The (vertex, element) pairs that qlattice.order asks graph's syllable
+    pool for, from now on; the graph's own requests are not listed."""
+    requests, pooled = [], graph._syllable
+
+    def request(vertex, element):
+        if sys._getframe(1).f_globals["__name__"] == "qlattice.order":
+            requests.append((vertex, element))
+        return pooled(vertex, element)
+
+    monkeypatch.setattr(graph, "_syllable", request)
+    return requests
+
+
 class TestBuiltRecords:
     """The order layer builds only the syllables a result keeps: a positive
     syllable is its own a-part, and only canonical_fraction builds b."""
@@ -262,28 +284,114 @@ class TestBuiltRecords:
 
         want = queries()
         assert any(row[0] is INFINITY for row in want)
-
-        def refuse(vertex, element):
-            raise AssertionError(f"order built Syllable({vertex!r}, {element!r})")
-
-        monkeypatch.setattr(qlattice.order, "Syllable", refuse)
+        built = order_requests(graph, monkeypatch)
         assert queries() == want
+        assert built == []
 
     def test_canonical_fraction_builds_b(self, path3, b3, monkeypatch):
-        built = []
-
-        def counting(vertex, element):
-            built.append((vertex, element))
-            return Syllable(vertex, element)
-
-        monkeypatch.setattr(qlattice.order, "Syllable", counting)
+        built = order_requests(path3, monkeypatch)
         a, b = canonical_fraction(path3, nw(path3, ("a", 2), ("c", -1)))
         assert (a, b) == (nw(path3, ("a", 2)), nw(path3, ("c", 1)))
         assert built == [("c", 1)]
-        built.clear()
+        built = order_requests(b3, monkeypatch)
         a, b = canonical_fraction(b3, b3.reduce([b3.syllable("v", braid(b3, "s", "t"))]))
         assert (a, b) == (nw(b3, ("v", "s")), nw(b3, ("v", "t")))
         assert built == [("v", braid(b3, "s")), ("v", braid(b3, "t"))]
+
+
+    def test_canonical_fraction_factorizes_each_syllable_once(self, b3, monkeypatch):
+        ops, factorized = b3.ops["v"], []
+        factorize = ops.factorize
+        monkeypatch.setattr(ops, "factorize", lambda f: factorized.append(f) or factorize(f))
+        x = b3.reduce([b3.syllable("v", braid(b3, "s", "t"))])
+        assert canonical_fraction(b3, x) == (nw(b3, ("v", "s")), nw(b3, ("v", "t")))
+        assert factorized == [braid(b3, "s", "t")]
+
+
+class TestSyllablePool:
+    """A graph keeps one Syllable per (vertex, element) it builds, in a pool
+    of at most SYLLABLE_POOL_CAP entries; results stay values."""
+
+    def test_equal_syllables_are_one_object(self):
+        graph = CommutationGraph([("a", "Z"), ("v", B3_SPEC)], [("a", "v")])
+        s, t = braid(graph, "s"), braid(graph, "t")
+        pooled = parse_word(graph, '[["v", "s"]]').syllables[0]
+        assert graph.syllable("v", s) is pooled
+        assert graph._inverses([Syllable("v", graph.ops["v"].invert(s))])[0] is pooled
+        amalgamated = graph.multiply(parse_word(graph, '[["v", "st"]]'),
+                                     parse_word(graph, '[["v", {"den": "t"}]]'))
+        assert amalgamated.syllables[0] is pooled
+        assert qlattice.order._split(graph, [Syllable("v", braid(graph, "s", "t"))])[0][0] is pooled
+        a, b = canonical_fraction(graph, parse_word(graph, '[["v", {"num": "s", "den": "t"}]]'))
+        assert a.syllables[0] is pooled
+        assert b.syllables[0] is parse_word(graph, '[["v", "t"]]').syllables[0]
+        assert b.syllables[0] == Syllable("v", t)
+        z = parse_word(graph, '[["a", 2], ["v", "s"]]')
+        assert z.syllables[0] is graph.syllable("a", 2) and z.syllables[1] is pooled
+
+    def test_coprime_rgcd_is_the_shared_identity(self, path3, b3):
+        assert rgcd(path3, nw(path3, ("a", 2)), nw(path3, ("c", 1))) is path3.identity()
+        assert rgcd(b3, nw(b3, ("v", "s")), nw(b3, ("v", "t"))) is b3.identity()
+        assert path3.identity() == NormalWord((), 0)
+
+    def test_pool_holds_at_most_its_cap_and_results_do_not_change(self):
+        graph, fresh = _load_context("path3"), _load_context("path3")
+        for k in range(1, 2 * SYLLABLE_POOL_CAP + 1):
+            x = parse_word(graph, f'[["a", {k}], ["c", -{k}]]')
+            assert x.syllables == (Syllable("a", k), Syllable("c", -k))
+            assert sum(map(len, graph._pools.values())) <= SYLLABLE_POOL_CAP
+
+        def fraction(g, q):
+            try:
+                return canonical_fraction(g, q)
+            except NotInPPInvError:
+                return None
+
+        rng = random.Random(35)
+        for _ in range(60):
+            u, v = (random_syllables(graph, rng, positive=True) for _ in range(2))
+            for g in (graph, fresh):
+                x, y = g.reduce(u), g.reduce(v)
+                q = g.multiply(x, g.invert(y))
+                results = (x, y, q, lub(g, x, y), fraction(g, q), rgcd(g, x, y),
+                           leq(g, x, q), phi(g, q))
+                if g is graph:
+                    pooled = results
+            assert pooled == results
+
+    def test_threads_sharing_a_graph_get_equal_results(self, monkeypatch):
+        # a tiny cap, so the pools are cleared under the threads all the time
+        monkeypatch.setattr(qlattice.graph, "SYLLABLE_POOL_CAP", 16)
+        graph = _load_context("path3")
+        rng = random.Random(36)
+        words = [random_syllables(graph, rng, positive=True) for _ in range(40)]
+
+        def queries():
+            xs = [graph.reduce(w) for w in words]
+            return [(lub(graph, x, y), rgcd(graph, x, y), graph.multiply(x, graph.invert(y)))
+                    for x, y in zip(xs, xs[1:])]
+
+        want, got = queries(), []
+        workers = [threading.Thread(target=lambda: got.append(queries())) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert got == [want] * len(workers)
+        assert sum(map(len, graph._pools.values())) <= 16 + len(workers)
+
+    def test_pooled_words_survive_pickle_and_copy(self, b3):
+        x = parse_word(b3, '[["v", {"num": "sts", "den": "t"}]]')
+        for clone in (copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))):
+            y = clone(x)
+            assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+            assert canonical_fraction(b3, y) == canonical_fraction(b3, x)
 
 
 class TestPhi:

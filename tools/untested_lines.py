@@ -11,11 +11,17 @@ objects.  Each one never run prints as ``file:line: source``, then the
 count, with pytest's exit status, and under it the node id of each test
 that failed in the traced run.  Only the standard library and pytest are
 used.  Lines run only in a subprocess (the CLI tests that start
-``python -m qlattice``) are not seen, and tracing makes the suite several
-times slower, so a test with a wall-clock bound may fail here alone.
+``python -m qlattice``) are not seen.
+
+Tracing makes the suite several times slower, so a test with a wall-clock
+bound may fail here alone.  The tests that failed (or failed to collect)
+under the tracer are therefore run once more, untraced, in a subprocess,
+and the node ids that fail again are listed too.  The script exits with
+that rerun's status, or with the traced run's when nothing failed.
 """
 
 import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -35,7 +41,8 @@ def executable_lines(path):
 
 
 class FailedTests:
-    """A pytest plugin that keeps the node ids of the failed tests, in order."""
+    """A pytest plugin that keeps the node ids of the failed tests and of
+    the modules that failed to collect, in order."""
 
     def __init__(self):
         self.ids = []
@@ -43,6 +50,20 @@ class FailedTests:
     def pytest_runtest_logreport(self, report):
         if report.failed and report.nodeid not in self.ids:
             self.ids.append(report.nodeid)
+
+    pytest_collectreport = pytest_runtest_logreport
+
+
+def rerun_untraced(nodeids):
+    """(exit status, node ids that failed) of one untraced pytest run of
+    nodeids, in a subprocess with src first on the import path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", *nodeids],
+                         cwd=ROOT, env=env, capture_output=True, text=True)
+    failed = [line.split()[1] for line in run.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return run.returncode, failed
 
 
 def main():
@@ -84,7 +105,14 @@ def main():
     print(f"{unrun} of {total} executable lines unrun (pytest exit {int(status)})")
     for nodeid in failed.ids:
         print(f"failed under the tracer: {nodeid}")
+    if not failed.ids:
+        return int(status)
+    status, again = rerun_untraced(failed.ids)
+    for nodeid in again:
+        print(f"failed again untraced: {nodeid}")
+    print(f"untraced rerun of {len(failed.ids)}: pytest exit {status}")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
